@@ -6,7 +6,7 @@ Every command is a pure function of (argv, seed): the seed is taken from
 the OS and echoed, so any output can be replayed.  The seed in use is
 always printed to stderr and embedded in JSON reports.  Exit codes: 0 on
 success (and verification pass), 1 on verification failure, 2 on usage or
-validation errors.
+validation errors, 3 on an internal error (a fault in graphlim itself).
 """
 
 from __future__ import annotations
@@ -351,6 +351,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # exit 1 means only "a criterion failed", so a crash gets its own code
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -145,17 +145,20 @@ class DyckPath:
     steps: str
 
     def __post_init__(self) -> None:
-        height = 0
-        for pos, c in enumerate(self.steps, start=1):
-            if c == "U":
-                height += 1
-            elif c == "D":
-                height -= 1
-            else:
-                raise ValueError(f"position {pos}: expected 'U' or 'D', got {c!r}")
-            if height < 0:
-                raise ValueError(f"position {pos}: prefix has more D than U")
-        if height != 0:
+        codes = np.frombuffer(self.steps.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        ups = codes == ord("U")
+        bad = np.flatnonzero(~ups & (codes != ord("D")))
+        # Bad characters count as down steps: the heights before the first
+        # one are exact, and a bad character is reported ahead of a negative
+        # prefix at the same position, as a left-to-right scan would.
+        walk = np.cumsum(np.where(ups, 1, -1))
+        negative = np.flatnonzero(walk < 0)
+        if bad.size and (not negative.size or bad[0] <= negative[0]):
+            pos = int(bad[0])
+            raise ValueError(f"position {pos + 1}: expected 'U' or 'D', got {self.steps[pos]!r}")
+        if negative.size:
+            raise ValueError(f"position {int(negative[0]) + 1}: prefix has more D than U")
+        if walk.size and walk[-1] != 0:
             raise ValueError("unbalanced word: number of U and D steps differ")
         if not self.steps:
             raise ValueError("Dyck path must have size >= 1")
@@ -166,12 +169,8 @@ class DyckPath:
 
     def is_irreducible(self) -> bool:
         """True iff every proper prefix has strictly more U than D."""
-        height = 0
-        for c in self.steps[:-1]:
-            height += 1 if c == "U" else -1
-            if height == 0:
-                return False
-        return True
+        ups = np.frombuffer(self.steps.encode("ascii"), dtype=np.uint8) == ord("U")
+        return bool(np.all(np.cumsum(np.where(ups, 1, -1))[:-1] > 0))
 
 
 @dataclass(frozen=True)
@@ -310,7 +309,7 @@ def sample_dyck(n: int, rng: np.random.Generator) -> DyckPath:
     word = rng.permutation(word)
     cut = int(np.argmin(np.cumsum(word))) + 1  # first prefix-sum minimum
     rotated = np.concatenate([word[cut:], word[:cut]])[:-1]
-    return DyckPath("".join("U" if s > 0 else "D" for s in rotated))
+    return DyckPath(np.where(rotated > 0, b"U", b"D").tobytes().decode("ascii"))
 
 
 def sample_irreducible_dyck(n: int, rng: np.random.Generator) -> DyckPath:
@@ -401,10 +400,12 @@ def xyz_stats(m: Matching) -> tuple[int, int, int]:
     return x, y, z
 
 
+_SWAP_UD = str.maketrans("UD", "DU")
+
+
 def mirror(w: DyckPath) -> DyckPath:
     """Read the word right to left and swap U <-> D."""
-    swapped = "".join("D" if c == "U" else "U" for c in reversed(w.steps))
-    return DyckPath(swapped)
+    return DyckPath(w.steps[::-1].translate(_SWAP_UD))
 
 
 def is_palindromic(w: DyckPath) -> bool:

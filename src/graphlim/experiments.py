@@ -25,6 +25,7 @@ import bisect
 import itertools
 import json
 import math
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -648,6 +649,11 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
 
 _EXACT_SAMPLING_LIMIT = 600
 
+# Pool workers grow the tables below lazily; every growth step runs under
+# this lock (re-entrant: filling a block table grows the count tables), so
+# two workers never extend a table from the same stale length.  Tables only
+# grow, so reads need no lock.
+_TABLE_LOCK = threading.RLock()
 _connected_cache: dict[int, int] = {}
 _u_exact: list[int] = [1]  # U_0
 _a_exact: dict[int, int] = {}
@@ -687,12 +693,14 @@ def count_unit_interval_graphs(n: int) -> int:
     n U_n = sum_k a_k U_{n-k} with a_k = sum_{d|k} d C_d (exact integers)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    while len(_u_exact) <= n:
-        t = len(_u_exact)
-        s = sum(_a_term(k) * _u_exact[t - k] for k in range(1, t + 1))
-        if s % t:
-            raise AssertionError("Euler recursion must divide exactly")
-        _u_exact.append(s // t)
+    if len(_u_exact) <= n:
+        with _TABLE_LOCK:
+            while len(_u_exact) <= n:
+                t = len(_u_exact)
+                s = sum(_a_term(k) * _u_exact[t - k] for k in range(1, t + 1))
+                if s % t:
+                    raise AssertionError("Euler recursion must divide exactly")
+                _u_exact.append(s // t)
     return _u_exact[n]
 
 
@@ -712,22 +720,25 @@ def _ensure_log_tables(n: int) -> None:
     global _log_u_cache, _log_a_cache
     if _log_u_cache.size > n:
         return
-    start = _log_a_cache.size
-    log_a = np.full(n + 1, -np.inf)
-    log_a[: start] = _log_a_cache
-    log_c = np.array([-np.inf] + [_log_connected(d) for d in range(1, n + 1)])
-    for d in range(1, n + 1):
-        first = max(d, ((start + d - 1) // d) * d)
-        for k in range(first, n + 1, d):
-            log_a[k] = np.logaddexp(log_a[k], math.log(d) + log_c[d])
-    log_u = np.zeros(n + 1)
-    log_u[: _log_u_cache.size] = _log_u_cache
-    for t in range(_log_u_cache.size, n + 1):
-        terms = log_a[1 : t + 1] + log_u[t - 1 :: -1]
-        peak = terms.max()
-        log_u[t] = peak + math.log(np.exp(terms - peak).sum()) - math.log(t)
-    _log_u_cache = log_u
-    _log_a_cache = log_a
+    with _TABLE_LOCK:
+        if _log_u_cache.size > n:
+            return
+        start = _log_a_cache.size
+        log_a = np.full(n + 1, -np.inf)
+        log_a[: start] = _log_a_cache
+        log_c = np.array([-np.inf] + [_log_connected(d) for d in range(1, n + 1)])
+        for d in range(1, n + 1):
+            first = max(d, ((start + d - 1) // d) * d)
+            for k in range(first, n + 1, d):
+                log_a[k] = np.logaddexp(log_a[k], math.log(d) + log_c[d])
+        log_u = np.zeros(n + 1)
+        log_u[: _log_u_cache.size] = _log_u_cache
+        for t in range(_log_u_cache.size, n + 1):
+            terms = log_a[1 : t + 1] + log_u[t - 1 :: -1]
+            peak = terms.max()
+            log_u[t] = peak + math.log(np.exp(terms - peak).sum()) - math.log(t)
+        _log_u_cache = log_u
+        _log_a_cache = log_a
 
 
 _exact_block_cache: dict[int, tuple[list[tuple[int, int]], list[int], int]] = {}
@@ -749,36 +760,40 @@ def _draw_block(n: int, rng: np.random.Generator) -> tuple[int, int]:
     with probability d * C_d * U_{n-jd} / (n * U_n)."""
     if n <= _EXACT_SAMPLING_LIMIT:
         if n not in _exact_block_cache:
-            count_unit_interval_graphs(n)
-            pairs = []
-            cum = []
-            total = 0
-            for d in range(1, n + 1):
-                c_d = count_connected_unit_interval_graphs(d)
-                for j in range(1, n // d + 1):
-                    weight = d * c_d * _u_exact[n - j * d]
-                    total += weight
-                    pairs.append((d, j))
-                    cum.append(total)
-            if total != n * _u_exact[n]:
-                raise AssertionError("block weights must sum to n * U_n")
-            _exact_block_cache[n] = (pairs, cum, total)
+            with _TABLE_LOCK:
+                if n not in _exact_block_cache:
+                    count_unit_interval_graphs(n)
+                    pairs = []
+                    cum = []
+                    total = 0
+                    for d in range(1, n + 1):
+                        c_d = count_connected_unit_interval_graphs(d)
+                        for j in range(1, n // d + 1):
+                            weight = d * c_d * _u_exact[n - j * d]
+                            total += weight
+                            pairs.append((d, j))
+                            cum.append(total)
+                    if total != n * _u_exact[n]:
+                        raise AssertionError("block weights must sum to n * U_n")
+                    _exact_block_cache[n] = (pairs, cum, total)
         pairs, cum, total = _exact_block_cache[n]
         return pairs[bisect.bisect_right(cum, _rand_below(total, rng))]
     _ensure_log_tables(n)
     if n not in _log_block_cache:
-        ds, js, logw = [], [], []
-        for d in range(1, n + 1):
-            lc = math.log(d) + _log_connected(d)
-            for j in range(1, n // d + 1):
-                ds.append(d)
-                js.append(j)
-                logw.append(lc + _log_u_cache[n - j * d])
-        _log_block_cache[n] = (
-            np.asarray(ds, dtype=np.int64),
-            np.asarray(js, dtype=np.int64),
-            np.asarray(logw),
-        )
+        with _TABLE_LOCK:
+            if n not in _log_block_cache:
+                ds, js, logw = [], [], []
+                for d in range(1, n + 1):
+                    lc = math.log(d) + _log_connected(d)
+                    for j in range(1, n // d + 1):
+                        ds.append(d)
+                        js.append(j)
+                        logw.append(lc + _log_u_cache[n - j * d])
+                _log_block_cache[n] = (
+                    np.asarray(ds, dtype=np.int64),
+                    np.asarray(js, dtype=np.int64),
+                    np.asarray(logw),
+                )
     ds, js, logw = _log_block_cache[n]
     gumbel = rng.gumbel(size=logw.size)
     pick = int(np.argmax(logw + gumbel))
@@ -991,11 +1006,10 @@ def verify_distance_formula(n_max: int, reps: int, rng: np.random.Generator) -> 
         w = combinat.sample_irreducible_dyck(n, child)
         _, f = _heights_arrays(w.steps)
         bfs = graphs.all_pairs_distances(graphs.unit_interval_graph(w))
-        targets = np.arange(1, n + 1)
-        for i in range(1, n + 1):
-            row = graphs._distances_from(f, i, targets[i:])
-            pairs += row.size
-            mismatches += int(np.count_nonzero(row != bfs[i - 1, i:]))
+        upper = np.triu_indices(n, 1)
+        walk = graphs._distances_from(f, np.arange(1, n + 1))
+        pairs += upper[0].size
+        mismatches += int(np.count_nonzero(walk[upper] != bfs[upper]))
     return Report(
         name="verify_distance_formula",
         params={"n_max": n_max, "reps": reps},
@@ -1048,13 +1062,8 @@ def verify_clique_formula(
 def _two_point_graph_draw(n: int, child: np.random.Generator) -> float:
     w = combinat.sample_irreducible_dyck(n, child)
     _, f = _heights_arrays(w.steps)
-    i, j = (int(v) for v in child.integers(1, n + 1, size=2))
-    if i == j:
-        return 0.0
-    if i > j:
-        i, j = j, i
-    d = int(graphs._distances_from(f, i, np.asarray([j]))[0])
-    return d / math.sqrt(n)
+    ends = np.sort(child.integers(1, n + 1, size=2))
+    return int(graphs._distances_from(f, ends)[0, 1]) / math.sqrt(n)
 
 
 def _two_point_excursion_draw(m_grid: int, child: np.random.Generator) -> float:

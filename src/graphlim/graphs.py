@@ -282,39 +282,38 @@ def unit_distance_formula(w: DyckPath, i: int, j: int) -> int:
     n = w.size
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"vertex out of range 1..{n}")
-    if i == j:
-        return 0
-    if i > j:
-        i, j = j, i
     _, f = _heights_arrays(w.steps)
-    cur = i
-    hops = 1
-    while cur + f[cur - 1] < j:
-        cur += int(f[cur - 1])
-        hops += 1
-    return hops
+    return int(_distances_from(f, np.asarray(sorted((i, j))))[0, 1])
 
 
-def _jump_sequence(f: np.ndarray, i: int) -> np.ndarray:
-    """Jump points i_0 = i, i_{m+1} = i_m + f(i_m), up to the last vertex."""
-    jumps = [i]
-    cur = i
-    n = f.size
-    while cur < n and f[cur - 1] > 0:
-        cur += int(f[cur - 1])
-        jumps.append(min(cur, n))
-        if cur >= n:
-            break
-    return np.asarray(jumps, dtype=np.int64)
+def _distances_from(f: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Jump-walk distances between all pairs of sorted 1-based sources.
 
-
-def _distances_from(f: np.ndarray, i: int, targets: np.ndarray) -> np.ndarray:
-    """Distances from v_i to each v_j with j > i, via one jump walk.
-
-    The distance to j is the index of the first jump >= j.
+    Returns an integer k x k matrix D with D[a, b] the graph distance from
+    v_{sources[a]} to v_{sources[b]} for a < b, and 0 on and below the
+    diagonal (duplicate sources are at distance 0).  Every walk
+    i_{m+1} = min(i_m + f(i_m), n) advances at once; the distance to a later
+    source is the number of walk points strictly before it, so each point
+    adds 1 at the first column whose source lies beyond it and a running sum
+    along the rows turns those marks into distances.  A walk that stalls
+    (f(i) = 0 before the last vertex, a reducible word) raises ValueError.
     """
-    jumps = _jump_sequence(f, i)
-    return np.searchsorted(jumps, targets, side="left")
+    n = f.size
+    dist = np.zeros((sources.size, sources.size), dtype=np.int64)
+    rows = np.arange(sources.size)
+    cur = sources.astype(np.int64)
+    while True:
+        live = cur < sources[-1]
+        if not live.any():
+            break
+        rows, cur = rows[live], cur[live]
+        dist[rows, np.searchsorted(sources, cur, side="right")] += 1
+        step = f[cur - 1]
+        if not step.all():
+            raise ValueError(f"jump walk stalls at vertex {int(cur[step == 0][0])}: the word is reducible")
+        cur = np.minimum(cur + step, n)
+    np.cumsum(dist, axis=1, out=dist)
+    return dist
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ _TRIANGLE_TOL = 1e-9
 _WEIGHT_TOL = 1e-12
 _FULL_TRIANGLE_LIMIT = 200
 _SPOT_CHECK_TRIPLES = 2000
+_BOX_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +56,8 @@ class FiniteMmSpace:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.dist, dtype=np.float64)
-        w = np.asarray(self.weights, dtype=np.float64)
+        d = np.array(self.dist, dtype=np.float64)
+        w = np.array(self.weights, dtype=np.float64)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("dist must be a square matrix")
         n = d.shape[0]
@@ -72,9 +73,7 @@ class FiniteMmSpace:
             if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
                 raise ValueError("weights must be a probability vector")
             _check_triangle(d)
-        d = d.copy()
         d.setflags(write=False)
-        w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "dist", d)
         object.__setattr__(self, "weights", w)
@@ -217,9 +216,14 @@ def box_discrepancy(
     idx2 = np.fromiter((p[1] for p in relation), dtype=np.int64, count=len(relation))
     if idx1.min() < 0 or idx1.max() >= s1.n or idx2.min() < 0 or idx2.max() >= s2.n:
         raise ValueError("relation indices out of range")
-    d1 = s1.dist[np.ix_(idx1, idx1)]
-    d2 = s2.dist[np.ix_(idx2, idx2)]
-    return float(np.abs(d1 - d2).max())
+    # one block of related rows at a time, so no k x k gathered copy is made
+    worst = []
+    for start in range(0, idx1.size, _BOX_BLOCK_ROWS):
+        stop = start + _BOX_BLOCK_ROWS
+        diff = s1.dist.take(idx1[start:stop], axis=0).take(idx1, axis=1)
+        diff -= s2.dist.take(idx2[start:stop], axis=0).take(idx2, axis=1)
+        worst.append(np.abs(diff, out=diff).max())
+    return float(np.max(worst))
 
 
 def _truncated_grid(delta: float, m: int) -> np.ndarray:
@@ -250,7 +254,8 @@ def _grid_metric_from_cumulative(values: np.ndarray, xs: np.ndarray) -> np.ndarr
     theta = pos - cell
     g_at = (1.0 - theta) * g[cell] + theta * g[cell + 1]
     cum = prefix[cell] + 0.5 * theta / m * (g[cell] + g_at)
-    return np.abs(cum[:, None] - cum[None, :])
+    dist = np.subtract.outer(cum, cum)
+    return np.abs(dist, out=dist)
 
 
 def gp_box_estimate_unit(
@@ -276,12 +281,10 @@ def gp_box_estimate_unit(
     xs = _truncated_grid(delta, m)
     verts = np.minimum(1 + np.floor(xs * n).astype(np.int64), n)
 
-    k = xs.size
-    dist_g = np.zeros((k, k))
-    for a in range(k - 1):
-        dist_g[a, a + 1 :] = _distances_from(f, int(verts[a]), verts[a + 1 :])
-    same = verts[:, None] == verts[None, :]
-    dist_g = np.where(same, 0.0, dist_g + dist_g.T) / math.sqrt(n)
+    upper = _distances_from(f, verts)
+    dist_g = np.add(upper, upper.T, dtype=np.float64)
+    del upper
+    dist_g /= math.sqrt(n)
 
     if e_from_w:
         mid = np.minimum(1 + np.floor(np.arange(1, m) / m * n).astype(np.int64), n)
@@ -290,8 +293,10 @@ def gp_box_estimate_unit(
         exc = ExcursionGrid(vals)
     else:
         exc = sample_excursion(m, rng)
-    dist_e = _grid_metric_from_cumulative(exc.values, xs) / math.sqrt(2.0)
+    dist_e = _grid_metric_from_cumulative(exc.values, xs)
+    dist_e /= math.sqrt(2.0)
 
+    k = xs.size
     weights = np.full(k, 1.0 / k)
     space_g = FiniteMmSpace(dist_g, weights)
     space_e = FiniteMmSpace(dist_e, weights)

@@ -381,6 +381,18 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise AssertionError("Euler recursion must divide exactly")
+
+    monkeypatch.setattr(cli.experiments, "largest_component_stats", crash)
+    code, out, err = run_cli(["verify", "components", "--n", "10", "--reps", "2", "--seed", "1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "internal error: AssertionError: Euler recursion must divide exactly" in err
+    assert "Traceback" not in err
+
+
 def _run_matching_sample(argv_head, env=None):
     proc = subprocess.run(
         [*argv_head, "sample", "matching", "--n", "2", "--seed", "1"],
@@ -424,3 +436,9 @@ def test_console_script_installed(tmp_path):
     exe = shutil.which("graphlim")
     if exe is not None:
         _run_matching_sample([exe])
+
+
+def test_python_dash_m_runs_cli():
+    src_dir = Path(graphlim.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src_dir)}
+    _run_matching_sample([sys.executable, "-m", "graphlim"], env=env)

@@ -207,6 +207,24 @@ def test_dyck_validation_and_enumeration():
         assert ours == sorted(oracles.all_dyck_words(n))
 
 
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        ("UUxD", "position 3: expected 'U' or 'D', got 'x'"),
+        ("UU\u00e9D", "position 3: expected 'U' or 'D', got '\u00e9'"),
+        ("UDDU", "position 3: prefix has more D than U"),
+        ("UDxU", "position 3: expected 'U' or 'D', got 'x'"),  # also the first negative prefix
+        ("DUx", "position 1: prefix has more D than U"),
+        ("", "Dyck path must have size >= 1"),
+        ("UUD", "unbalanced word: number of U and D steps differ"),
+    ],
+)
+def test_dyck_error_messages(word, message):
+    with pytest.raises(ValueError) as exc:
+        C.DyckPath(word)
+    assert str(exc.value) == message
+
+
 def test_irreducible_enumeration_and_counts():
     for n in range(1, 7):
         words = [w.steps for w in C.iter_irreducible_dyck(n)]

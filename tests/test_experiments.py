@@ -3,8 +3,13 @@ graph sampler, Monte Carlo drivers, report schema, and determinism."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,6 +227,62 @@ def test_report_schema():
     )
     with pytest.raises(KeyError):
         rep.get("no_such_label")
+
+
+_COLD_TABLES_SCRIPT = """
+import json, sys
+import numpy as np
+from graphlim import experiments as X
+sys.setswitchinterval(1e-5)
+reports = [
+    X.largest_component_stats(n, 64, np.random.default_rng(5), threads=threads).to_json()
+    for threads in (4, 1)
+    for n in (600, 2000)
+]
+print(json.dumps(reports))
+"""
+
+
+def test_counting_tables_thread_safe_from_cold():
+    # the count and block tables are grown by pool workers on first use; a
+    # fresh process makes them cold, on both sides of the exact/log cutoff
+    src = Path(X.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_TABLES_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    cold4_600, cold4_2000, warm1_600, warm1_2000 = json.loads(proc.stdout)
+    assert cold4_600 == warm1_600
+    assert cold4_2000 == warm1_2000
+
+
+# SHA-256 of report JSON for small unit-interval metric runs, recorded with
+# the earlier one-source-at-a-time jump walk and character-loop Dyck words;
+# the vectorised code must reproduce every byte at any thread count.
+_PINNED_REPORTS = {
+    "verify_gp": "71d71170904682795e8048ee4f14ecb26ce88e8ce3ed5c1c8f47453f515cb6c0",
+    "mc_unit_clique_scaling": "6fe0a1170eb4899061694e05f9d46f5dd021a09358d294a169da5d086e3eed7c",
+    "verify_distance_formula": "2f536802d09095b5b1d6bd209742ac1e44a335b95c19fb448bfe8075037f1668",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_unit_interval_metric_reports_pinned(threads):
+    reports = {
+        "verify_gp": X.verify_gp(
+            [50, 100, 200], 0.05, 64, 3, 40, np.random.default_rng(7), threads=threads, two_point_n=300
+        ),
+        "mc_unit_clique_scaling": X.mc_unit_clique_scaling(
+            200, 3, 20, 256, np.random.default_rng(13), threads=threads
+        ),
+        "verify_distance_formula": X.verify_distance_formula(30, 10, np.random.default_rng(11)),
+    }
+    digests = {name: hashlib.sha256(rep.to_json().encode()).hexdigest() for name, rep in reports.items()}
+    assert digests == _PINNED_REPORTS
 
 
 def test_reports_deterministic_across_threads():

@@ -157,6 +157,51 @@ def test_unit_distance_formula_integer_hop_counting():
             assert G.unit_distance_formula(w, i, j) == dmat[i - 1, j - 1]
 
 
+def _jump_walk(word: str, sources) -> np.ndarray:
+    _, f = C._heights_arrays(word)
+    return G._distances_from(f, np.asarray(sources, dtype=np.int64))
+
+
+def test_jump_walk_matches_bfs_oracle_on_all_irreducible_words():
+    for n in range(1, 8):
+        for word in oracles.all_dyck_words(n):
+            if not oracles.brute_irreducible(word):
+                continue
+            brute = np.array(oracles.brute_bfs_all(n, oracles.unit_interval_edges(word)))
+            assert np.array_equal(_jump_walk(word, range(1, n + 1)), np.triu(brute, 1))
+
+
+def test_jump_walk_with_repeated_sources():
+    # fewer vertices than grid points, as in gp_box_estimate_unit at small n:
+    # repeated sources are at distance 0 from each other
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        w = C.sample_irreducible_dyck(50, rng)
+        brute = np.array(oracles.brute_bfs_all(50, oracles.unit_interval_edges(w.steps)))
+        sources = np.sort(rng.integers(1, 51, size=64))
+        expected = np.triu(brute[np.ix_(sources - 1, sources - 1)], 1)
+        assert np.array_equal(_jump_walk(w.steps, sources), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 80), st.integers(0, 2**32 - 1))
+def test_jump_walk_matches_all_pairs_distances(n, k, seed):
+    rng = np.random.default_rng(seed)
+    w = C.sample_irreducible_dyck(n, rng)
+    sources = np.sort(rng.integers(1, n + 1, size=k))
+    dmat = G.all_pairs_distances(G.unit_interval_graph(w))
+    expected = np.triu(dmat[np.ix_(sources - 1, sources - 1)], 1)
+    assert np.array_equal(_jump_walk(w.steps, sources), expected)
+
+
+def test_jump_walk_rejects_reducible_word():
+    # UD | UUDD: vertex 1 has no forward neighbour, so a walk from it stalls
+    with pytest.raises(ValueError, match="stalls at vertex 1"):
+        _jump_walk("UDUUDD", [1, 3])
+    # walks that stay inside one factor are fine
+    assert _jump_walk("UDUUDD", [2, 3])[0, 1] == 1
+
+
 # ---------------------------------------------------------------------------
 # cliques
 # ---------------------------------------------------------------------------
