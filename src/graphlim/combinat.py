@@ -293,6 +293,15 @@ def sample_matching(n: int, rng: np.random.Generator) -> Matching:
     return Matching(tuple(partner))
 
 
+def _dyck_word(n: int, rng: np.random.Generator) -> str:
+    """A uniform Dyck word of size n >= 1 as a string (see :func:`sample_dyck`)."""
+    word = np.concatenate([np.ones(n, dtype=np.int8), -np.ones(n + 1, dtype=np.int8)])
+    word = rng.permutation(word)
+    cut = int(np.argmin(np.cumsum(word))) + 1  # first prefix-sum minimum
+    rotated = np.concatenate([word[cut:], word[:cut]])[:-1]
+    return np.where(rotated > 0, b"U", b"D").tobytes().decode("ascii")
+
+
 def sample_dyck(n: int, rng: np.random.Generator) -> DyckPath:
     """Uniform Dyck path of size n via the cycle lemma.
 
@@ -305,11 +314,7 @@ def sample_dyck(n: int, rng: np.random.Generator) -> DyckPath:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    word = np.concatenate([np.ones(n, dtype=np.int8), -np.ones(n + 1, dtype=np.int8)])
-    word = rng.permutation(word)
-    cut = int(np.argmin(np.cumsum(word))) + 1  # first prefix-sum minimum
-    rotated = np.concatenate([word[cut:], word[:cut]])[:-1]
-    return DyckPath(np.where(rotated > 0, b"U", b"D").tobytes().decode("ascii"))
+    return DyckPath(_dyck_word(n, rng))
 
 
 def sample_irreducible_dyck(n: int, rng: np.random.Generator) -> DyckPath:
@@ -318,8 +323,7 @@ def sample_irreducible_dyck(n: int, rng: np.random.Generator) -> DyckPath:
         raise ValueError("n must be >= 1")
     if n == 1:
         return DyckPath("UD")
-    inner = sample_dyck(n - 1, rng)
-    return DyckPath("U" + inner.steps + "D")
+    return DyckPath("U" + _dyck_word(n - 1, rng) + "D")
 
 
 # ---------------------------------------------------------------------------
@@ -355,22 +359,29 @@ def is_simple(p: Permutation) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _rotate_partners(partner: np.ndarray, r: int) -> np.ndarray:
+    """Turn matchings by r points: chord (i, j) becomes (i+r, j+r) mod 2n.
+
+    Acts on 1-based partner arrays along the last axis, so a whole stack of
+    matchings turns at once.
+    """
+    two_n = partner.shape[-1]
+    return np.roll((partner - 1 + r) % two_n + 1, r, axis=-1)
+
+
+def _reverse_partners(partner: np.ndarray) -> np.ndarray:
+    """Reflect matchings: chord (i, j) becomes (2n+1-i, 2n+1-j) (last axis)."""
+    return (partner.shape[-1] + 1 - partner)[..., ::-1]
+
+
 def shift(m: Matching) -> Matching:
     """Rotate the circular picture: chord (i, j) becomes (i+1, j+1) mod 2n."""
-    two_n = 2 * m.size
-    partner = [0] * two_n
-    for i, j in enumerate(m.partner, start=1):
-        partner[i % two_n] = j % two_n + 1
-    return Matching(tuple(partner))
+    return Matching(tuple(_rotate_partners(np.asarray(m.partner), 1).tolist()))
 
 
 def reversal(m: Matching) -> Matching:
     """Reflect the circular picture: chord (i, j) becomes (2n+1-i, 2n+1-j)."""
-    two_n = 2 * m.size
-    partner = [0] * two_n
-    for i, j in enumerate(m.partner, start=1):
-        partner[two_n - i] = two_n + 1 - j
-    return Matching(tuple(partner))
+    return Matching(tuple(_reverse_partners(np.asarray(m.partner)).tolist()))
 
 
 def xyz_stats(m: Matching) -> tuple[int, int, int]:
@@ -538,25 +549,39 @@ def count_symmetric_matchings(n: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _matching_partners(n: int) -> np.ndarray:
+    """1-based partner arrays of all (2n-1)!! matchings of size n, one per row.
+
+    Rows follow :func:`iter_matchings`: point 1 is paired with 2, 3, ..., 2n
+    in turn, and for each choice the remaining points carry every matching
+    of size n-1 in the same order.
+    """
+    part = np.zeros((1, 0), dtype=np.int64)  # 0-based, size 0
+    for size in range(1, n + 1):
+        two = 2 * size
+        blocks = []
+        for t in range(1, two):
+            rest = np.delete(np.arange(1, two), t - 1)
+            block = np.empty((part.shape[0], two), dtype=np.int64)
+            block[:, 0] = t
+            block[:, t] = 0
+            block[:, rest] = rest[part]
+            blocks.append(block)
+        part = np.concatenate(blocks)
+    return part + 1
+
+
 def iter_matchings(n: int) -> Iterator[Matching]:
     """All (2n-1)!! matchings of size n, smallest free point paired first.
+
+    The partner array is built up front (2n (2n-1)!! integers), so this is
+    meant for the small sizes of exhaustive checks.
 
     >>> sum(1 for _ in iter_matchings(3))
     15
     """
-
-    def rec(points: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:
-        if not points:
-            yield []
-            return
-        first = points[0]
-        for t in range(1, len(points)):
-            rest = points[1:t] + points[t + 1 :]
-            for tail in rec(rest):
-                yield [(first, points[t])] + tail
-
-    for pairs in rec(tuple(range(1, 2 * n + 1))):
-        yield Matching.from_pairs(pairs)
+    for row in _matching_partners(n):
+        yield Matching(tuple(row.tolist()))
 
 
 def iter_dyck_paths(n: int) -> Iterator[DyckPath]:

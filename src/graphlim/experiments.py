@@ -346,42 +346,71 @@ def mc_indecomposable_rate(
 # ---------------------------------------------------------------------------
 
 
-def _canonical_classes(graphs_iter) -> dict[str, list]:
-    classes: dict[str, list] = {}
-    for seed, g in graphs_iter:
-        code = graphs.canonical_form(g).code
-        classes.setdefault(code, []).append(seed)
-    return classes
+def _canonical_classes(adj: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Isomorphism classes of a (B, n, n) adjacency stack.
+
+    Returns each row's class number and {canonical code: member rows}, with
+    classes numbered and listed in order of first appearance.
+    """
+    codes = graphs._canonical_codes(adj)
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    labels = np.argsort(by_first)[inverse]
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    texts = (graphs._code_text(int(distinct[k]), adj.shape[-1]) for k in by_first)
+    return labels, dict(zip(texts, members))
 
 
-def _matching_cut_scan(n: int) -> tuple[dict[int, int], str | None]:
-    """Scan every matching of size n against every 4-multiset of cut gaps.
+def _row_index(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Position in `rows` of each row of `query` (distinct rows, entries 0..width)."""
+    weights = (rows.shape[1] + 1) ** np.arange(rows.shape[1], dtype=np.int64)
+    keys = rows @ weights
+    order = np.argsort(keys)
+    return order[np.searchsorted(keys, query @ weights, sorter=order)]
+
+
+_CUT_SCAN_CHUNK = 1 << 19  # cut set x matching entries per block of the scan
+
+
+def _matching_cut_scan(partner: np.ndarray) -> tuple[dict[int, int], int | None]:
+    """Scan every matching (1-based partner rows) against every 4-multiset of cut gaps.
 
     Returns per-k counts of k-decomposed matchings straight from the
-    definition, plus a counterexample (if any) to 'xyz = (0,0,0) iff the
-    matching is neither 2- nor (n-2)-decomposable'.
+    definition, plus the row of the first counterexample (if any) to 'xyz =
+    (0,0,0) iff the matching is neither 2- nor (n-2)-decomposable'.  A cut
+    set is consistent with a matching iff the matching maps the cut set's
+    side onto itself; with the side as a bitmask over the points, the
+    image's bitmask is one matrix product for a block of matchings (sums of
+    distinct powers of two below 2^12, exact in float64).
     """
-    two_n = 2 * n
+    two_n = partner.shape[1]
+    n = two_n // 2
     pref = np.arange(two_n)[None, :] < np.arange(two_n + 1)[:, None]
     cut_sets = list(itertools.combinations_with_replacement(range(two_n), 4))
     masks = np.array(
         [pref[g2] ^ pref[g1] ^ pref[g4] ^ pref[g3] for g1, g2, g3, g4 in cut_sets]
     )
     pop = masks.sum(axis=1)
-    acc = np.zeros(max(n - 1, 1), dtype=np.int64)  # acc[k] = decompositions seen
-    xyz_witness = None
-    for m in combinat.iter_matchings(n):
-        pm = np.asarray(m.partner, dtype=np.int64) - 1
-        consistent = (masks == masks[:, pm]).all(axis=1)
-        k_side = np.where(masks[:, 0], n - pop // 2, pop // 2)
-        valid = consistent & (k_side >= 2) & (k_side <= n - 2)
-        acc += np.bincount(k_side[valid], minlength=acc.size)[: acc.size]
-        if n >= 4 and xyz_witness is None:
-            extreme = bool((valid & ((k_side == 2) | (k_side == n - 2))).any())
-            if (combinat.xyz_stats(m) == (0, 0, 0)) != (not extreme):
-                xyz_witness = combinat.format_matching(m)
+    k_side = np.where(masks[:, 0], n - pop // 2, pop // 2)
+    in_range = (k_side >= 2) & (k_side <= n - 2)
+    extreme_cut = in_range & ((k_side == 2) | (k_side == n - 2))
+    side_code = masks @ (1 << np.arange(two_n))
+    side_bits = masks.astype(np.float64)
+    point_bits = np.exp2(partner - 1)
+    hits = np.zeros(masks.shape[0], dtype=np.int64)  # consistent matchings per cut set
+    extreme = np.zeros(partner.shape[0], dtype=bool)
+    step = max(1, _CUT_SCAN_CHUNK // masks.shape[0])
+    for lo in range(0, partner.shape[0], step):
+        consistent = side_bits @ point_bits[lo : lo + step].T == side_code[:, None]
+        hits += consistent.sum(axis=1)
+        extreme[lo : lo + step] = consistent[extreme_cut].any(axis=0)
+    acc = np.bincount(k_side[in_range], weights=hits[in_range], minlength=n - 1)
     counts = {k: int(acc[k]) for k in range(2, n - 1) if acc[k]}
-    return counts, xyz_witness
+    if n < 4:
+        return counts, None
+    x, y, z = _xyz_batch(partner - 1)
+    wrong = np.flatnonzero(((x == 0) & (y == 0) & (z == 0)) == extreme)
+    return counts, int(wrong[0]) if wrong.size else None
 
 
 def _edge_count_law_exhaustive(family: str) -> np.ndarray:
@@ -476,12 +505,27 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
         if not ok and witness:
             counterexamples[label] = witness
 
+    # Each family is enumerated once per size, as arrays, and every section
+    # reuses it; the predicates under test still see every seed in order.
+    sizes = range(1, n_max + 1)
+    perm_rows = {n: np.array(list(itertools.permutations(range(1, n + 1)))) for n in sizes}
+    perms = {n: [Permutation(tuple(r)) for r in rows.tolist()] for n, rows in perm_rows.items()}
+    perm_adj = {n: graphs._inversion_adj(rows) for n, rows in perm_rows.items()}
+    match_rows = {n: combinat._matching_partners(n) for n in sizes}
+    matchings = {n: [combinat.Matching(tuple(r)) for r in rows.tolist()] for n, rows in match_rows.items()}
+    circle_adj = {n: graphs._circle_adj(rows) for n, rows in match_rows.items()}
+    split_prime = {n: graphs._split_prime_flags(adj) for n, adj in circle_adj.items()}
+    dyck = {n: list(combinat.iter_dyck_paths(n)) for n in sizes}
+    irreducible = {n: list(combinat.iter_irreducible_dyck(n)) for n in sizes}
+
+    def uig_adj(words: list[DyckPath]) -> np.ndarray:
+        return graphs._unit_interval_adj(np.array([_heights_arrays(w.steps)[1] for w in words]))
+
     # --- simplicity <=> modular primality, and the size-4 classification
     bad = None
-    for n in range(1, min(n_max, 6) + 1):
-        for mapping in itertools.permutations(range(1, n + 1)):
-            p = Permutation(mapping)
-            if combinat.is_simple(p) != graphs.is_modular_prime(graphs.inversion_graph(p)):
+    for n in sizes:
+        for p, adj in zip(perms[n], perm_adj[n]):
+            if combinat.is_simple(p) != graphs.is_modular_prime(UGraph(adj)):
                 bad = combinat.format_permutation(p)
                 break
         if bad:
@@ -497,14 +541,12 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
 
     # --- permutation realizer bounds over S_n
     bad = None
-    for n in range(1, min(n_max, 6) + 1):
-        classes = _canonical_classes(
-            (Permutation(mp), graphs.inversion_graph(Permutation(mp)))
-            for mp in itertools.permutations(range(1, n + 1))
-        )
-        for code, members in classes.items():
-            if not graphs.is_modular_prime(graphs.inversion_graph(members[0])):
+    for n in sizes:
+        _, classes = _canonical_classes(perm_adj[n])
+        for code, rows in classes.items():
+            if not graphs.is_modular_prime(UGraph(perm_adj[n][rows[0]])):
                 continue
+            members = [perms[n][r] for r in rows]
             if not 1 <= len(members) <= 4 or not all(combinat.is_simple(p) for p in members):
                 bad = f"n={n} class {code}: {[combinat.format_permutation(p) for p in members]}"
                 break
@@ -512,20 +554,21 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
             break
     record("perm_realizer_bounds", bad is None, bad)
 
-    # --- circle realizer bounds over M_n (n >= 5 is where the bound bites)
+    # --- circle realizer bounds over M_n (n >= 5 is where the bound bites):
+    #     a class is closed iff each member's shift and reversal share its class
     bad = None
-    for n in range(2, min(n_max, 6) + 1):
-        classes = _canonical_classes((m, graphs.circle_graph(m)) for m in combinat.iter_matchings(n))
-        for code, members in classes.items():
-            if not graphs.is_split_prime(graphs.circle_graph(members[0])):
+    for n in sizes[1:]:
+        rows_n = match_rows[n]
+        labels, classes = _canonical_classes(circle_adj[n])
+        shifted = labels[_row_index(rows_n, combinat._rotate_partners(rows_n, 1))]
+        reflected = labels[_row_index(rows_n, combinat._reverse_partners(rows_n))]
+        stays = (shifted == labels) & (reflected == labels)
+        for code, rows in classes.items():
+            if not split_prime[n][rows[0]]:
                 continue
-            group = {m.partner for m in members}
-            closed = all(
-                combinat.shift(m).partner in group and combinat.reversal(m).partner in group
-                for m in members
-            )
-            if not 1 <= len(members) <= 4 * n or not closed:
-                bad = f"n={n} class {code}: {len(members)} realizers, closed={closed}"
+            closed = bool(stays[rows].all())
+            if not 1 <= len(rows) <= 4 * n or not closed:
+                bad = f"n={n} class {code}: {len(rows)} realizers, closed={closed}"
                 break
         if bad:
             break
@@ -533,9 +576,9 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
 
     # --- split primality <=> indecomposability
     bad = None
-    for n in range(1, min(n_max, 6) + 1):
-        for m in combinat.iter_matchings(n):
-            if graphs.is_split_prime(graphs.circle_graph(m)) != combinat.is_indecomposable(m):
+    for n in sizes:
+        for m, prime in zip(matchings[n], split_prime[n]):
+            if prime != combinat.is_indecomposable(m):
                 bad = combinat.format_matching(m)
                 break
         if bad:
@@ -546,10 +589,10 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
     #     xyz = 0 iff neither 2- nor (n-2)-decomposable (same cut scan)
     bad = None
     xyz_bad = None
-    for n in range(2, min(n_max, 6) + 1):
-        found, witness = _matching_cut_scan(n)
+    for n in sizes[1:]:
+        found, witness = _matching_cut_scan(match_rows[n])
         if xyz_bad is None and witness is not None:
-            xyz_bad = f"n={n}: {witness}"
+            xyz_bad = f"n={n}: {combinat.format_matching(matchings[n][witness])}"
         for k in range(2, n - 1):
             if found.get(k, 0) != combinat.count_decomposed(n, k):
                 bad = f"n={n} k={k}: scan {found.get(k, 0)} vs formula {combinat.count_decomposed(n, k)}"
@@ -570,11 +613,10 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
 
     # --- connected unit interval graphs: 1 or 2 irreducible words, mirrors
     bad = None
-    for n in range(1, min(n_max, 6) + 1):
-        classes = _canonical_classes(
-            (w, graphs.unit_interval_graph(w)) for w in combinat.iter_irreducible_dyck(n)
-        )
-        for code, words in classes.items():
+    for n in sizes:
+        _, classes = _canonical_classes(uig_adj(irreducible[n]))
+        for code, rows in classes.items():
+            words = [irreducible[n][r] for r in rows]
             if len(words) == 1 and combinat.is_palindromic(words[0]):
                 continue
             if len(words) == 2 and combinat.mirror(words[0]) == words[1]:
@@ -590,27 +632,24 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
 
     # --- Euler-transform counts vs exhaustive canonical enumeration
     bad = None
-    for n in range(1, min(n_max, 6) + 1):
-        codes = {
-            graphs.canonical_form(graphs.unit_interval_graph(w)).code
-            for w in combinat.iter_dyck_paths(n)
-        }
-        if len(codes) != count_unit_interval_graphs(n):
-            bad = f"n={n}: {len(codes)} classes vs U_n {count_unit_interval_graphs(n)}"
+    for n in sizes:
+        n_classes = np.unique(graphs._canonical_codes(uig_adj(dyck[n]))).size
+        if n_classes != count_unit_interval_graphs(n):
+            bad = f"n={n}: {n_classes} classes vs U_n {count_unit_interval_graphs(n)}"
             break
     record("uig_euler_counts", bad is None, bad)
 
     # --- closed-form counts vs direct enumeration
     bad = None
-    for n in range(1, min(n_max, 6) + 1):
-        all_m = list(combinat.iter_matchings(n))
-        if len(all_m) != combinat.count_matchings(n):
+    for n in sizes:
+        rows_n = match_rows[n]
+        if rows_n.shape[0] != combinat.count_matchings(n):
             bad = f"m_{n}"
             break
-        if sum(1 for _ in combinat.iter_dyck_paths(n)) != combinat.count_irreducible_dyck(n + 1):
+        if len(dyck[n]) != combinat.count_irreducible_dyck(n + 1):
             bad = f"catalan_{n}"
             break
-        pal = sum(1 for w in combinat.iter_irreducible_dyck(n) if combinat.is_palindromic(w))
+        pal = sum(1 for w in irreducible[n] if combinat.is_palindromic(w))
         if pal != combinat.count_palindromic_irreducible(n):
             bad = f"palindromic_{n}"
             break
@@ -618,12 +657,7 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
         for d in range(2, two_n + 1):
             if two_n % d:
                 continue
-            s = two_n // d
-            fixed = sum(
-                1
-                for m in all_m
-                if all(m.partner[(i + s) % two_n] == (m.partner[i] + s - 1) % two_n + 1 for i in range(two_n))
-            )
+            fixed = int((combinat._rotate_partners(rows_n, two_n // d) == rows_n).all(axis=1).sum())
             if fixed != combinat.count_symmetric_matchings(n, d):
                 bad = f"symmetric n={n} d={d}: scan {fixed} vs formula"
                 break

@@ -22,7 +22,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse
@@ -33,8 +33,8 @@ from .combinat import (
     Matching,
     Permutation,
     _heights_arrays,
+    _matching_partners,
     heights,
-    iter_matchings,
 )
 
 __all__ = [
@@ -164,24 +164,45 @@ def _check_vertex(g: UGraph, v: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _inversion_adj(images: np.ndarray) -> np.ndarray:
+    """Inversion adjacency of a stack of one-line notations, (B, n) -> (B, n, n).
+
+    Edge {i, j} for i < j iff sigma(i) > sigma(j).
+    """
+    idx = np.arange(images.shape[-1])
+    upper = (idx[:, None] < idx[None, :]) & (images[..., :, None] > images[..., None, :])
+    return upper | upper.swapaxes(-1, -2)
+
+
 def inversion_graph(p: Permutation) -> UGraph:
     """Graph on positions 1..n with an edge at every inversion of p.
 
     Edge {i, j} for i < j iff sigma(i) > sigma(j).
     """
-    s = np.asarray(p.mapping, dtype=np.int64)
-    n = s.size
-    idx = np.arange(n)
-    adj = (idx[:, None] < idx[None, :]) & (s[:, None] > s[None, :])
-    return UGraph(adj | adj.T)
+    return UGraph(_inversion_adj(np.asarray(p.mapping, dtype=np.int64)[None])[0])
 
 
-def _chord_endpoints(m: Matching) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right endpoints of the chords, sorted by left endpoint."""
-    pairs = m.pairs()
-    left = np.fromiter((a for a, _ in pairs), dtype=np.int64, count=len(pairs))
-    right = np.fromiter((b for _, b in pairs), dtype=np.int64, count=len(pairs))
-    return left, right
+def _chord_endpoints(partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right endpoints of the chords, sorted by left endpoint.
+
+    Takes 1-based partner arrays along the last axis, (..., 2n) -> two (..., n).
+    """
+    is_left = partner > np.arange(1, partner.shape[-1] + 1)
+    left = np.nonzero(is_left)[-1].reshape(*partner.shape[:-1], partner.shape[-1] // 2) + 1
+    return left, np.take_along_axis(partner, left - 1, axis=-1)
+
+
+def _circle_adj(partner: np.ndarray) -> np.ndarray:
+    """Circle-graph adjacency of a stack of partner arrays, (B, 2n) -> (B, n, n).
+
+    Two chords are adjacent iff exactly one endpoint of one lies between the
+    endpoints of the other.
+    """
+    left, right = _chord_endpoints(partner)
+    lo, hi = left[..., :, None], right[..., :, None]
+    l_in = (lo < left[..., None, :]) & (left[..., None, :] < hi)
+    r_in = (lo < right[..., None, :]) & (right[..., None, :] < hi)
+    return l_in ^ r_in
 
 
 def circle_graph(m: Matching) -> UGraph:
@@ -191,11 +212,7 @@ def circle_graph(m: Matching) -> UGraph:
     cross, i.e. exactly one endpoint of one lies between the endpoints of
     the other.
     """
-    left, right = _chord_endpoints(m)
-    l_in = (left[:, None] < left[None, :]) & (left[None, :] < right[:, None])
-    r_in = (left[:, None] < right[None, :]) & (right[None, :] < right[:, None])
-    adj = l_in ^ r_in
-    return UGraph(adj)
+    return UGraph(_circle_adj(np.asarray(m.partner, dtype=np.int64)[None])[0])
 
 
 def chords_cross(m: Matching, a: int, b: int) -> bool:
@@ -211,6 +228,14 @@ def chords_cross(m: Matching, a: int, b: int) -> bool:
     return (la < lb < ra) != (la < rb < ra)
 
 
+def _unit_interval_adj(f: np.ndarray) -> np.ndarray:
+    """Unit-interval adjacency from forward degrees, (B, n) -> (B, n, n)."""
+    idx = np.arange(f.shape[-1])
+    gap = idx[None, :] - idx[:, None]
+    upper = (gap > 0) & (gap <= f[..., :, None])
+    return upper | upper.swapaxes(-1, -2)
+
+
 def unit_interval_graph(w: DyckPath) -> UGraph:
     """Unit interval graph of a Dyck path: edge {v_i, v_j}, i < j, iff j <= i + f(i).
 
@@ -218,11 +243,7 @@ def unit_interval_graph(w: DyckPath) -> UGraph:
     component per irreducible factor.
     """
     _, f = _heights_arrays(w.steps)
-    n = f.size
-    idx = np.arange(n)
-    gap = idx[None, :] - idx[:, None]
-    adj = (gap > 0) & (gap <= f[:, None])
-    return UGraph(adj | adj.T)
+    return UGraph(_unit_interval_adj(f[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +439,7 @@ def clique_count_circle(m: Matching, k: int) -> int:
     if k > n:
         return 0
     _check_exact_count(n, k)
-    left, right = _chord_endpoints(m)
+    left, right = _chord_endpoints(np.asarray(m.partner, dtype=np.int64))
     dom = (left[:, None] < left[None, :]) & (right[:, None] < right[None, :])
     boundary = left[None, :] < right[:, None]  # l_last < r_first
     if k == 2:
@@ -482,7 +503,7 @@ def is_modular_prime(g: UGraph) -> bool:
     return True
 
 
-def _split_sides(g: UGraph, side1: Iterable[int], side2: Iterable[int]) -> tuple[int, int]:
+def _split_sides(g: UGraph, side1: Iterable[int], side2: Iterable[int]) -> np.ndarray:
     s1 = sorted(set(side1))
     s2 = sorted(set(side2))
     for v in itertools.chain(s1, s2):
@@ -491,27 +512,31 @@ def _split_sides(g: UGraph, side1: Iterable[int], side2: Iterable[int]) -> tuple
         raise ValueError("both sides of a cut must be nonempty")
     if set(s1) & set(s2) or len(s1) + len(s2) != g.n:
         raise ValueError("sides must partition the vertex set")
-    m1 = sum(1 << (v - 1) for v in s1)
-    m2 = sum(1 << (v - 1) for v in s2)
-    return m1, m2
+    side = np.zeros(g.n, dtype=bool)
+    side[np.asarray(s1) - 1] = True
+    return side
 
 
-def _is_split_masks(nb: Sequence[int], side1: int, side2: int) -> bool:
-    crossings = []
-    mm = side1
-    while mm:
-        low = mm & -mm
-        a = low.bit_length() - 1
-        mm ^= low
-        c = nb[a] & side2
-        if c:
-            crossings.append(c)
-    if not crossings:
-        return True  # empty cut-set is complete bipartite
-    union = 0
-    for c in crossings:
-        union |= c
-    return all(c == union for c in crossings)
+_SPLIT_CHUNK = 1 << 20  # graph x cut x vertex-pair cells per block of the cut scan
+
+
+def _split_flags(adj: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """Which cuts are splits, for a (B, n, n) adjacency stack and (C, n)
+    boolean side-1 masks; returns (B, C).
+
+    A cut is a split iff its cut-set is complete bipartite between the
+    vertices it touches on either side, i.e. it has exactly |A| * |V| edges
+    for the touched sets A and V (an empty cut-set qualifies).
+    """
+    cut = sides[:, :, None] & ~sides[:, None, :]
+    out = np.empty((adj.shape[0], sides.shape[0]), dtype=bool)
+    step = max(1, _SPLIT_CHUNK // max(cut.size, 1))
+    for lo in range(0, adj.shape[0], step):
+        cross = adj[lo : lo + step, None] & cut
+        edges = cross.sum(axis=(2, 3))
+        touched = cross.any(axis=3).sum(axis=2) * cross.any(axis=2).sum(axis=2)
+        out[lo : lo + step] = edges == touched
+    return out
 
 
 def is_split(g: UGraph, side1: Iterable[int], side2: Iterable[int]) -> bool:
@@ -520,8 +545,23 @@ def is_split(g: UGraph, side1: Iterable[int], side2: Iterable[int]) -> bool:
     Both sides must be nonempty and partition the vertices.  A cut with no
     crossing edges qualifies (the empty complete bipartite graph).
     """
-    m1, m2 = _split_sides(g, side1, side2)
-    return _is_split_masks(_neighborhood_masks(g), m1, m2)
+    side = _split_sides(g, side1, side2)
+    return bool(_split_flags(g.adj[None], side[None])[0, 0])
+
+
+def _split_prime_flags(adj: np.ndarray) -> np.ndarray:
+    """Split primality of every graph in a (B, n, n) stack (cut scan).
+
+    Vertex 1 stays on side 1 so each cut is visited once; cuts with a side
+    of fewer than 2 vertices are trivial and skipped.
+    """
+    n = adj.shape[-1]
+    rest = np.arange(1 << max(n - 1, 0))
+    sides = np.ones((rest.size, n), dtype=bool)
+    sides[:, 1:] = (rest[:, None] >> np.arange(n - 1)) & 1 == 1
+    size = sides.sum(axis=1)
+    sides = sides[(size >= 2) & (size <= n - 2)]
+    return ~_split_flags(adj, sides).any(axis=1)
 
 
 def is_split_prime(g: UGraph) -> bool:
@@ -531,17 +571,7 @@ def is_split_prime(g: UGraph) -> bool:
         raise ValueError(f"split-primality scan is limited to n <= {_SUBSET_SCAN_LIMIT} (got n={n})")
     if n < 4:
         return True
-    nb = _neighborhood_masks(g)
-    full = (1 << n) - 1
-    # vertex 1 stays on side1 so each cut is visited once
-    for rest in range(1 << (n - 1)):
-        side1 = (rest << 1) | 1
-        pc = side1.bit_count()
-        if pc < 2 or pc > n - 2:
-            continue
-        if _is_split_masks(nb, side1, full ^ side1):
-            return False
-    return True
+    return bool(_split_prime_flags(g.adj[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -549,37 +579,54 @@ def is_split_prime(g: UGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 _CANONICAL_LIMIT = 8
+_CODE_CHUNK = 1 << 18  # graph x relabeling codes per block of the code pass
+
+
+def _canonical_codes(adj: np.ndarray) -> np.ndarray:
+    """Minimal upper-triangle codes of a (B, n, n) adjacency stack, as integers.
+
+    The code of a relabeling reads the upper triangle of the relabeled
+    matrix row by row, first entry as the most significant bit.  Entry t of
+    that reading is the pair {order[i], order[j]} of the original graph, so
+    every relabeling is one column of weights over the graph's own upper
+    triangle, and one matrix product gives all codes of a block of graphs.
+    The sums are of distinct powers of two below 2^28 (n <= 8), so float64
+    holds them exactly.  Blocks keep the product under _CODE_CHUNK entries.
+    """
+    b, n = adj.shape[0], adj.shape[-1]
+    iu, ju = np.triu_indices(n, 1)
+    if iu.size == 0:
+        return np.zeros(b, dtype=np.int64)
+    order = np.array(list(itertools.permutations(range(n))))
+    slot = np.zeros((n, n), dtype=np.int64)
+    slot[iu, ju] = slot[ju, iu] = np.arange(iu.size)
+    weights = np.zeros((iu.size, order.shape[0]))
+    weights[slot[order[:, iu], order[:, ju]], np.arange(order.shape[0])[:, None]] = np.exp2(
+        np.arange(iu.size - 1, -1, -1)
+    )
+    upper = adj[:, iu, ju].astype(np.float64)
+    codes = np.empty(b, dtype=np.int64)
+    step = max(1, _CODE_CHUNK // order.shape[0])
+    for lo in range(0, b, step):
+        codes[lo : lo + step] = (upper[lo : lo + step] @ weights).min(axis=1)
+    return codes
+
+
+def _code_text(code: int, n: int) -> str:
+    """A canonical code as its n(n-1)/2-character bit string."""
+    length = n * (n - 1) // 2
+    return format(code, f"0{length}b") if length else ""
 
 
 def canonical_form(g: UGraph) -> CanonicalForm:
     """Lexicographically minimal upper-triangle code over all relabelings.
 
-    Factorial-time scan, n <= 8.  Only vertices of minimum degree can open
-    the minimal code (the first row of the code is smallest when it has the
-    fewest ones, pushed right), so the scan is restricted to those first
-    vertices; this prune is exact.
+    Factorial-time scan, n <= 8.
     """
     n = g.n
     if n > _CANONICAL_LIMIT:
         raise ValueError(f"canonical_form is limited to n <= {_CANONICAL_LIMIT} (got n={n})")
-    if n <= 1:
-        return CanonicalForm("")
-    deg = g.degrees()
-    starts = np.flatnonzero(deg == deg.min())
-    perms = []
-    others = list(range(n))
-    for v0 in starts:
-        rest = [u for u in others if u != v0]
-        for tail in itertools.permutations(rest):
-            perms.append((v0, *tail))
-    order = np.asarray(perms, dtype=np.int64)
-    iu, ju = np.triu_indices(n, 1)
-    bits = g.adj[order[:, iu], order[:, ju]]
-    length = iu.size
-    weights = (1 << np.arange(length - 1, -1, -1, dtype=np.uint64)).astype(np.uint64)
-    codes = bits.astype(np.uint64) @ weights
-    best = int(codes.min())
-    return CanonicalForm(format(best, f"0{length}b"))
+    return CanonicalForm(_code_text(int(_canonical_codes(g.adj[None])[0]), n))
 
 
 _REALIZER_PERM_LIMIT = 7
@@ -591,13 +638,10 @@ def enumerate_realizers_perm(g: UGraph) -> list[Permutation]:
     n = g.n
     if n > _REALIZER_PERM_LIMIT:
         raise ValueError(f"permutation realizer scan is limited to n <= {_REALIZER_PERM_LIMIT} (got n={n})")
-    target = canonical_form(g).code
-    out = []
-    for mapping in itertools.permutations(range(1, n + 1)):
-        p = Permutation(mapping)
-        if canonical_form(inversion_graph(p)).code == target:
-            out.append(p)
-    return out
+    target = _canonical_codes(g.adj[None])[0]
+    images = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
+    hits = images[_canonical_codes(_inversion_adj(images)) == target]
+    return [Permutation(tuple(row)) for row in hits.tolist()]
 
 
 def enumerate_realizers_matching(g: UGraph) -> list[Matching]:
@@ -605,12 +649,10 @@ def enumerate_realizers_matching(g: UGraph) -> list[Matching]:
     n = g.n
     if n > _REALIZER_MATCHING_LIMIT:
         raise ValueError(f"matching realizer scan is limited to n <= {_REALIZER_MATCHING_LIMIT} (got n={n})")
-    target = canonical_form(g).code
-    out = []
-    for m in iter_matchings(n):
-        if canonical_form(circle_graph(m)).code == target:
-            out.append(m)
-    return out
+    target = _canonical_codes(g.adj[None])[0]
+    partners = _matching_partners(n)
+    hits = partners[_canonical_codes(_circle_adj(partners)) == target]
+    return [Matching(tuple(row)) for row in hits.tolist()]
 
 
 # ---------------------------------------------------------------------------

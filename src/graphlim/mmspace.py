@@ -64,12 +64,18 @@ class FiniteMmSpace:
         if w.shape != (n,):
             raise ValueError("weights must have one entry per point")
         if n:
+            # NaN or +inf would make the triangle slack NaN, which compares
+            # false and so would hide every violation (-inf fails as negative)
+            if not math.isfinite(float(d.max())):
+                raise ValueError("distances must be finite")
             if np.any(np.diag(d) != 0.0):
                 raise ValueError("diagonal distances must be zero")
             if np.any(d < 0.0):
                 raise ValueError("distances must be nonnegative")
             if np.any(d != d.T):
                 raise ValueError("dist must be symmetric")
+            if not np.isfinite(w).all():
+                raise ValueError("weights must be finite")
             if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
                 raise ValueError("weights must be a probability vector")
             _check_triangle(d)

@@ -4,6 +4,7 @@ is also run as its own process."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import io
 import json
@@ -186,6 +187,15 @@ def test_verify_exact_passes(capsys):
     assert report["name"] == "exact_enumeration_suite"
     assert report["pass"] is True
     assert report["params"] == {"n_max": 4}
+
+
+def test_verify_exact_stdout_pinned(capsys):
+    # recorded with the earlier one-graph-at-a-time suite
+    code, out, _ = run_cli(["verify", "exact", "--nmax", "5", "--seed", "7"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "52f69350f33a51b6c8e98d85aa0ce7d2b22cd58ed6655d8644833d564eee89d5"
+    )
 
 
 def test_verify_report_to_file(tmp_path, capsys):

@@ -326,6 +326,21 @@ def test_sample_irreducible_dyck_uniform():
     assert all(C.DyckPath(w).is_irreducible() for w in counts)
 
 
+def test_sample_irreducible_dyck_validates_once(monkeypatch):
+    checks = []
+    validate = C.DyckPath.__post_init__
+
+    def counting(self):
+        checks.append(self.steps)
+        validate(self)
+
+    monkeypatch.setattr(C.DyckPath, "__post_init__", counting)
+    for n in (1, 2, 50):
+        checks.clear()
+        w = C.sample_irreducible_dyck(n, RNG(n))
+        assert checks == [w.steps]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
 def test_sampled_objects_are_valid(n, seed):

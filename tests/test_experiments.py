@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -187,9 +188,12 @@ def test_draw_block_distribution_small_n():
 
 
 def test_xyz_batch_matches_per_matching_stats():
+    # the exhaustive suite checks x/y/z through the batch function, so it
+    # must agree with xyz_stats on every matching up to n = 6
     rng = np.random.default_rng(6)
-    for n in (2, 3, 5, 8):
-        batch = X._sample_matchings_batch(n, 300, rng)
+    batches = [X._sample_matchings_batch(n, 300, rng) for n in (2, 3, 5, 8)]
+    batches += [C._matching_partners(n) - 1 for n in range(1, 7)]
+    for batch in batches:
         xs, ys, zs = X._xyz_batch(batch)
         for row, x, y, z in zip(batch, xs, ys, zs):
             m = C.Matching(tuple(int(v) + 1 for v in row))
@@ -365,6 +369,123 @@ def test_exact_enumeration_suite_small():
     assert all(e.value == 1.0 for e in rep.estimates)
     with pytest.raises(ValueError):
         X.exact_enumeration_suite(7)
+
+
+# SHA-256 of exact_enumeration_suite(n_max).to_json() for n_max = 1..6,
+# recorded with the earlier one-graph-at-a-time suite; the batched suite
+# must reproduce every byte.
+_PINNED_EXACT_SUITE = {
+    1: "6f7cf04b9c0a794c35dd060afd594d40dd3c3b0c87fa6599b207d7b18f4564e7",
+    2: "b66a5a0f71d7c3c987d1440590af8e5b1b5a2c84ecae7efb1b9579cb4536ab1a",
+    3: "e00be6937092f7333dbd03e054c2518cb6cfd64f61e8a1b5d7f7c11f89b73f57",
+    4: "d59a0b8a09a3a95bc4e94cac5a20e76197cb41a23bf81a724d66651118727a36",
+    5: "29cedabae0721f501846e5ae766476d0417b8cfb73ba4ecf12d1112311d4a6ef",
+    6: "040f53c6daa00855b1e03eda0581b69c03344c6787af3b0489449108586905a7",
+}
+
+
+@pytest.mark.parametrize("n_max", sorted(_PINNED_EXACT_SUITE))
+def test_exact_enumeration_suite_pinned(n_max):
+    digest = hashlib.sha256(X.exact_enumeration_suite(n_max).to_json().encode()).hexdigest()
+    assert digest == _PINNED_EXACT_SUITE[n_max]
+
+
+def test_exact_enumeration_suite_pinned_with_small_blocks(monkeypatch):
+    # block boundaries of the stacked passes must not change any result
+    monkeypatch.setattr(G, "_CODE_CHUNK", 1000)
+    monkeypatch.setattr(G, "_SPLIT_CHUNK", 5000)
+    monkeypatch.setattr(X, "_CUT_SCAN_CHUNK", 7000)
+    digest = hashlib.sha256(X.exact_enumeration_suite(5).to_json().encode()).hexdigest()
+    assert digest == _PINNED_EXACT_SUITE[5]
+
+
+_FAULT_MATCHING = "1-4 2-6 3-8 5-9 7-10"
+_FAULT_PERM = (2, 4, 1, 5, 3)
+
+# One predicate or formula made wrong on one size-5 seed, and the labels and
+# witnesses the suite reported for it with the one-graph-at-a-time suite.
+_FAULTS = {
+    "is_indecomposable": (
+        lambda f: lambda m: (not f(m)) if C.format_matching(m) == _FAULT_MATCHING else f(m),
+        {"split_prime_iff_indecomposable": "1-4 2-6 3-8 5-9 7-10"},
+    ),
+    "is_simple": (
+        lambda f: lambda p: (not f(p)) if p.mapping == _FAULT_PERM else f(p),
+        {
+            "simple_iff_modular_prime": "2 4 1 5 3",
+            "perm_realizer_bounds": "n=5 class 0001010110: ['2 4 1 5 3', '3 1 5 2 4']",
+        },
+    ),
+    "count_decomposed": (
+        lambda f: lambda n, k: f(n, k) + 1 if (n, k) == (5, 2) else f(n, k),
+        {"decomposed_count_formula": "n=5 k=2: scan 4725 vs formula 4726"},
+    ),
+    "count_symmetric_matchings": (
+        lambda f: lambda n, d: f(n, d) + 1 if (n, d) == (5, 5) else f(n, d),
+        {"counting_formulas": "symmetric n=5 d=5: scan 5 vs formula"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAULTS))
+def test_exact_enumeration_suite_reports_injected_fault(monkeypatch, name):
+    wrap, witnesses = _FAULTS[name]
+    monkeypatch.setattr(C, name, wrap(getattr(C, name)))
+    rep = X.exact_enumeration_suite(5)
+    assert [e.label for e in rep.estimates if e.value != 1.0] == list(witnesses)
+    assert rep.details["counterexamples"] == witnesses
+    assert rep.passed is False
+
+
+def test_exact_enumeration_suite_consults_predicates_per_seed(monkeypatch):
+    # the predicates under test and the closed forms are called exactly as
+    # often as by the one-graph-at-a-time suite: every seed, in order
+    expected = {
+        "is_indecomposable": 1069,
+        "is_simple": 188,
+        "count_decomposed": 3,
+        "count_matchings": 11,
+        "count_irreducible_dyck": 5,
+        "count_palindromic_irreducible": 5,
+        "count_symmetric_matchings": 12,
+    }
+    calls = dict.fromkeys(expected, 0)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in expected:
+        monkeypatch.setattr(C, name, counting(name, getattr(C, name)))
+    assert X.exact_enumeration_suite(5).passed
+    assert calls == expected
+
+
+def _peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_enumeration_suite_memory_is_bounded():
+    # the stacked passes work in blocks: without them the n_max = 6 suite
+    # holds about 130 MiB of relabeling codes and cut-set images at once
+    X.exact_enumeration_suite(3)  # imports and lazy tables outside the window
+    assert _peak_mib(lambda: X.exact_enumeration_suite(5)) <= 16
+    assert _peak_mib(lambda: X.exact_enumeration_suite(6)) <= 64
+    # each pass on its own, over all 10,395 matchings of size 6 (about 58,
+    # 17 and 123 MiB in one block)
+    partners = C._matching_partners(6)
+    adj = G._circle_adj(partners)
+    assert _peak_mib(lambda: G._canonical_codes(adj)) <= 8
+    assert _peak_mib(lambda: G._split_prime_flags(adj)) <= 8
+    assert _peak_mib(lambda: X._matching_cut_scan(partners)) <= 8
 
 
 def test_verify_distance_formula_small():

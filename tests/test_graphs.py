@@ -329,6 +329,51 @@ def test_canonical_form_matches_brute():
         assert G.canonical_form(g).code == oracles.brute_canonical_code(n, _edges(g))
 
 
+def _seed_graph_stacks(n):
+    """Every inversion, circle and unit-interval adjacency stack of size n,
+    each with the oracle's edge sets."""
+    images = np.array(list(itertools.permutations(range(1, n + 1))))
+    partners = C._matching_partners(n)
+    words = [w.steps for w in C.iter_dyck_paths(n)]
+    f = np.array([C._heights_arrays(w)[1] for w in words])
+    return [
+        (G._inversion_adj(images), [oracles.inversion_edges(tuple(r)) for r in images.tolist()]),
+        (G._circle_adj(partners), [oracles.circle_edges(tuple(r)) for r in partners.tolist()]),
+        (G._unit_interval_adj(f), [oracles.unit_interval_edges(w) for w in words]),
+    ]
+
+
+def _edge_set(adj):
+    return {frozenset((int(i) + 1, int(j) + 1)) for i, j in zip(*np.nonzero(np.triu(adj, 1)))}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stacked_rules_match_oracles_on_every_seed(n, monkeypatch):
+    # small blocks, so that block boundaries fall inside every stack
+    monkeypatch.setattr(G, "_CODE_CHUNK", 700)
+    monkeypatch.setattr(G, "_SPLIT_CHUNK", 3000)
+    for adj, edge_sets in _seed_graph_stacks(n):
+        assert [_edge_set(a) for a in adj] == edge_sets
+        codes = [G._code_text(int(c), n) for c in G._canonical_codes(adj)]
+        assert codes == [oracles.brute_canonical_code(n, e) for e in edge_sets]
+        primes = G._split_prime_flags(adj).tolist()
+        assert primes == [oracles.brute_split_prime(n, e) for e in edge_sets]
+
+
+def test_stacked_rules_match_oracles_on_random_graphs():
+    rng = np.random.default_rng(21)
+    for n in range(0, 11):
+        stack = np.array([_random_graph(n, p, rng).adj for p in np.linspace(0.1, 0.9, 9)])
+        edge_sets = [_edge_set(a) for a in stack]
+        if n <= 8:
+            picked = range(len(stack)) if n <= 7 else (0, 4)  # the n = 8 oracle is slow
+            codes = G._canonical_codes(stack[list(picked)])
+            assert [G._code_text(int(c), n) for c in codes] == [
+                oracles.brute_canonical_code(n, edge_sets[i]) for i in picked
+            ]
+        assert G._split_prime_flags(stack).tolist() == [oracles.brute_split_prime(n, e) for e in edge_sets]
+
+
 def test_canonical_form_is_isomorphism_invariant():
     rng = np.random.default_rng(14)
     for _ in range(30):

@@ -50,6 +50,29 @@ def test_finite_mmspace_triangle_violation():
         M.FiniteMmSpace(dist, np.full(3, 1 / 3))
 
 
+def test_finite_mmspace_rejects_non_finite():
+    weights = np.full(2, 0.5)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="distances must be finite"):
+            M.FiniteMmSpace(np.array([[0.0, bad], [bad, 0.0]]), weights)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            M.FiniteMmSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([bad, 0.5]))
+
+
+def test_infinite_point_does_not_hide_triangle_violation():
+    # d(0,2) = 5 > d(0,1) + d(1,2); alone, these three points are rejected
+    # by the triangle check, and a fourth point at infinite distance used
+    # to turn every slack into NaN and let the space through
+    three = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="triangle"):
+        M.FiniteMmSpace(three, np.full(3, 1 / 3))
+    four = np.full((4, 4), math.inf)
+    four[:3, :3] = three
+    four[3, 3] = 0.0
+    with pytest.raises(ValueError, match="distances must be finite"):
+        M.FiniteMmSpace(four, np.full(4, 0.25))
+
+
 def test_from_graph_scales_distances():
     g = G.inversion_graph(C.Permutation((2, 4, 1, 3)))  # path 1-3-2-4
     s = M.from_graph(g, 0.5)
