@@ -459,8 +459,8 @@ def has_nontrivial_symmetry(m: Matching) -> bool:
         if all(p[(i + r) % two_n] == (p[i] + r - 1) % two_n + 1 for i in range(two_n)):
             return True
     for c in range(two_n):
-        # reflection i -> (c - i) mod 2n, with labels shifted to 1..2n
-        if all(p[(c - i - 1) % two_n] == (c - p[i] - 1) % two_n + 1 for i in range(two_n)):
+        # reflection x -> (c - x) mod 2n on labels 1..2n: point i + 1 sits at index c - i - 2
+        if all(p[(c - i - 2) % two_n] == (c - p[i] - 1) % two_n + 1 for i in range(two_n)):
             return True
     return False
 

@@ -386,50 +386,65 @@ def count_cliques_unit(w: DyckPath, k: int) -> int:
     return sum(math.comb(int(fi), k - 1) for fi in f)
 
 
-_EXACT_FLOAT = 2**53
+def _int_type(bound: int) -> np.dtype:
+    """Smallest signed integer dtype holding 0..bound; object (Python ints) past int64.
+
+    Chain counts on at most k of n vertices, and their partial sums, are at
+    most binom(n, min(k, n // 2)): the chain counters take that bound."""
+    return np.min_scalar_type(-bound - 1)
 
 
-def _check_exact_count(n: int, k: int) -> None:
-    # counts and all partial sums in the chain DP are bounded by binom(n, k),
-    # so they stay exactly representable in float64 under this guard
-    if math.comb(n, k) > _EXACT_FLOAT:
-        raise ValueError(f"binom({n},{k}) exceeds exact float64 range")
+def _checked_count(count, k: int) -> int:
+    if int(count) >= 2**63:
+        raise ValueError(f"the {k}-clique count reaches 2^63")
+    return int(count)
 
 
 def clique_count_inversion(p: Permutation, k: int) -> int:
     """Cliques of size k in the inversion graph, counted as decreasing chains.
 
-    A k-clique is a k-term decreasing subsequence; pairwise inversion is
-    transitive, so chains under the relation i < j, sigma(i) > sigma(j) are
-    exactly cliques.  Counted by k-1 integer matrix-vector products (carried
-    in float64, exact below 2^53 — guarded).
+    v_1 = 1, v_{j+1}(i) = sum of v_j(h) over h < i with sigma(h) > sigma(i),
+    count = sum_i v_k(i).  Each of the k-1 dominance sums merges blocks of
+    width 1, 2, 4, ...: in a block pair sorted by decreasing value, a running
+    sum of the left half's v serves the right half.  O(k n log n) time and
+    O(n log n) memory in exact integers; ValueError if the count is >= 2^63.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = p.size
-    if k == 1:
-        return n
     if k > n:
         return 0
-    _check_exact_count(n, k)
     s = np.asarray(p.mapping, dtype=np.int64)
     idx = np.arange(n)
-    dom = ((idx[:, None] < idx[None, :]) & (s[:, None] > s[None, :])).astype(np.float64)
-    v = np.ones(n)
+    levels = []  # per width: merge order, right-half mask, targets, run ends and block starts
+    for width in (1 << j for j in range((n - 1).bit_length())):
+        order = np.lexsort((-s, idx // (2 * width)))
+        right = order // width % 2 == 1
+        slots = np.flatnonzero(right)
+        levels.append((order, right, order[slots], slots + 1, slots // (2 * width) * (2 * width)))
+    dtype = _int_type(math.comb(n, min(k, n // 2)))
+    v = np.ones(n, dtype=dtype)
+    run = np.zeros(n + 1, dtype=dtype)
     for _ in range(k - 1):
-        v = dom.T @ v
-    return int(round(v.sum()))
+        nxt = np.zeros(n, dtype=dtype)
+        for order, right, targets, ends, starts in levels:
+            np.cumsum(np.where(right, 0, v[order]), out=run[1:])
+            nxt[targets] += run[ends] - run[starts]
+        v = nxt
+    return _checked_count(v.sum(dtype=dtype), k)
 
 
 def clique_count_circle(m: Matching, k: int) -> int:
     """Cliques of size k in the circle graph, counted as dominance chains.
 
-    Sorting chords by left endpoint, a set of chords is pairwise crossing
-    iff both endpoint sequences increase together and the largest left
-    endpoint precedes the smallest right endpoint.  Chains in the dominance
-    order (l and r both increasing) are counted by matrix powers and the
-    boundary condition is applied to the (first, last) pair.  Float64
-    arithmetic is exact below 2^53 (guarded).
+    Chords sorted by left endpoint, pi the rank of the right one: a k-clique is
+    a chain a < ... < z with pi increasing and z < tau(a) = #{left < right(a)}.
+    With E the dominance mask (a < c, pi(a) < pi(c)), k-1 = p+q, q = (k-1)//2:
+    count = sum_{a,c} E^p[a, c] C_q[c, tau(a)], C_q[c, t] = sum_{z<t} E^q[c, z]
+    (one cumsum of (E^q)^T, then a row gather at tau).  E^2 counts points in a
+    rectangle of the 2-D prefix table of pi, so k <= 5 takes O(n^2) time and
+    memory in int16/int32/int64 arrays; larger k multiplies exact integer
+    matrices.  Raises ValueError if the count is >= 2^63.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -438,18 +453,33 @@ def clique_count_circle(m: Matching, k: int) -> int:
         return n
     if k > n:
         return 0
-    _check_exact_count(n, k)
     left, right = _chord_endpoints(np.asarray(m.partner, dtype=np.int64))
-    dom = (left[:, None] < left[None, :]) & (right[:, None] < right[None, :])
-    boundary = left[None, :] < right[:, None]  # l_last < r_first
-    if k == 2:
-        return int(np.count_nonzero(dom & boundary))
-    power = dom.astype(np.float64)
-    dom_f = dom.astype(np.float64)
-    for _ in range(k - 3):
-        power = power @ dom_f
-    power = power @ dom_f  # dom^(k-1)
-    return int(round((power * boundary).sum()))
+    pi = np.argsort(np.argsort(right)).astype(_int_type(n))
+    tau = np.searchsorted(left, right)
+    idx = np.arange(n, dtype=pi.dtype)
+    dtype = _int_type(math.comb(n, min(k, n // 2)))
+    e = (idx[:, None] < idx) & (pi[:, None] < pi)
+    q = (k - 1) // 2
+    p = k - 1 - q
+
+    def prefix(table: np.ndarray, bound: int) -> np.ndarray:  # out[t, c] = sum_{z<t} table[c, z]
+        out = np.zeros((n + 1, n), dtype=_int_type(bound))
+        np.cumsum(table.T, axis=0, dtype=out.dtype, out=out[1:])
+        return out
+
+    if p >= 2:  # below[b, c] = #{b' < b : pi(b') < pi(c)}; E^2 by inclusion-exclusion
+        below = prefix(pi[:, None] > pi, n)
+        diag = below[idx, idx].astype(_int_type(2 * n))
+        e2 = np.where(e, diag + diag[:, None] - below[1:] - below[:n].T, 0)
+
+    def power(j: int) -> np.ndarray:
+        if j < 3:
+            return e if j == 1 else e2
+        half = np.linalg.matrix_power(e2.astype(dtype), j // 2)
+        return half @ e.astype(dtype) if j % 2 else half
+
+    gathered = idx < tau[:, None] if q == 0 else prefix(power(q), math.comb(n - 1, q))[tau]
+    return _checked_count(np.einsum("ij,ij->", power(p), gathered, dtype=dtype), k)
 
 
 # ---------------------------------------------------------------------------

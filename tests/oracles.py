@@ -2,14 +2,17 @@
 
 Everything here is written directly from definitions, deliberately not
 sharing algorithms or helper code with the package: subset scans, string
-filters and itertools enumeration only.  Oracles are slow and meant for
-tiny sizes.
+filters and itertools enumeration, plus the dense chain-matrix clique rule
+(the package's own counters use a different one).  Oracles are slow and
+meant for small sizes.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +175,36 @@ def brute_clique_count(n: int, edges: set[frozenset[int]], k: int) -> int:
         if all(frozenset(p) in edges for p in itertools.combinations(sub, 2)):
             count += 1
     return count
+
+
+def dense_clique_count_inversion(mapping: tuple[int, ...], k: int) -> int:
+    """k-cliques of the inversion graph as decreasing k-chains: k-1 products
+    of the n x n dominance matrix with a vector.  Entries count chains, at
+    most 2^n, so int64 is exact for n <= 62."""
+    n = len(mapping)
+    assert n <= 62
+    s = np.asarray(mapping, dtype=np.int64)
+    idx = np.arange(n)
+    dom = ((idx[:, None] < idx) & (s[:, None] > s)).astype(np.int64)
+    v = np.ones(n, dtype=np.int64)
+    for _ in range(k - 1):
+        v = dom.T @ v
+    return int(v.sum())
+
+
+def dense_clique_count_circle(partner: tuple[int, ...], k: int) -> int:
+    """k-cliques of the circle graph: dominance chains of chords (left and
+    right endpoints both increasing) from the (k-1)-th power of the dominance
+    matrix, kept where the last left endpoint precedes the first right one."""
+    n = len(partner) // 2
+    assert n <= 62
+    if k == 1:
+        return n
+    lr = np.asarray(chords(partner), dtype=np.int64).reshape(n, 2)
+    left, right = lr[:, 0], lr[:, 1]
+    dom = ((left[:, None] < left) & (right[:, None] < right)).astype(np.int64)
+    power = np.linalg.matrix_power(dom, k - 1)
+    return int((power * (left[None, :] < right[:, None])).sum())
 
 
 def brute_is_module(n: int, edges: set[frozenset[int]], block: set[int]) -> bool:

@@ -273,19 +273,27 @@ def test_symmetric_matching_counts_vs_brute():
             assert C.count_symmetric_matchings(n, d) == _rotation_fixed_count(n, d), (n, d)
 
 
+def _fixed_by_dihedral_map(partner: tuple[int, ...]) -> bool:
+    # image of the set of chords under each rotation x -> x + r and each
+    # reflection x -> c - x of the points 1..2n (mod 2n)
+    two_n = len(partner)
+    pairs = {frozenset((i, j)) for i, j in enumerate(partner, start=1)}
+    maps = [lambda x, r=r: (x + r) % two_n for r in range(1, two_n)]
+    maps += [lambda x, c=c: (c - x) % two_n for c in range(two_n)]
+    return any({frozenset(f(x) or two_n for x in pr) for pr in pairs} == pairs for f in maps)
+
+
 def test_has_nontrivial_symmetry_consistency():
-    for n in range(1, 5):
+    for n in range(1, 6):
         for m in C.iter_matchings(n):
-            expected = any(
-                all(
-                    m.partner[(i + (2 * n) // d) % (2 * n)]
-                    == (m.partner[i] + (2 * n) // d - 1) % (2 * n) + 1
-                    for i in range(2 * n)
-                )
-                for d in range(2, 2 * n + 1)
-                if (2 * n) % d == 0
-            )
-            assert C.has_nontrivial_symmetry(m) == expected
+            assert C.has_nontrivial_symmetry(m) == _fixed_by_dihedral_map(m.partner), m.partner
+    # fixed by the reflection x -> 3 - x (mod 6) and by no rotation
+    m = C.Matching.from_pairs([(1, 2), (3, 5), (4, 6)])
+    assert not any(
+        {frozenset(((a + r - 1) % 6 + 1, (b + r - 1) % 6 + 1)) for a, b in m.pairs()} == set(map(frozenset, m.pairs()))
+        for r in range(1, 6)
+    )
+    assert C.has_nontrivial_symmetry(m)
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,32 @@ def test_unit_interval_metric_reports_pinned(threads):
     assert digests == _PINNED_REPORTS
 
 
+# SHA-256 of mc_clique_density report JSON (n = 300, reps = 6, rng seed
+# 100 + k), recorded with the float64 matrix-product counters; the exact
+# integer counters must reproduce every byte at any thread count.
+_PINNED_CLIQUE_REPORTS = {
+    ("perm", 2): "52dcd58b8c1e8aad501d7a3784ae48bad5d080ebf207949828ca86756c66f9fb",
+    ("perm", 3): "6a76e18941086cdb20f71c8cb2dcda275ec4a81ef9dfc32e23ef77b1713979ff",
+    ("perm", 4): "c0056e14517ccf1c88ed56e4cd9fea38d17fcb19f5c86bf6a84f86b1b52b0b3d",
+    ("perm", 5): "72811cc12ea7a03e5806c2c334b7c08da5d9dffa8bf71a2f9f6a2c7b84a47e82",
+    ("circle", 2): "f0f228b27c9bc0f98c18a9b85cb3c1755b61d29dfea851d07811a012a651987f",
+    ("circle", 3): "160fa85ab9c456e38cbaf6f7bed91ec735327b0ba9d56381d600806d8b22bbdc",
+    ("circle", 4): "483ad8babf00d6c629287ab21d7c5e76dfeee06ad84fd48ef5087db577e92853",
+    ("circle", 5): "f7ae522e726c78882daec583a2e9197feb224d96ad8988aa5e3ca6b9e374e6c9",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_clique_density_reports_pinned(threads):
+    digests = {
+        (family, k): hashlib.sha256(
+            X.mc_clique_density(family, 300, k, 6, np.random.default_rng(100 + k), threads=threads).to_json().encode()
+        ).hexdigest()
+        for family, k in _PINNED_CLIQUE_REPORTS
+    }
+    assert digests == _PINNED_CLIQUE_REPORTS
+
+
 def test_reports_deterministic_across_threads():
     r1 = X.mc_poisson_xyz(40, 500, 2, np.random.default_rng(9), threads=1)
     r2 = X.mc_poisson_xyz(40, 500, 2, np.random.default_rng(9), threads=3)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,115 @@ def test_decreasing_permutation_clique_counts():
     p = C.Permutation((5, 4, 3, 2, 1))
     for k in range(1, 6):
         assert G.clique_count_inversion(p, k) == math.comb(5, k)
+
+
+def test_clique_counters_match_brute_force():
+    cases = [(perm, None) for n in range(1, 6) for perm in itertools.permutations(range(1, n + 1))]
+    cases += [(None, partner) for n in range(1, 5) for partner in oracles.all_matchings(n)]
+    rng = np.random.default_rng(21)
+    for n in range(6, 10):
+        for _ in range(6):
+            cases.append((C.sample_permutation(n, rng).mapping, C.sample_matching(n, rng).partner))
+    for mapping, partner in cases:
+        if mapping is not None:
+            n, edges = len(mapping), oracles.inversion_edges(mapping)
+            for k in range(1, n + 2):
+                got = G.clique_count_inversion(C.Permutation(mapping), k)
+                assert got == oracles.brute_clique_count(n, edges, k), (mapping, k)
+        if partner is not None:
+            n, edges = len(partner) // 2, oracles.circle_edges(partner)
+            for k in range(1, n + 2):
+                got = G.clique_count_circle(C.Matching(partner), k)
+                assert got == oracles.brute_clique_count(n, edges, k), (partner, k)
+
+
+_SEEDS = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.permutations(range(1, n + 1)), st.permutations(range(2 * n)))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SEEDS, st.integers(1, 7))
+def test_clique_counters_match_dense_oracle(seeds, k):
+    mapping, shuffle = (tuple(s) for s in seeds)
+    partner = [0] * len(shuffle)
+    for a, b in zip(shuffle[0::2], shuffle[1::2]):  # consecutive points of a shuffle pair up
+        partner[a], partner[b] = b + 1, a + 1
+    partner = tuple(partner)
+    assert G.clique_count_inversion(C.Permutation(mapping), k) == oracles.dense_clique_count_inversion(mapping, k)
+    assert G.clique_count_circle(C.Matching(partner), k) == oracles.dense_clique_count_circle(partner, k)
+
+
+def _all_crossing(n, swap=False):
+    # chord i pairs i with i + n; swap=True nests chords 1 and 2 (K_n minus {1, 2})
+    partner = [i + n for i in range(1, n + 1)] + list(range(1, n + 1))
+    if swap:
+        partner[0], partner[1], partner[n], partner[n + 1] = n + 2, n + 1, 2, 1
+    return C.Matching(tuple(partner))
+
+
+def _decreasing(n, swap=False):
+    # swap=True exchanges the first two values (K_n minus {1, 2})
+    mapping = list(range(n, 0, -1))
+    if swap:
+        mapping[0], mapping[1] = mapping[1], mapping[0]
+    return C.Permutation(tuple(mapping))
+
+
+def test_complete_graph_clique_counts():
+    for n in range(1, 13):
+        for k in range(1, n + 2):
+            assert G.clique_count_circle(_all_crossing(n), k) == math.comb(n, k)
+            assert G.clique_count_inversion(_decreasing(n), k) == math.comb(n, k)
+
+
+def test_clique_counts_are_exact_past_float64():
+    # binom(64, 20) ~ 1.96e16 > 2^53: exact integers, not a float guard
+    want = math.comb(64, 20)
+    assert want > 2**53
+    assert G.clique_count_inversion(_decreasing(64), 20) == want
+    assert G.clique_count_circle(_all_crossing(64), 20) == want
+    assert type(G.clique_count_circle(_all_crossing(64), 20)) is int
+
+
+@pytest.mark.parametrize("n, k", [(80, 30), (67, 33)])
+def test_clique_counts_past_int64_raise(n, k):
+    # binom(67, 33) ~ 1.42e19 lies between 2^63 and 2^64
+    assert math.comb(n, k) >= 2**63
+    with pytest.raises(ValueError, match="2\\^63"):
+        G.clique_count_inversion(_decreasing(n), k)
+    with pytest.raises(ValueError, match="2\\^63"):
+        G.clique_count_circle(_all_crossing(n), k)
+
+
+@pytest.mark.parametrize("k", [52, 60, 65, 69, 70])
+def test_clique_counts_with_k_near_n(k):
+    # at n = 70 the chains of about 35 vertices number up to binom(70, 35) > 2^63,
+    # far more than the final count: the partial sums must not wrap
+    n = 70
+    assert math.comb(n, n // 2) > 2**63
+    want = math.comb(n, k) - math.comb(n - 2, k - 2)
+    assert want < 2**63
+    assert G.clique_count_inversion(_decreasing(n, swap=True), k) == want
+    assert G.clique_count_circle(_all_crossing(n, swap=True), k) == want
+    assert G.clique_count_inversion(_decreasing(n), k) == math.comb(n, k)
+    assert G.clique_count_circle(_all_crossing(n), k) == math.comb(n, k)
+
+
+def test_clique_counters_memory_is_bounded():
+    # the float64 rules held n x n float64 matrices (about 9 and 25 MiB here)
+    rng = np.random.default_rng(22)
+    p = C.sample_permutation(1000, rng)
+    m = C.sample_matching(1000, rng)
+    for count, seed in ((G.clique_count_inversion, p), (G.clique_count_circle, m)):
+        count(seed, 3)
+        tracemalloc.start()
+        try:
+            count(seed, 3)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8, (count.__name__, peak)
 
 
 # ---------------------------------------------------------------------------
