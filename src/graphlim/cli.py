@@ -69,6 +69,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     seed = int(seed)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
+    if getattr(args, "count", 1) < 1:
+        raise ValueError("count must be >= 1")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = RunConfig(

@@ -618,43 +618,36 @@ def iter_irreducible_dyck(n: int) -> Iterator[DyckPath]:
 # Decomposability
 #
 # A decomposition is a choice of four cut gaps on the circle (gap g lies
-# between points g and g+1; gap 0 before point 1).  The four arcs between
-# consecutive cuts alternate between the two sides c1+c3 / c2+c4, and every
-# chord must stay on one side.  Writing v(g) for the GF(2) vector indexed by
-# chords with v(g)_c = [chord c separates gap g from gap 0], a cut multiset
-# {g1, g2, g3, g4} is side-consistent iff v(g1)^v(g2)^v(g3)^v(g4) = 0, and
-# the side not containing point 1 must carry k chords with 2 <= k <= n-2.
-# Coincident cuts encode empty arcs, so the search reduces to:
-#   * pairs a < b with v(a) = v(b), or
-#   * four distinct gaps whose vectors XOR to zero,
-# with the arithmetic side-size condition.  The vectors are summarised by
-# 64-bit random projections (fixed internal seed, so results are
-# deterministic); every candidate collision is verified exactly before use.
+# between points g and g+1; gap 0 before point 1).  The arcs between
+# consecutive cuts alternate between two sides, every chord must stay on
+# one side, and the side away from point 1 must carry k chords with
+# 2 <= k <= n-2, so a side S has 4 <= |S| <= 2n-4 points.  Coincident cuts
+# leave S one arc (a, b].  Otherwise the sorted cuts g1 < g2 < g3 < g4 give
+# S = A + B with A = (g1, g2] and B = (g3, g4], both inside (g1, g4]:
+#   * no point of A is matched at or before point g1, so g2 < R(g1), the
+#     smallest right endpoint among the chords over gap g1;
+#   * no point of B is matched after point g4, so g3 >= L(g4), the largest
+#     left endpoint among the chords over gap g4.
+# A uniform matching has about 2n ln 2n arcs of each kind, though a matching
+# can have order n^2.  With v(g) the GF(2) vector indexed by chords,
+# v(g)_c = [chord c separates gap g from gap 0], the arc (a, b] is closed
+# iff v(a) = v(b), and A + B is closed iff v(g1)^v(g2) = v(g3)^v(g4).  The
+# vectors are summarised by 64-bit random projections under a fixed seed, so
+# results are deterministic; equal projections only pick the candidates,
+# and every candidate is verified exactly before use.
 # ---------------------------------------------------------------------------
 
 _PROJECTION_SEED = 0x5EED_CAFE_F00D
 
 
-def _chord_ids(partner: Sequence[int]) -> np.ndarray:
-    """0-based chord index for each 0-based point, chords ranked by left endpoint."""
-    two_n = len(partner)
-    cid = np.empty(two_n, dtype=np.int64)
-    nxt = 0
-    for i in range(two_n):
-        j = partner[i] - 1
-        if i < j:
-            cid[i] = cid[j] = nxt
-            nxt += 1
-    return cid
-
-
-def _gap_hashes(partner: Sequence[int]) -> np.ndarray:
-    """64-bit projections h(g) of the gap vectors v(g), g = 0..2n-1."""
-    two_n = len(partner)
-    n = two_n // 2
-    cid = _chord_ids(partner)
+def _gap_hashes(p: np.ndarray) -> np.ndarray:
+    """64-bit projections h(g) of the gap vectors v(g), g = 0..2n-1 (0-based partners p)."""
+    two_n = len(p)
+    opens = p > np.arange(two_n)
+    rank = np.cumsum(opens) - 1
+    cid = np.where(opens, rank, rank[p])  # chords ranked by left endpoint
     proj = np.random.Generator(np.random.PCG64(_PROJECTION_SEED)).integers(
-        0, 2**64, size=n, dtype=np.uint64
+        0, 2**64, size=two_n // 2, dtype=np.uint64
     )
     h = np.zeros(two_n, dtype=np.uint64)
     # crossing point g flips the bit of that point's chord
@@ -662,96 +655,108 @@ def _gap_hashes(partner: Sequence[int]) -> np.ndarray:
     return h
 
 
-def _exact_side_ok(partner: Sequence[int], in_side: np.ndarray) -> bool:
-    """Every chord entirely inside or outside the boolean point mask?"""
-    idx = np.asarray(partner, dtype=np.int64) - 1
-    return bool(np.all(in_side[idx] == in_side))
+def _closing_bounds(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0-based R(g) and L(g) for every gap g, or 2n and -1 when no chord is over g.
 
-
-def _side_mask(two_n: int, cuts: tuple[int, ...]) -> np.ndarray:
-    """Point mask of the arc union (g1..g2] + (g3..g4] for sorted cuts."""
-    g1, g2, g3, g4 = cuts
-    mask = np.zeros(two_n, dtype=bool)
-    mask[g1:g2] = True  # points g1+1 .. g2 are 0-based g1 .. g2-1
-    mask[g3:g4] = True
-    return mask
-
-
-def _iter_cut_candidates(partner: Sequence[int]):
-    """Yield exact side-consistent cut tuples (g1<=g2<=g3<=g4), pairs first.
-
-    Only candidates surviving the exact XOR verification are yielded; the
-    64-bit projections merely narrow the search.
+    Chord l < r is over gap g iff l < g <= r.  Each bound is one sweep with a
+    stack ordered by the endpoint sought; a chord that leaves the gaps swept
+    never comes back, so it is popped once it reaches the top.
     """
-    two_n = len(partner)
-    h = _gap_hashes(partner)
+    two_n = len(p)
+    pl = p.tolist()
+    right = np.full(two_n, two_n)
+    left = np.full(two_n, -1)
+    stack: list[int] = []
+    for g in range(two_n - 1, 0, -1):
+        if pl[g] < g:
+            stack.append(g)
+        while stack and pl[stack[-1]] >= g:
+            stack.pop()
+        if stack:
+            right[g] = stack[-1]
+    stack = []
+    for g in range(1, two_n):
+        if pl[g - 1] > g - 1:
+            stack.append(g - 1)
+        while stack and pl[stack[-1]] < g:
+            stack.pop()
+        if stack:
+            left[g] = stack[-1]
+    return right, left
 
-    order = np.argsort(h, kind="stable")
-    hs = h[order]
-    run_starts = np.flatnonzero(np.concatenate([[True], hs[1:] != hs[:-1]]))
-    run_ends = np.concatenate([run_starts[1:], [two_n]])
-    for s, e in zip(run_starts, run_ends):
-        if e - s < 2:
-            continue
-        gaps = np.sort(order[s:e])
-        for ai in range(len(gaps)):
-            for bi in range(ai + 1, len(gaps)):
-                a, b = int(gaps[ai]), int(gaps[bi])
-                cuts = (a, a, a, b)
-                if _exact_side_ok(partner, _side_mask(two_n, cuts)):
-                    yield cuts
 
-    # four distinct gaps: equal pairwise XORs among all gap pairs
-    iu0, iu1 = np.triu_indices(two_n, k=1)
-    px = h[iu0] ^ h[iu1]
-    order = np.argsort(px, kind="stable")
-    pxs = px[order]
-    starts = np.flatnonzero(np.concatenate([[True], pxs[1:] != pxs[:-1]]))
-    ends = np.concatenate([starts[1:], [len(pxs)]])
-    for s, e in zip(starts, ends):
-        if e - s < 2:
-            continue
-        members = order[s:e]
-        for ai in range(len(members)):
-            a1, b1 = int(iu0[members[ai]]), int(iu1[members[ai]])
-            for bi in range(ai + 1, len(members)):
-                a2, b2 = int(iu0[members[bi]]), int(iu1[members[bi]])
-                quad = {a1, b1, a2, b2}
-                if len(quad) < 4:
-                    continue
-                cuts = tuple(sorted(quad))
-                if _exact_side_ok(partner, _side_mask(two_n, cuts)):
-                    yield cuts
+def _runs(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, starts[i] + t) for every i and t = 0..counts[i]-1, as two arrays."""
+    counts = np.maximum(counts, 0)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, starts[owner] + np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _equal_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of every pair with x[i] == y[j]."""
+    order = np.argsort(y, kind="stable")
+    ys = y[order]
+    lo = np.searchsorted(ys, x, "left")
+    i, at = _runs(lo, np.searchsorted(ys, x, "right") - lo)
+    return i, order[at]
+
+
+def _decomposition_cuts(partner: Sequence[int], k: int | None = None) -> tuple[int, ...] | None:
+    """Sorted cuts (g1, g2, g3, g4) whose side (g1, g2] + (g3, g4] the matching
+    keeps closed, with k chords on the side away from point 1 (any k in
+    [2, n-2] when k is None); single arcs (a, b] come first, as (a, a, a, b).
+    None when no such cuts exist.
+    """
+    p = np.asarray(partner, dtype=np.int64) - 1
+    two_n = len(p)
+    n = two_n // 2
+    h = _gap_hashes(p)
+    right, left = _closing_bounds(p)
+    gaps = np.arange(two_n)
+    start, end = _equal_pairs(h, h)
+    start, end = start[start < end], end[start < end]
+    a_lo, a_hi = _runs(gaps + 1, np.minimum(right, two_n - 3) - gaps)
+    b_from = np.maximum(left + 1, 2)
+    b_hi, b_lo = _runs(b_from, gaps - b_from)
+    i, j = _equal_pairs(h[a_lo] ^ h[a_hi], h[b_lo] ^ h[b_hi])
+    apart = a_hi[i] < b_lo[j]
+    cuts = np.concatenate(
+        [
+            np.stack([start, start, start, end], axis=1),
+            np.stack([a_lo[i], a_hi[i], b_lo[j], b_hi[j]], axis=1)[apart],
+        ]
+    )
+    size = cuts[:, 1] - cuts[:, 0] + cuts[:, 3] - cuts[:, 2]
+    side_k = np.where(cuts[:, 0] == 0, n - size // 2, size // 2)
+    wanted = (side_k >= 2) & (side_k <= n - 2) if k is None else side_k == k
+    side = np.zeros(two_n, dtype=bool)
+    for g1, g2, g3, g4 in cuts[wanted].tolist():
+        side[:] = False
+        side[g1:g2] = True  # points g1+1 .. g2 are 0-based g1 .. g2-1
+        side[g3:g4] = True
+        if np.array_equal(side[p], side):
+            return g1, g2, g3, g4
+    return None
 
 
 def _decomposition_from_cuts(m: Matching, cuts: tuple[int, ...]) -> Decomposition:
     """Assemble the labelled Decomposition for exact side-consistent cuts.
 
     The arc containing point 1 becomes c1 and the remaining arcs follow in
-    circular order; coincident cuts encode empty slots, so pair candidates
+    circular order; coincident cuts encode empty slots, so single-arc cuts
     put the entire opposite arc into a single slot.
     """
     two_n = 2 * m.size
     g1, g2, g3, g4 = cuts
     arcs = [
-        list(range(g1 + 1, g2 + 1)),
-        list(range(g2 + 1, g3 + 1)),
-        list(range(g3 + 1, g4 + 1)),
-        [p % two_n + 1 for p in range(g4, g1 + two_n)],
+        tuple(range(g1 + 1, g2 + 1)),
+        tuple(range(g2 + 1, g3 + 1)),
+        tuple(range(g3 + 1, g4 + 1)),
+        tuple(p % two_n + 1 for p in range(g4, g1 + two_n)),
     ]
     at = next(t for t, arc in enumerate(arcs) if 1 in arc)
-    ordered = [arcs[(at + d) % 4] for d in range(4)]
-    mask = np.zeros(two_n, dtype=bool)
-    for pt in ordered[1] + ordered[3]:
-        mask[pt - 1] = True
-    k = int(mask.sum()) // 2
-    return Decomposition(
-        c1=tuple(ordered[0]),
-        c2=tuple(ordered[1]),
-        c3=tuple(ordered[2]),
-        c4=tuple(ordered[3]),
-        k=k,
-    )
+    c1, c2, c3, c4 = (arcs[(at + d) % 4] for d in range(4))
+    return Decomposition(c1=c1, c2=c2, c3=c3, c4=c4, k=(len(c2) + len(c4)) // 2)
 
 
 def validate_decomposition(m: Matching, dec: Decomposition) -> None:
@@ -760,9 +765,8 @@ def validate_decomposition(m: Matching, dec: Decomposition) -> None:
     if dec.size != m.size:
         raise ValueError("decomposition and matching sizes differ")
     mask = np.zeros(two_n, dtype=bool)
-    for pt in dec.c2 + dec.c4:
-        mask[pt - 1] = True
-    if not _exact_side_ok(m.partner, mask):
+    mask[np.asarray(dec.c2 + dec.c4, dtype=np.int64) - 1] = True
+    if not np.array_equal(mask[np.asarray(m.partner) - 1], mask):
         raise ValueError("a chord crosses between the c1+c3 and c2+c4 sides")
     if int(mask.sum()) != 2 * dec.k:
         raise ValueError(f"c2+c4 carries {int(mask.sum()) // 2} chords, not k={dec.k}")
@@ -778,10 +782,8 @@ def k_decomposition(m: Matching, k: int) -> Decomposition | None:
     n = m.size
     if not 2 <= k <= n - 2:
         raise ValueError(f"k={k} outside [2, n-2] for n={n}")
-    for cuts in _iter_cut_candidates(m.partner):
-        if _cut_side_k(m, cuts) == k:
-            return _decomposition_from_cuts(m, cuts)
-    return None
+    cuts = _decomposition_cuts(m.partner, k)
+    return None if cuts is None else _decomposition_from_cuts(m, cuts)
 
 
 def is_indecomposable(m: Matching) -> bool:
@@ -789,27 +791,13 @@ def is_indecomposable(m: Matching) -> bool:
 
     Fast path: for n >= 4, any of x, y, z > 0 already forces a 2- or
     (n-2)-decomposition, so only matchings with x = y = z = 0 reach the
-    cut-vector search.
+    cut search.
     """
-    n = m.size
-    if n <= 3:
+    if m.size <= 3:
         return True
     if any(xyz_stats(m)):
         return False
-    for cuts in _iter_cut_candidates(m.partner):
-        dec_k = _cut_side_k(m, cuts)
-        if 2 <= dec_k <= n - 2:
-            return False
-    return True
-
-
-def _cut_side_k(m: Matching, cuts: tuple[int, ...]) -> int:
-    """Chord count of the side away from point 1 for side-consistent cuts."""
-    two_n = 2 * m.size
-    mask = _side_mask(two_n, cuts)
-    if mask[0]:  # point 1 must land on the c1+c3 side
-        mask = ~mask
-    return int(mask.sum()) // 2
+    return _decomposition_cuts(m.partner) is None
 
 
 # ---------------------------------------------------------------------------

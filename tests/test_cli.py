@@ -90,6 +90,22 @@ def test_sample_invalid_size_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "perm", "--n", "4", "--out", "x.txt"],
+        ["export", "excursion", "--m", "16", "--out", "x.csv"],
+    ],
+)
+def test_count_below_one_exits_2(tmp_path, capsys, argv, count):
+    code, out, err = run_cli(argv + ["--count", count, "--seed", "1", "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert "error: count must be >= 1" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # build
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 import doctest
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -367,6 +368,95 @@ def test_indecomposable_small_values():
     # n <= 3: every matching is indecomposable (no valid k exists)
     for n in (1, 2, 3):
         assert all(C.is_indecomposable(m) for m in C.iter_matchings(n))
-    # n = 4: indecomposable iff xyz = (0,0,0)
-    for m in C.iter_matchings(4):
-        assert C.is_indecomposable(m) == (C.xyz_stats(m) == (0, 0, 0))
+    # n = 4, 5: every k in [2, n-2] is 2 or n-2, so indecomposable iff
+    # xyz = (0,0,0); the 22 such matchings at n = 5 take the cut search
+    for n in (4, 5):
+        for m in C.iter_matchings(n):
+            assert C.is_indecomposable(m) == (C.xyz_stats(m) == (0, 0, 0))
+
+
+_matching_points = st.integers(1, 10).flatmap(lambda n: st.permutations(range(1, 2 * n + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matching_points)
+def test_decomposition_search_matches_brute_force(points):
+    m = C.Matching.from_pairs(zip(points[::2], points[1::2]))
+    assert C.is_indecomposable(m) == (not oracles.brute_is_decomposable(m.partner))
+    # k_decomposition runs the cut search on every matching, with no fast path
+    for k in range(2, m.size - 1):
+        dec = C.k_decomposition(m, k)
+        assert (dec is not None) == oracles.brute_is_decomposable(m.partner, k)
+        if dec is not None:
+            C.validate_decomposition(m, dec)
+            assert dec.k == k
+
+
+def test_decomposition_search_exact_under_hash_collisions(monkeypatch):
+    # with every gap hashed alike, every arc pair is a candidate and only
+    # the exact check can reject it
+    matchings = [m for n in (5, 6) for m in C.iter_matchings(n) if n == 5 or C.xyz_stats(m) == (0, 0, 0)]
+    expected = [C.is_indecomposable(m) for m in matchings]
+    found = [[C.k_decomposition(m, k) is not None for k in range(2, m.size - 1)] for m in matchings]
+    monkeypatch.setattr(C, "_gap_hashes", lambda p: np.zeros(len(p), dtype=np.uint64))
+    assert [C.is_indecomposable(m) for m in matchings] == expected
+    for m, row in zip(matchings, found):
+        for k, ok in zip(range(2, m.size - 1), row):
+            dec = C.k_decomposition(m, k)
+            assert (dec is not None) == ok
+            if dec is not None:
+                C.validate_decomposition(m, dec)
+                assert dec.k == k
+
+
+def _xyz_zero_matching(n, rng):
+    while True:
+        points = rng.permutation(2 * n) + 1
+        m = C.Matching.from_pairs(zip(points[::2].tolist(), points[1::2].tolist()))
+        if C.xyz_stats(m) == (0, 0, 0):
+            return m
+
+
+def _planted_xyz_zero(count, rng):
+    """(m, k): matchings with x = y = z = 0 glued by phi_inverse from a
+    k-decomposition, so each is decomposable but takes the cut search.
+    Parts of size 5 or more are drawn with x = y = z = 0 too (size 4 has
+    none), or few gluings qualify."""
+
+    def part(size):
+        return _xyz_zero_matching(size, rng) if size >= 5 else C.sample_matching(size, rng)
+
+    cases = []
+    while len(cases) < count:
+        n = int(rng.integers(10, 201))
+        k = int(rng.integers(3, n - 2))
+        big, small = part(n - k + 1), part(k + 1)
+        marks = [i for i in range(2, 2 * big.size + 1) if big.of(i) != 1]
+        m, _ = C.phi_inverse((big, marks[int(rng.integers(len(marks)))]), small)
+        if C.xyz_stats(m) == (0, 0, 0):
+            cases.append((m, k))
+    return cases
+
+
+def test_planted_decompositions_are_found():
+    # almost every uniform x=y=z=0 matching is indecomposable, so a search
+    # that always answers "indecomposable" would pass the sampled checks
+    for m, k in _planted_xyz_zero(100, RNG(6)):
+        assert not C.is_indecomposable(m)
+        dec = C.k_decomposition(m, k)
+        assert dec is not None
+        C.validate_decomposition(m, dec)
+        assert dec.k == k
+
+
+@pytest.mark.parametrize("n, limit_mib", [(1000, 16), (10_000, 128)])
+def test_indecomposability_search_memory_is_bounded(n, limit_mib):
+    # a table over all n(2n-1) gap pairs would hold about 2*10^8 entries at n = 10^4
+    m = _xyz_zero_matching(n, RNG(n))
+    tracemalloc.start()
+    try:
+        C.is_indecomposable(m)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib

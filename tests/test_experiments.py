@@ -315,6 +315,18 @@ def test_clique_density_reports_pinned(threads):
     assert digests == _PINNED_CLIQUE_REPORTS
 
 
+# SHA-256 of mc_indecomposable_rate(300, 400, default_rng(21)) report JSON,
+# recorded with the gap-pair table search; the arc-pair search must
+# reproduce every byte at any thread count.
+_PINNED_RATE_REPORT = "1e6533a116257fa25e58488b1acfa2c02fd97d977c43170a9ba00b82ea7303be"
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_indecomposable_rate_report_pinned(threads):
+    rep = X.mc_indecomposable_rate(300, 400, np.random.default_rng(21), threads=threads)
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == _PINNED_RATE_REPORT
+
+
 def test_reports_deterministic_across_threads():
     r1 = X.mc_poisson_xyz(40, 500, 2, np.random.default_rng(9), threads=1)
     r2 = X.mc_poisson_xyz(40, 500, 2, np.random.default_rng(9), threads=3)
