@@ -739,7 +739,6 @@ def count_unit_interval_graphs(n: int) -> int:
 
 
 _log_u_cache = np.zeros(1)
-_log_a_cache = np.zeros(1)
 
 
 def _log_connected(d: int) -> float:
@@ -751,20 +750,15 @@ def _log_connected(d: int) -> float:
 
 
 def _ensure_log_tables(n: int) -> None:
-    global _log_u_cache, _log_a_cache
+    global _log_u_cache
     if _log_u_cache.size > n:
         return
     with _TABLE_LOCK:
         if _log_u_cache.size > n:
             return
-        start = _log_a_cache.size
         log_a = np.full(n + 1, -np.inf)
-        log_a[: start] = _log_a_cache
-        log_c = np.array([-np.inf] + [_log_connected(d) for d in range(1, n + 1)])
         for d in range(1, n + 1):
-            first = max(d, ((start + d - 1) // d) * d)
-            for k in range(first, n + 1, d):
-                log_a[k] = np.logaddexp(log_a[k], math.log(d) + log_c[d])
+            log_a[d::d] = np.logaddexp(log_a[d::d], math.log(d) + _log_connected(d))
         log_u = np.zeros(n + 1)
         log_u[: _log_u_cache.size] = _log_u_cache
         for t in range(_log_u_cache.size, n + 1):
@@ -772,11 +766,9 @@ def _ensure_log_tables(n: int) -> None:
             peak = terms.max()
             log_u[t] = peak + math.log(np.exp(terms - peak).sum()) - math.log(t)
         _log_u_cache = log_u
-        _log_a_cache = log_a
 
 
-_exact_block_cache: dict[int, tuple[list[tuple[int, int]], list[int], int]] = {}
-_log_block_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_block_cache: dict[int, tuple[list[tuple[int, int]], list[int] | np.ndarray]] = {}
 
 
 def _rand_below(total: int, rng: np.random.Generator) -> int:
@@ -789,49 +781,36 @@ def _rand_below(total: int, rng: np.random.Generator) -> int:
             return r
 
 
+def _block_table(n: int) -> tuple[list[tuple[int, int]], list[int] | np.ndarray]:
+    """(d, j) pairs of one decomposition step and running sums of their weights
+    d * C_d * U_{n-jd}: exact integers up to the cutoff, else log-space floats (max weight 1)."""
+    if n not in _block_cache:
+        with _TABLE_LOCK:
+            if n not in _block_cache:
+                pairs = [(d, j) for d in range(1, n + 1) for j in range(1, n // d + 1)]
+                if n <= _EXACT_SAMPLING_LIMIT:
+                    count_unit_interval_graphs(n)
+                    c = [0] + [d * count_connected_unit_interval_graphs(d) for d in range(1, n + 1)]
+                    cum = list(itertools.accumulate(c[d] * _u_exact[n - j * d] for d, j in pairs))
+                    if cum[-1] != n * _u_exact[n]:
+                        raise AssertionError("block weights must sum to n * U_n")
+                else:
+                    _ensure_log_tables(n)
+                    lc = np.array([0.0] + [math.log(d) + _log_connected(d) for d in range(1, n + 1)])
+                    ds, js = np.array(pairs).T
+                    logw = lc[ds] + _log_u_cache[n - js * ds]
+                    cum = np.cumsum(np.exp(logw - logw.max()))
+                _block_cache[n] = (pairs, cum)
+    return _block_cache[n]
+
+
 def _draw_block(n: int, rng: np.random.Generator) -> tuple[int, int]:
     """One multiset-decomposition step: (component size d, copy count j)
     with probability d * C_d * U_{n-jd} / (n * U_n)."""
+    pairs, cum = _block_table(n)
     if n <= _EXACT_SAMPLING_LIMIT:
-        if n not in _exact_block_cache:
-            with _TABLE_LOCK:
-                if n not in _exact_block_cache:
-                    count_unit_interval_graphs(n)
-                    pairs = []
-                    cum = []
-                    total = 0
-                    for d in range(1, n + 1):
-                        c_d = count_connected_unit_interval_graphs(d)
-                        for j in range(1, n // d + 1):
-                            weight = d * c_d * _u_exact[n - j * d]
-                            total += weight
-                            pairs.append((d, j))
-                            cum.append(total)
-                    if total != n * _u_exact[n]:
-                        raise AssertionError("block weights must sum to n * U_n")
-                    _exact_block_cache[n] = (pairs, cum, total)
-        pairs, cum, total = _exact_block_cache[n]
-        return pairs[bisect.bisect_right(cum, _rand_below(total, rng))]
-    _ensure_log_tables(n)
-    if n not in _log_block_cache:
-        with _TABLE_LOCK:
-            if n not in _log_block_cache:
-                ds, js, logw = [], [], []
-                for d in range(1, n + 1):
-                    lc = math.log(d) + _log_connected(d)
-                    for j in range(1, n // d + 1):
-                        ds.append(d)
-                        js.append(j)
-                        logw.append(lc + _log_u_cache[n - j * d])
-                _log_block_cache[n] = (
-                    np.asarray(ds, dtype=np.int64),
-                    np.asarray(js, dtype=np.int64),
-                    np.asarray(logw),
-                )
-    ds, js, logw = _log_block_cache[n]
-    gumbel = rng.gumbel(size=logw.size)
-    pick = int(np.argmax(logw + gumbel))
-    return int(ds[pick]), int(js[pick])
+        return pairs[bisect.bisect_right(cum, _rand_below(cum[-1], rng))]
+    return pairs[min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), len(pairs) - 1)]
 
 
 def sample_connected_unit_interval_graph(n: int, rng: np.random.Generator) -> DyckPath:

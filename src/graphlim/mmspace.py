@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -74,11 +74,8 @@ class FiniteMmSpace:
                 raise ValueError("distances must be nonnegative")
             if np.any(d != d.T):
                 raise ValueError("dist must be symmetric")
-            if not np.isfinite(w).all():
-                raise ValueError("weights must be finite")
-            if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
-                raise ValueError("weights must be a probability vector")
-            _check_triangle(d)
+            _check_weights(w)
+            _check_triangle(lambda i, j: d[i, j], n)
         d.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "dist", d)
@@ -89,16 +86,25 @@ class FiniteMmSpace:
         return self.dist.shape[0]
 
 
-def _check_triangle(d: np.ndarray) -> None:
-    n = d.shape[0]
+def _check_weights(w: np.ndarray) -> None:
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
+    if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
+        raise ValueError("weights must be a probability vector")
+
+
+def _check_triangle(pair: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int) -> None:
+    """Triangle inequality of pair(i, j) on n points, in full or spot-checked."""
     if n <= _FULL_TRIANGLE_LIMIT:
+        idx = np.arange(n)
+        d = pair(idx[:, None], idx[None, :])
         slack = d[:, :, None] + d[None, :, :] - d[:, None, :]
         if float(slack.min()) < -_TRIANGLE_TOL:
             raise ValueError("triangle inequality violated")
         return
     check_rng = np.random.default_rng(0xD15C)
     i, j, k = check_rng.integers(0, n, size=(3, _SPOT_CHECK_TRIPLES))
-    if float((d[i, j] + d[j, k] - d[i, k]).min()) < -_TRIANGLE_TOL:
+    if float((pair(i, j) + pair(j, k) - pair(i, k)).min()) < -_TRIANGLE_TOL:
         raise ValueError("triangle inequality violated (spot check)")
 
 
@@ -238,8 +244,9 @@ def _truncated_grid(delta: float, m: int) -> np.ndarray:
     return delta + np.arange(count) / m
 
 
-def _grid_metric_from_cumulative(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Pairwise excursion distances between grid points via one cumulative pass.
+def _grid_cumulative(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Excursion integral of 1/e from t_1 to each grid point, in one cumulative
+    pass, so that d_e(x_r, x_c) = |c_r - c_c|.
 
     Requires every grid point to lie at least one cell away from the ends
     (the first and last cells touch the divergent boundary).
@@ -259,9 +266,7 @@ def _grid_metric_from_cumulative(values: np.ndarray, xs: np.ndarray) -> np.ndarr
     prefix[1] = 0.0
     theta = pos - cell
     g_at = (1.0 - theta) * g[cell] + theta * g[cell + 1]
-    cum = prefix[cell] + 0.5 * theta / m * (g[cell] + g_at)
-    dist = np.subtract.outer(cum, cum)
-    return np.abs(dist, out=dist)
+    return prefix[cell] + 0.5 * theta / m * (g[cell] + g_at)
 
 
 def gp_box_estimate_unit(
@@ -277,6 +282,14 @@ def gp_box_estimate_unit(
     coupled regime); otherwise an independent sampled excursion.  Returns
     (discrepancy, mass defect 2*delta); the box distance is bounded by the
     max of the two.
+
+    Equal, bit for bit, to box_discrepancy of the two FiniteMmSpaces under
+    the identity relation, without building them: both metrics are symmetric
+    with zero diagonal by construction (U + U^T is integer addition, and
+    |a - b| = |b - a| in IEEE), so one pass over row blocks of the upper
+    triangle of the jump-walk matrix U against the 1-D excursion integral
+    sees every entry.  Memory: U (8 k^2 bytes for k grid points) plus two
+    row blocks.  FiniteMmSpace's checks that can fail here still run.
     """
     if not w.is_irreducible():
         raise ValueError("Dyck path must be irreducible")
@@ -286,11 +299,7 @@ def gp_box_estimate_unit(
     h, f = _heights_arrays(w.steps)
     xs = _truncated_grid(delta, m)
     verts = np.minimum(1 + np.floor(xs * n).astype(np.int64), n)
-
     upper = _distances_from(f, verts)
-    dist_g = np.add(upper, upper.T, dtype=np.float64)
-    del upper
-    dist_g /= math.sqrt(n)
 
     if e_from_w:
         mid = np.minimum(1 + np.floor(np.arange(1, m) / m * n).astype(np.int64), n)
@@ -299,14 +308,26 @@ def gp_box_estimate_unit(
         exc = ExcursionGrid(vals)
     else:
         exc = sample_excursion(m, rng)
-    dist_e = _grid_metric_from_cumulative(exc.values, xs)
-    dist_e /= math.sqrt(2.0)
+    cum = _grid_cumulative(exc.values, xs)
+    if not np.isfinite(cum).all():
+        raise ValueError("distances must be finite")
 
     k = xs.size
-    weights = np.full(k, 1.0 / k)
-    space_g = FiniteMmSpace(dist_g, weights)
-    space_e = FiniteMmSpace(dist_e, weights)
-    disc = box_discrepancy(space_g, space_e, [(i, i) for i in range(k)])
+    _check_weights(np.full(k, 1.0 / k))
+    _check_triangle(lambda i, j: (upper[i, j] + upper[j, i]) / math.sqrt(n), k)
+    _check_triangle(lambda i, j: np.abs(cum[i] - cum[j]) / math.sqrt(2.0), k)
+    disc = 0.0
+    for r0 in range(0, k, _BOX_BLOCK_ROWS):
+        r1 = r0 + _BOX_BLOCK_ROWS
+        diff = upper[r0:r1, r0:] / math.sqrt(n)
+        if diff.min() < 0.0:
+            raise ValueError("distances must be nonnegative")
+        rule = np.subtract.outer(cum[r0:r1], cum[r0:])
+        rule /= math.sqrt(2.0)  # |a| / s == |a / s|: rounding is symmetric
+        diff -= np.abs(rule, out=rule)
+        np.abs(diff, out=diff)
+        diff[:, :_BOX_BLOCK_ROWS] = np.triu(diff[:, :_BOX_BLOCK_ROWS], 1)  # pairs c > r only
+        disc = max(disc, float(diff.max()))
     return disc, 2.0 * delta
 
 

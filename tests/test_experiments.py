@@ -4,6 +4,7 @@ graph sampler, Monte Carlo drivers, report schema, and determinism."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -159,10 +160,9 @@ def test_log_path_sampler_runs_above_exact_cutoff():
     assert w.size == n and w.is_irreducible()
 
 
-def test_draw_block_distribution_small_n():
-    # P(d, j) = d * C_d * U_{n-jd} / (n * U_n), checked empirically at n = 4
-    rng = np.random.default_rng(5)
-    n = 4
+def _assert_block_law(n: int, rng: np.random.Generator) -> None:
+    # P(d, j) = d * C_d * U_{n-jd} / (n * U_n), checked empirically; pairs
+    # expected fewer than 5 times are pooled into one cell
     u = X.count_unit_interval_graphs
     c = X.count_connected_unit_interval_graphs
     expected = {}
@@ -175,11 +175,45 @@ def test_draw_block_distribution_small_n():
         key = X._draw_block(n, rng)
         seen[key] = seen.get(key, 0) + 1
     assert set(seen) <= set(expected)
-    keys = sorted(expected)
-    _, p = scipy.stats.chisquare(
-        [seen.get(k, 0) for k in keys], [expected[k] * draws for k in keys]
-    )
+    keys = sorted(k for k in expected if expected[k] * draws >= 5)
+    rest = [k for k in expected if k not in keys]
+    observed = [seen.get(k, 0) for k in keys]
+    wanted = [expected[k] * draws for k in keys]
+    if rest:
+        observed.append(sum(seen.get(k, 0) for k in rest))
+        wanted.append(sum(expected[k] for k in rest) * draws)
+    _, p = scipy.stats.chisquare(observed, wanted)
     assert p > 1e-3
+
+
+def test_draw_block_distribution_small_n():
+    _assert_block_law(4, np.random.default_rng(5))
+
+
+def test_draw_block_distribution_above_cutoff():
+    # the log-space table: one uniform searched in its running sums
+    _assert_block_law(X._EXACT_SAMPLING_LIMIT + 1, np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("n", [601, 650, 1000])
+def test_log_block_law_matches_exact_weights(n):
+    # above the exact cutoff the block table comes from the log tables; its
+    # normalised running sums must be d * C_d * U_{n-jd} / (n * U_n) summed
+    # with big-integer counts
+    assert n > X._EXACT_SAMPLING_LIMIT
+    pairs, cum = X._block_table(n)
+    assert pairs == [(d, j) for d in range(1, n + 1) for j in range(1, n // d + 1)]
+    u = X.count_unit_interval_graphs
+    c = X.count_connected_unit_interval_graphs
+    weights = [d * c(d) * u(n - j * d) for d, j in pairs]
+    total = n * u(n)
+    assert sum(weights) == total
+    exact_cdf = np.array([s / total for s in itertools.accumulate(weights)])
+    np.testing.assert_allclose(cum / cum[-1], exact_cdf, rtol=1e-9, atol=0.0)
+    # single weights, where differencing the running sum resolves them
+    exact_p = np.array([wt / total for wt in weights])
+    big = exact_p >= 1e-6
+    np.testing.assert_allclose(np.diff(cum, prepend=0.0)[big] / cum[-1], exact_p[big], rtol=1e-9, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

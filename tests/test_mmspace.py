@@ -4,6 +4,7 @@ truncated excursion distances, box discrepancy, and the graph coupling."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,3 +242,62 @@ def test_gp_box_estimate_shrinks_with_n():
         ]
     )
     assert large < small
+
+
+def _dense_box_estimate(w, e_from_w, delta, m, rng):
+    # the dense construction: both k x k metrics as FiniteMmSpaces and the
+    # identity relation through box_discrepancy
+    n = w.size
+    h, f = C._heights_arrays(w.steps)
+    xs = M._truncated_grid(delta, m)
+    verts = np.minimum(1 + np.floor(xs * n).astype(np.int64), n)
+    upper = G._distances_from(f, verts)
+    dist_g = np.add(upper, upper.T, dtype=np.float64) / math.sqrt(n)
+    if e_from_w:
+        mid = np.minimum(1 + np.floor(np.arange(1, m) / m * n).astype(np.int64), n)
+        vals = np.zeros(m + 1)
+        vals[1:m] = h[mid - 1] / math.sqrt(2.0 * n)
+        exc = M.ExcursionGrid(vals)
+    else:
+        exc = M.sample_excursion(m, rng)
+    cum = M._grid_cumulative(exc.values, xs)
+    for r, c in ((0, xs.size // 2), (1, xs.size - 2)):
+        assert abs(cum[c] - cum[r]) == pytest.approx(M.excursion_distance(exc, xs[r], xs[c], delta), rel=1e-9)
+    dist_e = np.abs(np.subtract.outer(cum, cum)) / math.sqrt(2.0)
+    k = xs.size
+    weights = np.full(k, 1.0 / k)
+    relation = [(i, i) for i in range(k)]
+    return M.box_discrepancy(M.FiniteMmSpace(dist_g, weights), M.FiniteMmSpace(dist_e, weights), relation)
+
+
+@pytest.mark.parametrize(
+    "n, m, delta",
+    [
+        (100, 400, 0.05),  # k = 361 > n: repeated sources; two row blocks, the last partial
+        (2000, 400, 0.05),  # k = 361 < n
+        (700, 1024, 1025 / 4096),  # k = 512, a whole number of row blocks
+        (90, 128, 0.1),  # k = 103 <= 200: one block, full triangle check
+    ],
+)
+@pytest.mark.parametrize("e_from_w", [True, False])
+def test_gp_box_estimate_unit_matches_dense_spaces(n, m, delta, e_from_w):
+    rng = np.random.default_rng(n + m)
+    for _ in range(3):
+        w = C.sample_irreducible_dyck(n, rng)
+        seed = int(rng.integers(1 << 32))
+        disc, defect = M.gp_box_estimate_unit(w, e_from_w, delta, m, np.random.default_rng(seed))
+        assert defect == 2.0 * delta
+        assert disc == _dense_box_estimate(w, e_from_w, delta, m, np.random.default_rng(seed))
+
+
+def test_gp_box_estimate_unit_memory():
+    # one k x k int64 jump-walk matrix (k = 1844, about 26 MiB) plus row
+    # blocks fit; two dense float64 k x k metrics beside it would not
+    w = C.sample_irreducible_dyck(16000, np.random.default_rng(8))
+    tracemalloc.start()
+    try:
+        M.gp_box_estimate_unit(w, True, 0.05, 2048, np.random.default_rng(9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
