@@ -271,26 +271,32 @@ def sample_permutation(n: int, rng: np.random.Generator) -> Permutation:
     return Permutation(tuple(int(v) + 1 for v in rng.permutation(n)))
 
 
-def sample_matching(n: int, rng: np.random.Generator) -> Matching:
-    """Uniform matching of size n by sequential pairing.
+def _sample_matchings_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarray:
+    """0-based partner arrays of `batch` uniform matchings, shape (batch, 2n).
 
-    Repeatedly match the smallest free point with a uniform choice among the
-    remaining free points; every matching arises with probability
-    1/(2n-1)!! since the chord of the current smallest point is uniform
-    among 2r-1 options when 2r points remain.
+    Consecutive positions of a uniform shuffle are paired; every matching
+    arises from exactly 2^n n! shuffles, so the law is uniform.
+    """
+    two_n = 2 * n
+    order = np.argsort(rng.random((batch, two_n)), axis=1)
+    evens = order[:, 0::2]
+    odds = order[:, 1::2]
+    partner = np.empty((batch, two_n), dtype=np.int64)
+    np.put_along_axis(partner, evens, odds, axis=1)
+    np.put_along_axis(partner, odds, evens, axis=1)
+    return partner
+
+
+def sample_matching(n: int, rng: np.random.Generator) -> Matching:
+    """Uniform matching of size n: the one-row case of the batch sampler.
+
+    It pairs consecutive positions of one uniform shuffle of the 2n points,
+    so it draws the same matching as row 0 of ``_sample_matchings_batch(n,
+    1, rng)`` and leaves the generator in the same state.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    free = list(range(1, 2 * n + 1))
-    partner = [0] * (2 * n)
-    while free:
-        r = int(rng.integers(1, len(free)))  # len(free) is even, >= 2
-        i = free[0]
-        j = free.pop(r)
-        free.pop(0)
-        partner[i - 1] = j
-        partner[j - 1] = i
-    return Matching(tuple(partner))
+    return Matching(tuple((_sample_matchings_batch(n, 1, rng)[0] + 1).tolist()))
 
 
 def _dyck_word(n: int, rng: np.random.Generator) -> str:

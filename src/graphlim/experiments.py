@@ -35,7 +35,7 @@ import numpy as np
 import scipy.stats
 
 from . import combinat, graphon, graphs, mmspace
-from .combinat import DyckPath, Permutation, _heights_arrays
+from .combinat import DyckPath, Permutation, _heights_arrays, _sample_matchings_batch
 from .graphs import UGraph
 
 __all__ = [
@@ -211,22 +211,6 @@ def mc_clique_density(
 # ---------------------------------------------------------------------------
 
 
-def _sample_matchings_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarray:
-    """0-based partner arrays of `batch` uniform matchings, shape (batch, 2n).
-
-    Consecutive positions of a uniform shuffle are paired; every matching
-    arises from exactly 2^n n! shuffles, so the law is uniform.
-    """
-    two_n = 2 * n
-    order = np.argsort(rng.random((batch, two_n)), axis=1)
-    evens = order[:, 0::2]
-    odds = order[:, 1::2]
-    partner = np.empty((batch, two_n), dtype=np.int64)
-    np.put_along_axis(partner, evens, odds, axis=1)
-    np.put_along_axis(partner, odds, evens, axis=1)
-    return partner
-
-
 def _xyz_batch(partner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (x, y, z) statistics for a batch of 0-based partner arrays."""
     two_n = partner.shape[1]
@@ -263,6 +247,8 @@ def mc_poisson_xyz(
         raise ValueError("n must be >= 4")
     if reps < 2:
         raise ValueError("reps must be >= 2")
+    if max_moment < 1:
+        raise ValueError("max_moment must be >= 1")
     master = _master_seed(rng)
     chunk_rows = max(1, 4_000_000 // (2 * n))
     n_chunks = (reps + chunk_rows - 1) // chunk_rows
@@ -429,22 +415,12 @@ def _edge_count_law_exhaustive(family: str) -> np.ndarray:
 def _edge_counts_mc(family: str, draws: int, rng: np.random.Generator) -> np.ndarray:
     """Edge-count histogram of size-3 graphon samples, vectorized."""
     if family == "perm":
-        a = rng.random((draws, 3))
-        b = rng.random((draws, 3))
-        total = np.zeros(draws, dtype=np.int64)
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            total += ((a[:, i] - a[:, j]) * (b[:, i] - b[:, j]) < 0).astype(np.int64)
+        a, b = rng.random((2, draws, 3))
     else:
-        pts = rng.random((draws, 3, 2))
-        total = np.zeros(draws, dtype=np.int64)
-
-        def inside(t, lo, hi):
-            return np.where(lo < hi, (lo < t) & (t < hi), (t > lo) | (t < hi))
-
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            lo, hi = pts[:, i, 0], pts[:, i, 1]
-            cross = inside(pts[:, j, 0], lo, hi) != inside(pts[:, j, 1], lo, hi)
-            total += cross.astype(np.int64)
+        a, b = np.moveaxis(rng.random((draws, 3, 2)), -1, 0)
+    total = np.zeros(draws, dtype=np.int64)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        total += graphon._adjacent(family, a[:, i], b[:, i], a[:, j], b[:, j])
     return np.bincount(total, minlength=4).astype(np.float64)
 
 
@@ -880,6 +856,8 @@ def largest_component_stats(
     multiset decomposition."""
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be >= 1")
+    if deficiency_cutoff < 0:
+        raise ValueError("deficiency_cutoff must be >= 0")
     master = _master_seed(rng)
 
     def one(_: int, child: np.random.Generator) -> int:
@@ -985,6 +963,8 @@ def heatmap_experiment(
     """Average of degree-descending step graphons of uniform-seed graphs."""
     if family not in ("perm", "circle"):
         raise ValueError("family must be 'perm' or 'circle'")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     master = _master_seed(rng)
 
     def one(_: int, child: np.random.Generator) -> np.ndarray:

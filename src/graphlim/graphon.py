@@ -1,12 +1,14 @@
 """The two limit graphons, graphon sampling, and exact clique densities.
 
-A latent point is a pair (a, b) in [0,1]^2.  For the permutation-family
-graphon the pair is read as two independent uniform coordinates and two
-points are adjacent iff their coordinates are anti-ordered; for the
-circle-family graphon the pair is read as the two endpoints of a chord at
-angles 2*pi*a, 2*pi*b and two points are adjacent iff the chords cross.
-Both evaluators are {0,1}-valued and symmetric; coincident coordinates
-(a null event under Lebesgue sampling) evaluate to 0.
+A latent point is a pair (a, b) in [0,1]^2, and one broadcasting rule,
+:func:`_adjacent`, gives both graphons.  perm: the pair is two independent
+uniform coordinates, and two points are adjacent iff (a1 - a2)(b1 - b2) < 0.
+circle: the pair is the endpoints of a chord at angles 2*pi*a, 2*pi*b, and
+two points are adjacent iff the chords interleave, lo1 < lo2 < hi1 < hi2 or
+lo2 < lo1 < hi2 < hi1 with (lo, hi) each chord's (min, max).  Tie contract:
+every inequality is strict, so any coincidence (a null event under Lebesgue
+sampling, such as a shared endpoint or a chord with a == b) gives 0.  Both
+graphons are {0,1}-valued and symmetric by construction.
 
 Clique densities are exact rationals (:class:`fractions.Fraction`); floats
 appear only at reporting edges.  Step graphons hold a float cell matrix in
@@ -32,7 +34,6 @@ __all__ = [
     "PERM_GRAPHON",
     "CIRCLE_GRAPHON",
     "eval_graphon",
-    "sample_latent",
     "sample_graph",
     "clique_density",
     "step_graphon",
@@ -91,11 +92,17 @@ class StepGraphon:
         return self.cells.shape[0]
 
 
-def _circular_inside(t: float, lo: float, hi: float) -> bool:
-    """Whether t lies strictly inside the arc from lo to hi (increasing direction)."""
-    if lo < hi:
-        return lo < t < hi
-    return t > lo or t < hi
+def _adjacent(family: str, a1, b1, a2, b2):
+    """Edge indicator of the family's graphon at (a1, b1) and (a2, b2).
+
+    Takes scalars or arrays, broadcast against each other, and returns a
+    bool of their broadcast shape; the tie contract is the module's.
+    """
+    if family == "perm":
+        return (a1 - a2) * (b1 - b2) < 0
+    lo1, hi1 = np.minimum(a1, b1), np.maximum(a1, b1)
+    lo2, hi2 = np.minimum(a2, b2), np.maximum(a2, b2)
+    return ((lo1 < lo2) & (lo2 < hi1) & (hi1 < hi2)) | ((lo2 < lo1) & (lo1 < hi2) & (hi2 < hi1))
 
 
 def eval_graphon(w: LimitGraphon, p: LatentPoint, q: LatentPoint) -> int:
@@ -105,29 +112,15 @@ def eval_graphon(w: LimitGraphon, p: LatentPoint, q: LatentPoint) -> int:
     endpoints at circle positions {p.a, p.b} and {q.a, q.b} cross.  Any
     coincidence among the relevant coordinates gives 0.
     """
-    if w.family == "perm":
-        return 1 if (p.a - q.a) * (p.b - q.b) < 0 else 0
-    if p.a == p.b or q.a == q.b or {p.a, p.b} & {q.a, q.b}:
-        return 0
-    return 1 if _circular_inside(q.a, p.a, p.b) != _circular_inside(q.b, p.a, p.b) else 0
-
-
-def sample_latent(k: int, rng: np.random.Generator) -> list[LatentPoint]:
-    pts = rng.random((k, 2))
-    return [LatentPoint(float(a), float(b)) for a, b in pts]
+    return int(_adjacent(w.family, p.a, p.b, q.a, q.b))
 
 
 def sample_graph(w: LimitGraphon, k: int, rng: np.random.Generator) -> UGraph:
     """Graph on k vertices drawn from the graphon with uniform latent points."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    pts = sample_latent(k, rng)
-    adj = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if eval_graphon(w, pts[i], pts[j]):
-                adj[i, j] = adj[j, i] = True
-    return UGraph(adj)
+    a, b = rng.random((k, 2)).T
+    return UGraph(_adjacent(w.family, a[:, None], b[:, None], a[None, :], b[None, :]))
 
 
 def clique_density(family: str, k: int) -> Fraction:

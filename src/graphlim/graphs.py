@@ -220,12 +220,7 @@ def chords_cross(m: Matching, a: int, b: int) -> bool:
     n = m.size
     if not (1 <= a <= n and 1 <= b <= n):
         raise ValueError(f"chord index out of range 1..{n}")
-    if a == b:
-        return False
-    pairs = m.pairs()
-    la, ra = pairs[a - 1]
-    lb, rb = pairs[b - 1]
-    return (la < lb < ra) != (la < rb < ra)
+    return bool(circle_graph(m).adj[a - 1, b - 1])
 
 
 def _unit_interval_adj(f: np.ndarray) -> np.ndarray:

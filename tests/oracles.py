@@ -70,6 +70,27 @@ def all_matchings(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def sequential_pairing(n: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Partner tuple of a uniform matching of size n by sequential pairing.
+
+    The smallest free point is paired with a uniform choice among the other
+    free points; every matching has probability 1/(2n-1)!!.  This was the
+    package's matching sampler before it paired consecutive positions of a
+    shuffle, so reports pinned under that draw stream stay reproducible with
+    this rule patched in.
+    """
+    free = list(range(1, 2 * n + 1))
+    partner = [0] * (2 * n)
+    while free:
+        r = int(rng.integers(1, len(free)))  # len(free) is even, >= 2
+        i = free[0]
+        j = free.pop(r)
+        free.pop(0)
+        partner[i - 1] = j
+        partner[j - 1] = i
+    return tuple(partner)
+
+
 def chords(partner: tuple[int, ...]) -> list[tuple[int, int]]:
     """Chords as (left, right) sorted by left endpoint."""
     seen = set()
@@ -116,6 +137,33 @@ def brute_is_decomposable(partner: tuple[int, ...], k: int | None = None) -> boo
         if 2 <= away <= n - 2 and k in (None, away):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# limit graphons (latent points as (a, b) pairs in [0, 1]^2)
+# ---------------------------------------------------------------------------
+
+
+def _on_arc(t: float, lo: float, hi: float) -> bool:
+    """Whether t lies strictly inside the arc from lo to hi (increasing direction)."""
+    if lo < hi:
+        return lo < t < hi
+    return t > lo or t < hi
+
+
+def graphon_value(family: str, p: tuple[float, float], q: tuple[float, float]) -> int:
+    """The {0,1} graphon value at latent points p and q, one pair at a time.
+
+    perm: 1 iff (p.a - q.a)(p.b - q.b) < 0.  circle: a degenerate chord or a
+    shared endpoint gives 0; otherwise 1 iff exactly one endpoint of q lies
+    on the arc from p.a to p.b.
+    """
+    (pa, pb), (qa, qb) = p, q
+    if family == "perm":
+        return 1 if (pa - qa) * (pb - qb) < 0 else 0
+    if pa == pb or qa == qb or {pa, pb} & {qa, qb}:
+        return 0
+    return 1 if _on_arc(qa, pa, pb) != _on_arc(qb, pa, pb) else 0
 
 
 # ---------------------------------------------------------------------------

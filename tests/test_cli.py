@@ -407,6 +407,24 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["export", "heatmap", "--n", "6", "--reps", "-1"], "reps must be >= 1"),
+        (["export", "heatmap", "--n", "6", "--reps", "0"], "reps must be >= 1"),
+        (["verify", "components", "--n", "10", "--reps", "2", "--cutoff", "-1"], "deficiency_cutoff must be >= 0"),
+        (["verify", "poisson", "--n", "10", "--reps", "20", "--max-moment", "0"], "max_moment must be >= 1"),
+    ],
+)
+def test_argument_below_range_exits_2(tmp_path, capsys, argv, message):
+    # a bad argument is a usage error, never a crash (3) or a failed criterion (1)
+    code, out, err = run_cli(argv + ["--seed", "1", "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert f"error: {message}" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     def crash(*args, **kwargs):
         raise AssertionError("Euler recursion must divide exactly")

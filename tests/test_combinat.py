@@ -318,6 +318,18 @@ def test_sample_matching_uniform():
     assert p > 1e-3
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+def test_sample_matching_is_batch_row(n):
+    # the scalar sampler is the one-row case of the batch sampler: same
+    # matching, and the generator is left in the same state
+    for s in range(3):
+        rng_one, rng_batch = RNG(s), RNG(s)
+        m = C.sample_matching(n, rng_one)
+        row = C._sample_matchings_batch(n, 1, rng_batch)[0]
+        assert m.partner == tuple(int(v) + 1 for v in row)
+        assert rng_one.random() == rng_batch.random()
+
+
 def test_sample_dyck_uniform():
     rng = RNG(3)
     counts = Counter(C.sample_dyck(3, rng).steps for _ in range(15000))

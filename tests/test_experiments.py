@@ -21,7 +21,7 @@ from graphlim import combinat as C
 from graphlim import experiments as X
 from graphlim import graphs as G
 
-from oracles import all_dyck_words, brute_irreducible
+from oracles import all_dyck_words, brute_irreducible, sequential_pairing
 
 
 def _mirror_word(word: str) -> str:
@@ -325,16 +325,20 @@ def test_unit_interval_metric_reports_pinned(threads):
 
 # SHA-256 of mc_clique_density report JSON (n = 300, reps = 6, rng seed
 # 100 + k), recorded with the float64 matrix-product counters; the exact
-# integer counters must reproduce every byte at any thread count.
+# integer counters must reproduce every byte at any thread count.  The
+# circle digests were recorded again when sample_matching became the
+# one-row case of the shuffle-pairing batch sampler, which changed the
+# matching draw stream; the digests of the earlier sequential-pairing stream
+# are still checked, with that rule patched in (_SEQUENTIAL_PAIRING_*).
 _PINNED_CLIQUE_REPORTS = {
     ("perm", 2): "52dcd58b8c1e8aad501d7a3784ae48bad5d080ebf207949828ca86756c66f9fb",
     ("perm", 3): "6a76e18941086cdb20f71c8cb2dcda275ec4a81ef9dfc32e23ef77b1713979ff",
     ("perm", 4): "c0056e14517ccf1c88ed56e4cd9fea38d17fcb19f5c86bf6a84f86b1b52b0b3d",
     ("perm", 5): "72811cc12ea7a03e5806c2c334b7c08da5d9dffa8bf71a2f9f6a2c7b84a47e82",
-    ("circle", 2): "f0f228b27c9bc0f98c18a9b85cb3c1755b61d29dfea851d07811a012a651987f",
-    ("circle", 3): "160fa85ab9c456e38cbaf6f7bed91ec735327b0ba9d56381d600806d8b22bbdc",
-    ("circle", 4): "483ad8babf00d6c629287ab21d7c5e76dfeee06ad84fd48ef5087db577e92853",
-    ("circle", 5): "f7ae522e726c78882daec583a2e9197feb224d96ad8988aa5e3ca6b9e374e6c9",
+    ("circle", 2): "18e6e84874b0d77654bd2a973f5c5e0cca59b00b415ed6abfddbf8de4bfe1267",
+    ("circle", 3): "827370ec3c00e4c1d5a2e1ec00ec40103201ed416cafeb634d0052549b9f5cfa",
+    ("circle", 4): "f1487bfb01a842cb513b0658ffee9d45ccc25bbde61787e69720ff803662a265",
+    ("circle", 5): "9b3198247e81feaa83d5981546e372dd5d830b1223ab6bc581865ec2207801cb",
 }
 
 
@@ -350,15 +354,45 @@ def test_clique_density_reports_pinned(threads):
 
 
 # SHA-256 of mc_indecomposable_rate(300, 400, default_rng(21)) report JSON,
-# recorded with the gap-pair table search; the arc-pair search must
-# reproduce every byte at any thread count.
-_PINNED_RATE_REPORT = "1e6533a116257fa25e58488b1acfa2c02fd97d977c43170a9ba00b82ea7303be"
+# recorded again for the shuffle-pairing matching stream (see above); the
+# gap-pair table search's digest of the sequential-pairing stream is
+# _SEQUENTIAL_PAIRING_RATE_REPORT.
+_PINNED_RATE_REPORT = "d684198ef9991a20ee25b4778dbd8da1131fb7a598d205b618217b3f2b017fdf"
 
 
 @pytest.mark.parametrize("threads", [1, 4])
 def test_indecomposable_rate_report_pinned(threads):
     rep = X.mc_indecomposable_rate(300, 400, np.random.default_rng(21), threads=threads)
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == _PINNED_RATE_REPORT
+
+
+# The same circle and rate reports under the earlier sequential-pairing
+# matching sampler, as recorded before the draw stream changed.
+_SEQUENTIAL_PAIRING_CLIQUE_REPORTS = {
+    2: "f0f228b27c9bc0f98c18a9b85cb3c1755b61d29dfea851d07811a012a651987f",
+    3: "160fa85ab9c456e38cbaf6f7bed91ec735327b0ba9d56381d600806d8b22bbdc",
+    4: "483ad8babf00d6c629287ab21d7c5e76dfeee06ad84fd48ef5087db577e92853",
+    5: "f7ae522e726c78882daec583a2e9197feb224d96ad8988aa5e3ca6b9e374e6c9",
+}
+_SEQUENTIAL_PAIRING_RATE_REPORT = "1e6533a116257fa25e58488b1acfa2c02fd97d977c43170a9ba00b82ea7303be"
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_sequential_pairing_reports_pinned(monkeypatch, threads):
+    # with the old matching rule patched in, everything downstream of the
+    # sampler must still reproduce the old reports byte for byte
+    monkeypatch.setattr(C, "sample_matching", lambda n, rng: C.Matching(sequential_pairing(n, rng)))
+    digests = {
+        k: hashlib.sha256(
+            X.mc_clique_density("circle", 300, k, 6, np.random.default_rng(100 + k), threads=threads)
+            .to_json()
+            .encode()
+        ).hexdigest()
+        for k in _SEQUENTIAL_PAIRING_CLIQUE_REPORTS
+    }
+    assert digests == _SEQUENTIAL_PAIRING_CLIQUE_REPORTS
+    rep = X.mc_indecomposable_rate(300, 400, np.random.default_rng(21), threads=threads)
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == _SEQUENTIAL_PAIRING_RATE_REPORT
 
 
 def test_reports_deterministic_across_threads():

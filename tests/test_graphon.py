@@ -4,6 +4,7 @@ step graphons and exports."""
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -15,6 +16,8 @@ import scipy.stats
 from graphlim import combinat as C
 from graphlim import graphon as W
 from graphlim import graphs as G
+
+from oracles import graphon_value
 
 
 def test_latent_point_validation():
@@ -43,6 +46,30 @@ def test_eval_circle_graphon():
     assert W.eval_graphon(W.CIRCLE_GRAPHON, wrap, W.LatentPoint(0.1, 0.5)) == 1
     # shared endpoint => no edge (ties resolve to 0)
     assert W.eval_graphon(W.CIRCLE_GRAPHON, a, W.LatentPoint(0.5, 0.9)) == 0
+
+
+def test_edge_rule_matches_scalar_reference():
+    # the grid holds shared endpoints, degenerate chords (a == b), both
+    # endpoint orders (wrap-around arcs) and both 0 and 1; random points
+    # cover the generic case
+    vals = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+    grid = np.array(list(itertools.product(vals, repeat=4)))
+    rows = np.concatenate([grid, np.random.default_rng(4).random((2000, 4))])
+    a1, b1, a2, b2 = rows.T
+    for w in (W.PERM_GRAPHON, W.CIRCLE_GRAPHON):
+        expected = [graphon_value(w.family, (r[0], r[1]), (r[2], r[3])) for r in rows.tolist()]
+        assert expected == [graphon_value(w.family, (r[2], r[3]), (r[0], r[1])) for r in rows.tolist()]
+        assert W._adjacent(w.family, a1, b1, a2, b2).astype(int).tolist() == expected
+        assert W._adjacent(w.family, a2, b2, a1, b1).astype(int).tolist() == expected
+        evaluated = [
+            W.eval_graphon(w, W.LatentPoint(r[0], r[1]), W.LatentPoint(r[2], r[3])) for r in rows.tolist()
+        ]
+        assert evaluated == expected
+    # an inside-XOR rule without the tie check would join these two chords
+    p, q = W.LatentPoint(0.0, 0.5), W.LatentPoint(0.0, 0.25)
+    assert graphon_value("circle", (p.a, p.b), (q.a, q.b)) == 0
+    assert W.eval_graphon(W.CIRCLE_GRAPHON, p, q) == 0
+    assert W.eval_graphon(W.CIRCLE_GRAPHON, q, p) == 0
 
 
 def test_clique_density_exact():
