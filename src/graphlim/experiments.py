@@ -22,10 +22,11 @@ above that; the cutoff is recorded in the sampler's report params.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 import math
-import threading
+import operator
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -179,6 +180,8 @@ def mc_clique_density(
         raise ValueError("n must be in 1..3000")
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if tol is not None and not tol >= 0:
+        raise ValueError("tol must be >= 0")
     master = _master_seed(rng)
     total = math.comb(n, k)
 
@@ -659,14 +662,9 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
 
 _EXACT_SAMPLING_LIMIT = 600
 
-# Pool workers grow the tables below lazily; every growth step runs under
-# this lock (re-entrant: filling a block table grows the count tables), so
-# two workers never extend a table from the same stale length.  Tables only
-# grow, so reads need no lock.
-_TABLE_LOCK = threading.RLock()
-_connected_cache: dict[int, int] = {}
-_u_exact: list[int] = [1]  # U_0
-_a_exact: dict[int, int] = {}
+# Every table below is a memoized pure function of its size, read-only once
+# built, so pool workers share it without a lock; drivers build their top
+# size's tables before fanning out, so that no two workers build one at once.
 
 
 def count_connected_unit_interval_graphs(n: int) -> int:
@@ -678,73 +676,57 @@ def count_connected_unit_interval_graphs(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n not in _connected_cache:
-        _connected_cache[n] = (
-            combinat.count_irreducible_dyck(n) + combinat.count_palindromic_irreducible(n)
-        ) // 2
-    return _connected_cache[n]
+    return (math.comb(2 * n - 2, n - 1) // n + math.comb(n - 1, (n - 1) // 2)) // 2
 
 
-def _a_term(k: int) -> int:
-    if k not in _a_exact:
-        total = 0
-        for d in range(1, int(math.isqrt(k)) + 1):
-            if k % d == 0:
-                total += d * count_connected_unit_interval_graphs(d)
-                e = k // d
-                if e != d:
-                    total += e * count_connected_unit_interval_graphs(e)
-        _a_exact[k] = total
-    return _a_exact[k]
+@functools.cache
+def _exact_counts(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(U_0..U_n, d * C_d for d = 0..n) by the Euler transform
+    t U_t = sum_k a_k U_{t-k} with a_k = sum_{d|k} d C_d (exact integers)."""
+    dc = [0] + [d * count_connected_unit_interval_graphs(d) for d in range(1, n + 1)]
+    a = [0] * (n + 1)
+    for d in range(1, n + 1):
+        for k in range(d, n + 1, d):
+            a[k] += dc[d]
+    u = [1]
+    for t in range(1, n + 1):
+        s, r = divmod(sum(map(operator.mul, a[1 : t + 1], reversed(u))), t)
+        if r:
+            raise AssertionError("Euler recursion must divide exactly")
+        u.append(s)
+    return tuple(u), tuple(dc)
 
 
 def count_unit_interval_graphs(n: int) -> int:
-    """U_n: unit interval graphs on n vertices, by the Euler transform
-    n U_n = sum_k a_k U_{n-k} with a_k = sum_{d|k} d C_d (exact integers)."""
+    """U_n: unit interval graphs on n vertices (exact integer), read from a
+    power-of-two table, or the sampler's when that is smaller and holds n,
+    so that a small n builds a small table and a scan over n builds few."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if len(_u_exact) <= n:
-        with _TABLE_LOCK:
-            while len(_u_exact) <= n:
-                t = len(_u_exact)
-                s = sum(_a_term(k) * _u_exact[t - k] for k in range(1, t + 1))
-                if s % t:
-                    raise AssertionError("Euler recursion must divide exactly")
-                _u_exact.append(s // t)
-    return _u_exact[n]
+    size = 1 << n.bit_length()
+    return _exact_counts(size if n > _EXACT_SAMPLING_LIMIT else min(size, _EXACT_SAMPLING_LIMIT))[0][n]
 
 
-_log_u_cache = np.zeros(1)
-
-
-def _log_connected(d: int) -> float:
-    # log C_d via lgamma; used only for sampling weights above the exact cutoff
-    k = d - 1
-    log_cat = math.lgamma(2 * k + 1) - math.lgamma(k + 1) - math.lgamma(k + 2)
-    log_bin = math.lgamma(d) - math.lgamma(k // 2 + 1) - math.lgamma(d - k // 2)
-    return float(np.logaddexp(log_cat, log_bin) - math.log(2.0))
-
-
-def _ensure_log_tables(n: int) -> None:
-    global _log_u_cache
-    if _log_u_cache.size > n:
-        return
-    with _TABLE_LOCK:
-        if _log_u_cache.size > n:
-            return
-        log_a = np.full(n + 1, -np.inf)
-        for d in range(1, n + 1):
-            log_a[d::d] = np.logaddexp(log_a[d::d], math.log(d) + _log_connected(d))
-        log_u = np.zeros(n + 1)
-        log_u[: _log_u_cache.size] = _log_u_cache
-        for t in range(_log_u_cache.size, n + 1):
-            terms = log_a[1 : t + 1] + log_u[t - 1 :: -1]
-            peak = terms.max()
-            log_u[t] = peak + math.log(np.exp(terms - peak).sum()) - math.log(t)
-        _log_u_cache = log_u
-
-
-_block_cache: dict[int, tuple[list[tuple[int, int]], list[int] | np.ndarray]] = {}
+@functools.cache
+def _log_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log d C_d for d = 0..n, log U_0..log U_n) in float64: C_d by lgamma,
+    U_t by the same Euler transform; used only for sampling weights above
+    the exact cutoff."""
+    log_dc = np.full(n + 1, -np.inf)
+    log_a = np.full(n + 1, -np.inf)
+    for d in range(1, n + 1):
+        k = d - 1
+        log_cat = math.lgamma(2 * k + 1) - math.lgamma(k + 1) - math.lgamma(k + 2)
+        log_bin = math.lgamma(d) - math.lgamma(k // 2 + 1) - math.lgamma(d - k // 2)
+        log_dc[d] = math.log(d) + float(np.logaddexp(log_cat, log_bin) - math.log(2.0))
+        log_a[d::d] = np.logaddexp(log_a[d::d], log_dc[d])
+    log_u = np.zeros(n + 1)
+    for t in range(1, n + 1):
+        terms = log_a[1 : t + 1] + log_u[t - 1 :: -1]
+        peak = terms.max()
+        log_u[t] = peak + math.log(np.exp(terms - peak).sum()) - math.log(t)
+    log_dc.flags.writeable = log_u.flags.writeable = False
+    return log_dc, log_u
 
 
 def _rand_below(total: int, rng: np.random.Generator) -> int:
@@ -757,36 +739,46 @@ def _rand_below(total: int, rng: np.random.Generator) -> int:
             return r
 
 
-def _block_table(n: int) -> tuple[list[tuple[int, int]], list[int] | np.ndarray]:
-    """(d, j) pairs of one decomposition step and running sums of their weights
-    d * C_d * U_{n-jd}: exact integers up to the cutoff, else log-space floats (max weight 1)."""
-    if n not in _block_cache:
-        with _TABLE_LOCK:
-            if n not in _block_cache:
-                pairs = [(d, j) for d in range(1, n + 1) for j in range(1, n // d + 1)]
-                if n <= _EXACT_SAMPLING_LIMIT:
-                    count_unit_interval_graphs(n)
-                    c = [0] + [d * count_connected_unit_interval_graphs(d) for d in range(1, n + 1)]
-                    cum = list(itertools.accumulate(c[d] * _u_exact[n - j * d] for d, j in pairs))
-                    if cum[-1] != n * _u_exact[n]:
-                        raise AssertionError("block weights must sum to n * U_n")
-                else:
-                    _ensure_log_tables(n)
-                    lc = np.array([0.0] + [math.log(d) + _log_connected(d) for d in range(1, n + 1)])
-                    ds, js = np.array(pairs).T
-                    logw = lc[ds] + _log_u_cache[n - js * ds]
-                    cum = np.cumsum(np.exp(logw - logw.max()))
-                _block_cache[n] = (pairs, cum)
-    return _block_cache[n]
-
-
-def _draw_block(n: int, rng: np.random.Generator) -> tuple[int, int]:
-    """One multiset-decomposition step: (component size d, copy count j)
-    with probability d * C_d * U_{n-jd} / (n * U_n)."""
-    pairs, cum = _block_table(n)
+@functools.cache
+def _block_table(n: int, top: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...] | np.ndarray]:
+    """The (d, j) pairs of one decomposition step at n, d-major, as two
+    arrays, and running sums of their weights d * C_d * U_{n-jd}: exact
+    integers up to the cutoff, else log-space floats (max weight 1) read
+    from the log tables of the sample's size top."""
+    per_d = n // np.arange(1, n + 1)
+    ds = np.repeat(np.arange(1, n + 1), per_d)
+    js = np.arange(1, ds.size + 1) - np.repeat(np.cumsum(per_d) - per_d, per_d)
+    ds.flags.writeable = js.flags.writeable = False
     if n <= _EXACT_SAMPLING_LIMIT:
-        return pairs[bisect.bisect_right(cum, _rand_below(cum[-1], rng))]
-    return pairs[min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), len(pairs) - 1)]
+        u, dc = _exact_counts(_EXACT_SAMPLING_LIMIT)
+        cum = tuple(itertools.accumulate(dc[d] * u[n - j * d] for d, j in zip(ds.tolist(), js.tolist())))
+        if cum[-1] != n * u[n]:
+            raise AssertionError("block weights must sum to n * U_n")
+        return ds, js, cum
+    log_dc, log_u = _log_counts(top)
+    logw = log_dc[ds] + log_u[n - js * ds]
+    cum = np.cumsum(np.exp(logw - logw.max()))
+    cum.flags.writeable = False
+    return ds, js, cum
+
+
+def _draw_block(n: int, rng: np.random.Generator, top: int | None = None) -> tuple[int, int]:
+    """One multiset-decomposition step: (component size d, copy count j)
+    with probability d * C_d * U_{n-jd} / (n * U_n), inside a sample of
+    size top (default n)."""
+    if n <= _EXACT_SAMPLING_LIMIT:
+        ds, js, cum = _block_table(n, n)
+        i = bisect.bisect_right(cum, _rand_below(cum[-1], rng))
+    else:
+        ds, js, cum = _block_table(n, top or n)
+        i = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), ds.size - 1)
+    return ds.item(i), js.item(i)
+
+
+def _build_tables(n: int) -> None:
+    """Build the tables a size-n sample reads first, before a pool fans out."""
+    _exact_counts(_EXACT_SAMPLING_LIMIT)
+    _block_table(n, n)
 
 
 def sample_connected_unit_interval_graph(n: int, rng: np.random.Generator) -> DyckPath:
@@ -813,7 +805,7 @@ def _sample_uig_blocks(n: int, rng: np.random.Generator) -> list[tuple[int, int]
     blocks = []
     rem = n
     while rem:
-        d, j = _draw_block(rem, rng)
+        d, j = _draw_block(rem, rng, n)
         blocks.append((d, j))
         rem -= d * j
     return blocks
@@ -859,6 +851,7 @@ def largest_component_stats(
     if deficiency_cutoff < 0:
         raise ValueError("deficiency_cutoff must be >= 0")
     master = _master_seed(rng)
+    _build_tables(n)
 
     def one(_: int, child: np.random.Generator) -> int:
         blocks = _sample_uig_blocks(n, child)
@@ -895,12 +888,15 @@ def mc_unit_clique_scaling(
     all k computed from the same realization on both sides; reports the
     two-sample KS statistic per k plus the cross-k correlation.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if not 2 <= k_max <= 6:
         raise ValueError("k_max must be in 2..6")
     if reps < 10:
         raise ValueError("reps must be >= 10")
     master = _master_seed(rng)
     ks_range = range(2, k_max + 1)
+    _build_tables(n)
 
     def graph_side(_: int, child: np.random.Generator) -> list[float]:
         words = _sample_uig_words(n, child)
@@ -1087,6 +1083,8 @@ def verify_gp(
     """
     if not n_values:
         raise ValueError("n_values must be nonempty")
+    if seeds_per_n < 1 or draws < 1:
+        raise ValueError("seeds_per_n and draws must be >= 1")
     master = _master_seed(rng)
     n_big = max(n_values) if two_point_n is None else two_point_n
 

@@ -425,6 +425,26 @@ def test_argument_below_range_exits_2(tmp_path, capsys, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "gp", "--n-values", "50", "--seeds-per-n", "0", "--draws", "10"], "seeds_per_n and draws must be >= 1"),
+        (["verify", "gp", "--n-values", "50", "--seeds-per-n", "1", "--draws", "0"], "seeds_per_n and draws must be >= 1"),
+        (["verify", "densities", "--n", "50", "--reps", "3", "--tol", "-1"], "tol must be >= 0"),
+        (["verify", "densities", "--n", "50", "--reps", "3", "--tol", "nan"], "tol must be >= 0"),
+        (["verify", "clique-scaling", "--n", "0", "--reps", "10", "--m", "64"], "n must be >= 1"),
+    ],
+)
+def test_empty_sample_or_bad_tolerance_exits_2(capsys, argv, message):
+    # an empty sample has no median or KS statistic and no mean meets a
+    # negative tolerance: a usage error, not a crash (3) or a failed
+    # criterion (1)
+    code, out, err = run_cli(argv + ["--seed", "1"], capsys)
+    assert code == 2
+    assert f"error: {message}" in err
+    assert out == ""
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     def crash(*args, **kwargs):
         raise AssertionError("Euler recursion must divide exactly")

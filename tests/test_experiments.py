@@ -94,10 +94,24 @@ def test_count_validation():
 
 
 def test_log_tables_match_exact_counts():
-    X._ensure_log_tables(300)
+    log_dc, log_u = X._log_counts(300)
     for n in (1, 2, 10, 57, 137, 300):
         exact = math.log(X.count_unit_interval_graphs(n))
-        assert X._log_u_cache[n] == pytest.approx(exact, rel=1e-12)
+        assert log_u[n] == pytest.approx(exact, rel=1e-12)
+        assert log_dc[n] == pytest.approx(math.log(n * X.count_connected_unit_interval_graphs(n)), rel=1e-12)
+
+
+def test_memoized_tables_are_read_only():
+    # pool workers share every table without a lock, so none can be written
+    u, dc = X._exact_counts(12)
+    log_dc, log_u = X._log_counts(700)
+    assert X._exact_counts(12) is X._exact_counts(12)
+    for table in (u, dc, X._block_table(12, 12)[2]):
+        with pytest.raises(TypeError):
+            table[1] = 0
+    for table in (log_dc, log_u, *X._block_table(12, 12)[:2], *X._block_table(650, 700)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +215,15 @@ def test_log_block_law_matches_exact_weights(n):
     # normalised running sums must be d * C_d * U_{n-jd} / (n * U_n) summed
     # with big-integer counts
     assert n > X._EXACT_SAMPLING_LIMIT
-    pairs, cum = X._block_table(n)
+    ds, js, cum = X._block_table(n, n)
+    pairs = list(zip(ds.tolist(), js.tolist()))
     assert pairs == [(d, j) for d in range(1, n + 1) for j in range(1, n // d + 1)]
-    u = X.count_unit_interval_graphs
+    # the step table inside a larger sample reads a longer log table
+    assert np.array_equal(X._block_table(n, 2 * n)[2], cum)
+    u = X._exact_counts(n)[0]
     c = X.count_connected_unit_interval_graphs
-    weights = [d * c(d) * u(n - j * d) for d, j in pairs]
-    total = n * u(n)
+    weights = [d * c(d) * u[n - j * d] for d, j in pairs]
+    total = n * u[n]
     assert sum(weights) == total
     exact_cdf = np.array([s / total for s in itertools.accumulate(weights)])
     np.testing.assert_allclose(cum / cum[-1], exact_cdf, rtol=1e-9, atol=0.0)
@@ -296,6 +313,33 @@ def test_counting_tables_thread_safe_from_cold():
     cold4_600, cold4_2000, warm1_600, warm1_2000 = json.loads(proc.stdout)
     assert cold4_600 == warm1_600
     assert cold4_2000 == warm1_2000
+
+
+# SHA-256 of largest_component_stats(n, 200, default_rng(n)) report JSON on
+# both sides of the exact/log cutoff, and of a clique-scaling run whose
+# draws step through both, recorded with the lazily grown, lock-guarded
+# counting tables; the memoized read-only tables must reproduce every byte
+# at any thread count.
+_PINNED_BLOCK_REPORTS = {
+    150: "56fe1a20ba7c8cf34e86f27e5fcb251489ebc3ab912cac396ab1c0e960a2af0e",
+    600: "be84ab36a71c03f8537b56df5a3992ba59e11ba27b27432c6a8f661aff96f2a6",
+    601: "1c2d6804e70acfc0a5adacf3f3e9afeb50be19e98950ea79eb1ce184dcd0457a",
+    2000: "cb8b6919e414bb1e8666f5864b098f9c27c45d8bf0a5c15face9dcdb45e4d48c",
+    "mc_unit_clique_scaling_700": "f9de574b16f069f411351db89ddef14fed45fd05933f4344c251dc44963fb53f",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_block_draw_reports_pinned(threads):
+    reports = {
+        n: X.largest_component_stats(n, 200, np.random.default_rng(n), threads=threads)
+        for n in (150, 600, 601, 2000)
+    }
+    reports["mc_unit_clique_scaling_700"] = X.mc_unit_clique_scaling(
+        700, 3, 20, 256, np.random.default_rng(700), threads=threads
+    )
+    digests = {key: hashlib.sha256(rep.to_json().encode()).hexdigest() for key, rep in reports.items()}
+    assert digests == _PINNED_BLOCK_REPORTS
 
 
 # SHA-256 of report JSON for small unit-interval metric runs, recorded with
