@@ -272,19 +272,19 @@ def sample_permutation(n: int, rng: np.random.Generator) -> Permutation:
 
 
 def _sample_matchings_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarray:
-    """0-based partner arrays of `batch` uniform matchings, shape (batch, 2n).
+    """0-based int32 partner arrays of `batch` uniform matchings, shape (batch, 2n).
 
     Consecutive positions of a uniform shuffle are paired; every matching
-    arises from exactly 2^n n! shuffles, so the law is uniform.
+    arises from exactly 2^n n! shuffles, so the law is uniform.  Rows are int32
+    (2n < 2^31), written by one flat scatter of each position's shuffle mate.
     """
     two_n = 2 * n
     order = np.argsort(rng.random((batch, two_n)), axis=1)
-    evens = order[:, 0::2]
-    odds = order[:, 1::2]
-    partner = np.empty((batch, two_n), dtype=np.int64)
-    np.put_along_axis(partner, evens, odds, axis=1)
-    np.put_along_axis(partner, odds, evens, axis=1)
-    return partner
+    mate = order.reshape(batch, n, 2)[:, :, ::-1].astype(np.int32).reshape(batch, two_n)
+    order += np.arange(0, batch * two_n, two_n)[:, None]
+    partner = np.empty(batch * two_n, dtype=np.int32)
+    partner[order] = mate
+    return partner.reshape(batch, two_n)
 
 
 def sample_matching(n: int, rng: np.random.Generator) -> Matching:

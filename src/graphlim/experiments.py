@@ -215,36 +215,40 @@ def mc_clique_density(
 
 
 def _xyz_batch(partner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (x, y, z) statistics for a batch of 0-based partner arrays."""
-    two_n = partner.shape[1]
-    idx = np.arange(two_n)
-    x = (partner == (idx + 1) % two_n).sum(axis=1)
-    y = (partner == (idx + 2) % two_n).sum(axis=1)
-    a = partner
-    b = np.roll(partner, -1, axis=1)
-    fwd = (b - a) % two_n == 1  # {m(k), m(k+1)} = {ell, ell+1} with ell = m(k)
-    bwd = (a - b) % two_n == 1  # ell = m(k+1)
-    ell = np.where(fwd, a, b)
-    k_pos = idx[None, :]
-    sep = (ell - k_pos) % two_n
-    good = (fwd | bwd) & (k_pos < ell) & (sep != 1) & (sep != two_n - 1)
-    z = good.sum(axis=1)
-    return x, y, z
+    """(x, y, z) as int64 for each row of int32 (2n < 2^31) or int64 0-based partners.
+
+    With d = partner - index, x counts d in {1, 1-2n} and y counts d in {2, 2-2n}
+    (wrapped values fit only the last two columns).  z's only candidates are the
+    ~2 per row where consecutive partners differ by +-1 (mod 2n): k, k+1 -> ell,
+    ell+1 counts if 1 < ell - k (ell - k = 2n-1 arises only at n = 1, and a flat
+    pair across a row end has k = 2n-1, so neither counts).
+    """
+    rows, two_n = partner.shape
+    d = partner - np.arange(two_n, dtype=partner.dtype)
+    pos = np.flatnonzero((d == 1) | (d == 2))
+    row, is_x = pos // two_n, d.reshape(-1)[pos] == 1
+    x = np.bincount(row[is_x], minlength=rows) + (d[:, -1] == 1 - two_n)
+    y = np.bincount(row[~is_x], minlength=rows) + (d[:, -2] == 2 - two_n) + (d[:, -1] == 2 - two_n)
+    del d
+    flat = partner.reshape(-1)
+    step = np.abs(flat[1:] - flat[:-1])
+    pos = np.flatnonzero((step == 1) | (step == two_n - 1))
+    del step
+    a, b = flat[pos], flat[pos + 1]
+    row, k = np.divmod(pos, two_n)
+    ell = np.where((b - a == 1) | (b - a == 1 - two_n), a, b)
+    return x, y, np.bincount(row[ell - k > 1], minlength=rows)
 
 
-def mc_poisson_xyz(
-    n: int,
-    reps: int,
-    max_moment: int,
-    rng: np.random.Generator,
-    threads: int = 1,
-) -> Report:
+def mc_poisson_xyz(n: int, reps: int, max_moment: int, rng: np.random.Generator, threads: int = 1) -> Report:
     """Empirical law of the (x, y, z) statistics of uniform matchings of size n.
 
     Reports means, the probability of (0,0,0), and all joint factorial
     moments E[(X)_r (Y)_s (Z)_t] with 1 <= r+s+t <= max_moment; in the limit
     the three statistics are independent Poisson(1), so the means and
-    moments approach 1 and the zero probability approaches e^-3.
+    moments approach 1 and the zero probability approaches e^-3.  Matchings
+    are drawn in chunks of `chunk_rows`, one child generator per chunk, so
+    the chunk size is part of the draw stream: changing it changes the report.
     """
     if n < 4:
         raise ValueError("n must be >= 4")
@@ -257,13 +261,10 @@ def mc_poisson_xyz(
     n_chunks = (reps + chunk_rows - 1) // chunk_rows
 
     def one(i: int, child: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows = min(chunk_rows, reps - i * chunk_rows)
-        return _xyz_batch(_sample_matchings_batch(n, rows, child))
+        return _xyz_batch(_sample_matchings_batch(n, min(chunk_rows, reps - i * chunk_rows), child))
 
     parts = _map_reps(one, master, n_chunks, threads)
-    x = np.concatenate([p[0] for p in parts])
-    y = np.concatenate([p[1] for p in parts])
-    z = np.concatenate([p[2] for p in parts])
+    x, y, z = map(np.concatenate, zip(*parts))
 
     estimates = []
     ok = True
@@ -283,8 +284,7 @@ def mc_poisson_xyz(
         return out
 
     for r, s, t in itertools.product(range(max_moment + 1), repeat=3):
-        order = r + s + t
-        if order < 1 or order > max_moment:
+        if not 1 <= r + s + t <= max_moment:
             continue
         vals = falling(x, r) * falling(y, s) * falling(z, t)
         mean, se = _mean_se(vals)

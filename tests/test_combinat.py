@@ -330,6 +330,22 @@ def test_sample_matching_is_batch_row(n):
         assert rng_one.random() == rng_batch.random()
 
 
+def test_batch_sampler_rows_are_int32_argsort_pairings():
+    # int32 rows, and the same matchings and final generator state as
+    # pairing consecutive positions of the shuffle into an int64 array
+    for n, batch in [(1, 4), (3, 50), (500, 7)]:
+        for s in range(3):
+            rng_batch, rng_ref = RNG(s), RNG(s)
+            rows = C._sample_matchings_batch(n, batch, rng_batch)
+            order = np.argsort(rng_ref.random((batch, 2 * n)), axis=1)
+            ref = np.empty((batch, 2 * n), dtype=np.int64)
+            np.put_along_axis(ref, order[:, 0::2], order[:, 1::2], axis=1)
+            np.put_along_axis(ref, order[:, 1::2], order[:, 0::2], axis=1)
+            assert rows.dtype == np.int32 and rows.shape == (batch, 2 * n)
+            assert np.array_equal(rows, ref)
+            assert rng_batch.random() == rng_ref.random()
+
+
 def test_sample_dyck_uniform():
     rng = RNG(3)
     counts = Counter(C.sample_dyck(3, rng).steps for _ in range(15000))

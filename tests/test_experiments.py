@@ -240,15 +240,48 @@ def test_log_block_law_matches_exact_weights(n):
 
 def test_xyz_batch_matches_per_matching_stats():
     # the exhaustive suite checks x/y/z through the batch function, so it
-    # must agree with xyz_stats on every matching up to n = 6
+    # must agree with xyz_stats on every matching up to n = 6; the kernel
+    # works in its input's dtype, so every stack runs as int32 and int64
     rng = np.random.default_rng(6)
     batches = [X._sample_matchings_batch(n, 300, rng) for n in (2, 3, 5, 8)]
     batches += [C._matching_partners(n) - 1 for n in range(1, 7)]
     for batch in batches:
-        xs, ys, zs = X._xyz_batch(batch)
-        for row, x, y, z in zip(batch, xs, ys, zs):
-            m = C.Matching(tuple(int(v) + 1 for v in row))
-            assert C.xyz_stats(m) == (int(x), int(y), int(z))
+        expected = [C.xyz_stats(C.Matching(tuple(int(v) + 1 for v in row))) for row in batch]
+        for dtype in (np.int32, np.int64):
+            xs, ys, zs = X._xyz_batch(batch.astype(dtype))
+            assert xs.dtype == ys.dtype == zs.dtype == np.int64
+            assert list(zip(xs.tolist(), ys.tolist(), zs.tolist())) == expected
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize(
+    "text, xyz",
+    [
+        # the only z-candidate is a pair of positions matched onto 2n and 1
+        ("1-3 2-5 4-6", (0, 2, 1)),
+        ("1-4 2-6 3-8 5-7", (0, 1, 1)),
+        ("1-6 2-4 3-7 5-8", (0, 1, 1)),
+        # positions 1, 2 onto 2n, 1 has ell - k = 2n - 1, which a matching
+        # allows only at n = 1: the one candidate is not counted
+        ("1-2", (2, 0, 0)),
+    ],
+)
+def test_xyz_batch_wrap_candidates(text, xyz, dtype):
+    m = C.parse_matching(text)
+    assert C.xyz_stats(m) == xyz
+    # stacked three times, each row's last partner and the next row's first
+    # differ by 1: a flat candidate across the row end, which never counts
+    xs, ys, zs = X._xyz_batch(np.array([m.partner] * 3, dtype=dtype) - 1)
+    assert list(zip(xs.tolist(), ys.tolist(), zs.tolist())) == [xyz] * 3
+
+
+def test_xyz_batch_memory_is_bounded():
+    # the kernel holds one difference array and short candidate lists; a
+    # rule with a full-size temporary per pass holds 6.5 times the stack
+    stack = X._sample_matchings_batch(2000, 500, np.random.default_rng(3))
+    assert stack.dtype == np.int32 and stack.shape == (500, 4000)
+    X._xyz_batch(stack[:2])
+    assert _peak_mib(lambda: X._xyz_batch(stack)) * 2**20 <= 4.5 * stack.nbytes
 
 
 def test_batch_sampler_is_uniform():
@@ -437,6 +470,25 @@ def test_sequential_pairing_reports_pinned(monkeypatch, threads):
     assert digests == _SEQUENTIAL_PAIRING_CLIQUE_REPORTS
     rep = X.mc_indecomposable_rate(300, 400, np.random.default_rng(21), threads=threads)
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == _SEQUENTIAL_PAIRING_RATE_REPORT
+
+
+# recorded before the int32 sampler and the candidate-based xyz kernel:
+# three chunks (1000, 1000 and 500 rows) at n = 2000, and one chunk at n = 40
+_PINNED_XYZ_REPORTS = {
+    (2000, 2500, 3, 2000): "b6966d5d9d648a21e2c239eab95a54f0294993df4edbe8c727f307062eff6acd",
+    (40, 500, 2, 9): "a0832ca198a08bca81b1a97e3fefb2546b8dc9b667f580f8fcc06e7c0cf52d89",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_xyz_reports_pinned(threads):
+    digests = {
+        (n, reps, moment, seed): hashlib.sha256(
+            X.mc_poisson_xyz(n, reps, moment, np.random.default_rng(seed), threads=threads).to_json().encode()
+        ).hexdigest()
+        for n, reps, moment, seed in _PINNED_XYZ_REPORTS
+    }
+    assert digests == _PINNED_XYZ_REPORTS
 
 
 def test_reports_deterministic_across_threads():
