@@ -5,9 +5,9 @@ excursion metrics) and statistical verification experiments.
 Submodules
 ----------
 combinat     permutations, matchings, Dyck paths; samplers, counts, bijection
-graphs       graph construction, distances, cliques, primality, realizers
+graphs       graph construction, distances, cliques, primality, canonical forms
 graphon      the two limit graphons, sampling, exact clique densities
-mmspace      metric measure spaces, Brownian excursions, box discrepancy
+mmspace      Brownian excursions, excursion metric, box-distance estimate
 experiments  Monte Carlo and exhaustive verification harness
 cli          command-line front end (``graphlim ...``)
 """

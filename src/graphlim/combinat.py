@@ -37,7 +37,6 @@ __all__ = [
     "parse_dyck",
     "format_permutation",
     "format_matching",
-    "format_dyck",
     "sample_permutation",
     "sample_matching",
     "sample_dyck",
@@ -48,7 +47,6 @@ __all__ = [
     "validate_decomposition",
     "xyz_stats",
     "phi",
-    "phi_inverse",
     "count_matchings",
     "count_decomposed",
     "count_irreducible_dyck",
@@ -253,10 +251,6 @@ def format_matching(m: Matching) -> str:
 
 def parse_dyck(text: str) -> DyckPath:
     return DyckPath(text.strip())
-
-
-def format_dyck(w: DyckPath) -> str:
-    return w.steps
 
 
 # ---------------------------------------------------------------------------
@@ -855,58 +849,3 @@ def phi(dm: tuple[Matching, Decomposition]) -> tuple[tuple[Matching, int], Match
     small = Matching.from_pairs(pairs2)
     return (big, mark), small
 
-
-def phi_inverse(marked: tuple[Matching, int], small: Matching) -> tuple[Matching, Decomposition]:
-    """Inverse of :func:`phi`; rebuilds the matching and its decomposition."""
-    big, mark = marked
-    two_big = 2 * big.size
-    if not 1 <= mark <= two_big:
-        raise ValueError("mark out of range")
-    a, b = sorted((mark, big.of(mark)))
-    if a == 1 or b == 1:
-        raise ValueError("the marked chord may not contain point 1")
-    k = small.size - 1
-    n = big.size - 1 + k
-    if not 2 <= k <= n - 2:
-        raise ValueError(f"sizes give k={k} outside [2, n-2] for n={n}")
-
-    # cut the big part at the marked chord {a, b}: c1 holds 1
-    c1_tokens = [("b", p % two_big + 1) for p in range(b, a + two_big - 1)]
-    c3_tokens = [("b", p) for p in range(a + 1, b)]
-    # cut the small part at the chord of 1
-    t = small.of(1)
-    two_small = 2 * small.size
-    arc_low = [("s", p) for p in range(2, t)]
-    arc_high = [("s", p) for p in range(t + 1, two_small + 1)]
-    if t == 2:
-        c2_tokens: list[tuple[str, int]] = []
-        c4_tokens = arc_high
-    else:
-        c2_tokens, c4_tokens = arc_low, arc_high
-
-    ring = c1_tokens + c2_tokens + c3_tokens + c4_tokens
-    start = ring.index(("b", 1))
-    label_of: dict[tuple[str, int], int] = {}
-    for d in range(len(ring)):
-        label_of[ring[(start + d) % len(ring)]] = d + 1
-
-    pairs = [
-        (label_of[("b", x)], label_of[("b", y)])
-        for x, y in big.pairs()
-        if (x, y) != (a, b)
-    ]
-    pairs += [
-        (label_of[("s", x)], label_of[("s", y)])
-        for x, y in small.pairs()
-        if x != 1 and y != 1
-    ]
-    m = Matching.from_pairs(pairs)
-    dec = Decomposition(
-        c1=tuple(label_of[tok] for tok in c1_tokens),
-        c2=tuple(label_of[tok] for tok in c2_tokens),
-        c3=tuple(label_of[tok] for tok in c3_tokens),
-        c4=tuple(label_of[tok] for tok in c4_tokens),
-        k=k,
-    )
-    validate_decomposition(m, dec)
-    return m, dec

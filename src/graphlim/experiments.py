@@ -92,12 +92,13 @@ class Report:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        """The JSON payload; a non-finite value or stderr becomes None (null)."""
         out = {
             "name": self.name,
             "params": self.params,
             "seed": self.seed,
             "estimates": [
-                {"label": e.label, "value": e.value, "stderr": e.stderr}
+                {"label": e.label, "value": _finite_or_none(e.value), "stderr": _finite_or_none(e.stderr)}
                 for e in self.estimates
             ],
             "pass": self.passed,
@@ -108,13 +109,17 @@ class Report:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
     def get(self, label: str) -> EstimateRecord:
         for e in self.estimates:
             if e.label == label:
                 return e
         raise KeyError(label)
+
+
+def _finite_or_none(x: float | None) -> float | None:
+    return x if x is None or math.isfinite(x) else None
 
 
 def _master_seed(rng: np.random.Generator) -> int:

@@ -25,34 +25,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import UGraph, canonical_form
+from .graphs import UGraph
 
 __all__ = [
-    "LatentPoint",
     "LimitGraphon",
     "StepGraphon",
     "PERM_GRAPHON",
     "CIRCLE_GRAPHON",
-    "eval_graphon",
     "sample_graph",
     "clique_density",
     "step_graphon",
-    "density_distance_proxy",
     "write_pgm",
     "write_matrix_csv",
 ]
 
 _FAMILIES = ("perm", "circle")
-
-
-@dataclass(frozen=True)
-class LatentPoint:
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.a <= 1.0 and 0.0 <= self.b <= 1.0):
-            raise ValueError("latent coordinates must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -105,16 +92,6 @@ def _adjacent(family: str, a1, b1, a2, b2):
     return ((lo1 < lo2) & (lo2 < hi1) & (hi1 < hi2)) | ((lo2 < lo1) & (lo1 < hi2) & (hi2 < hi1))
 
 
-def eval_graphon(w: LimitGraphon, p: LatentPoint, q: LatentPoint) -> int:
-    """Evaluate the {0,1}-valued graphon at two latent points.
-
-    perm: 1 iff (p.a - q.a)(p.b - q.b) < 0.  circle: 1 iff the chords with
-    endpoints at circle positions {p.a, p.b} and {q.a, q.b} cross.  Any
-    coincidence among the relevant coordinates gives 0.
-    """
-    return int(_adjacent(w.family, p.a, p.b, q.a, q.b))
-
-
 def sample_graph(w: LimitGraphon, k: int, rng: np.random.Generator) -> UGraph:
     """Graph on k vertices drawn from the graphon with uniform latent points."""
     if k < 1:
@@ -145,63 +122,6 @@ def step_graphon(g: UGraph, vertex_order: Sequence[int]) -> StepGraphon:
         raise ValueError("vertex_order must be a permutation of 1..n")
     idx = np.asarray(order, dtype=np.int64) - 1
     return StepGraphon(g.adj[np.ix_(idx, idx)].astype(np.float64))
-
-
-def _sample_from_cells(cells: np.ndarray, k: int, rng: np.random.Generator) -> UGraph:
-    """Sample_k of a step graphon: uniform latent cells, Bernoulli cell edges."""
-    n = cells.shape[0]
-    vs = rng.integers(0, n, size=k)
-    probs = cells[np.ix_(vs, vs)]
-    coin = rng.random((k, k))
-    upper = np.triu(coin < probs, 1)
-    adj = upper | upper.T
-    np.fill_diagonal(adj, False)
-    return UGraph(adj)
-
-
-def density_distance_proxy(
-    g: UGraph,
-    w: LimitGraphon,
-    test_sizes: Sequence[int],
-    mc_samples: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Largest gap between sampled subgraph-class frequencies of W_g and w.
-
-    For each size s in test_sizes (s <= 5), draws mc_samples graphs from the
-    step graphon of g and from w, tabulates empirical isomorphism-class
-    frequencies via canonical forms, and reports the largest absolute
-    frequency difference over all classes and sizes, together with a normal
-    standard-error estimate for that worst cell.  This is a documented proxy
-    observable for graphon distance, not the cut metric.
-    """
-    if not test_sizes:
-        raise ValueError("test_sizes must be nonempty")
-    if max(test_sizes) > 5:
-        raise ValueError("test sizes are limited to 5")
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
-    cells = g.adj.astype(np.float64)
-    worst = 0.0
-    worst_se = 0.0
-    for s in test_sizes:
-        counts_g: dict[str, int] = {}
-        counts_w: dict[str, int] = {}
-        for _ in range(mc_samples):
-            cg = canonical_form(_sample_from_cells(cells, s, rng)).code
-            counts_g[cg] = counts_g.get(cg, 0) + 1
-            cw = canonical_form(sample_graph(w, s, rng)).code
-            counts_w[cw] = counts_w.get(cw, 0) + 1
-        for code in set(counts_g) | set(counts_w):
-            p1 = counts_g.get(code, 0) / mc_samples
-            p2 = counts_w.get(code, 0) / mc_samples
-            gap = abs(p1 - p2)
-            if gap > worst:
-                worst = gap
-                worst_se = math.sqrt(
-                    (p1 * (1 - p1) + p2 * (1 - p2)) / mc_samples
-                )
-    return worst, worst_se
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ the i-th smallest left endpoint; vertex i of a unit interval graph is the
 i-th up step).  Adjacency matrices are plain boolean numpy arrays whose row
 ``t`` corresponds to vertex ``t + 1``.
 
-The exhaustive predicates (modular/split primality, canonical forms,
-realizer scans) are verification tools: they enumerate subsets or
-relabelings outright and carry hard size guards.  They exist to check
-structural equivalences at small n, not to scale.
+The exhaustive predicates (modular/split primality, canonical forms) are
+verification tools: they enumerate subsets or relabelings outright and carry
+hard size guards.  They exist to check structural equivalences at small n,
+not to scale.
 
 Text formats: an edge list ``"n=5; 1-2 2-3"`` (1-based, edges sorted) and an
 adjacency-matrix CSV of 0/1 entries.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -33,8 +32,6 @@ from .combinat import (
     Matching,
     Permutation,
     _heights_arrays,
-    _matching_partners,
-    heights,
 )
 
 __all__ = [
@@ -42,24 +39,17 @@ __all__ = [
     "CanonicalForm",
     "inversion_graph",
     "circle_graph",
-    "chords_cross",
     "unit_interval_graph",
-    "bfs_distance",
     "all_pairs_distances",
     "unit_distance_formula",
     "count_cliques",
     "count_cliques_unit",
     "clique_count_inversion",
     "clique_count_circle",
-    "is_module",
     "is_modular_prime",
-    "is_split",
     "is_split_prime",
     "canonical_form",
-    "enumerate_realizers_perm",
-    "enumerate_realizers_matching",
     "connected_components",
-    "largest_component_size",
     "parse_graph",
     "format_graph",
     "write_adjacency_csv",
@@ -215,14 +205,6 @@ def circle_graph(m: Matching) -> UGraph:
     return UGraph(_circle_adj(np.asarray(m.partner, dtype=np.int64)[None])[0])
 
 
-def chords_cross(m: Matching, a: int, b: int) -> bool:
-    """Whether chords a and b of m cross (chord indices 1..n by left endpoint)."""
-    n = m.size
-    if not (1 <= a <= n and 1 <= b <= n):
-        raise ValueError(f"chord index out of range 1..{n}")
-    return bool(circle_graph(m).adj[a - 1, b - 1])
-
-
 def _unit_interval_adj(f: np.ndarray) -> np.ndarray:
     """Unit-interval adjacency from forward degrees, (B, n) -> (B, n, n)."""
     idx = np.arange(f.shape[-1])
@@ -244,28 +226,6 @@ def unit_interval_graph(w: DyckPath) -> UGraph:
 # ---------------------------------------------------------------------------
 # Distances
 # ---------------------------------------------------------------------------
-
-
-def bfs_distance(g: UGraph, u: int, v: int) -> float:
-    """Shortest-path edge count between u and v; math.inf if disconnected."""
-    _check_vertex(g, u)
-    _check_vertex(g, v)
-    if u == v:
-        return 0
-    adj = g.adj
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[u - 1] = 0
-    queue = deque([u - 1])
-    while queue:
-        cur = queue.popleft()
-        d = dist[cur] + 1
-        for nb in np.flatnonzero(adj[cur]):
-            if dist[nb] < 0:
-                if nb == v - 1:
-                    return int(d)
-                dist[nb] = d
-                queue.append(nb)
-    return math.inf
 
 
 def all_pairs_distances(g: UGraph) -> np.ndarray:
@@ -488,19 +448,6 @@ def _neighborhood_masks(g: UGraph) -> list[int]:
     return [int.from_bytes(np.packbits(g.adj[u], bitorder="little").tobytes(), "little") for u in range(g.n)]
 
 
-def is_module(g: UGraph, subset: Iterable[int]) -> bool:
-    """Whether the vertex set is a module: outside vertices cannot tell members apart."""
-    members = sorted(set(subset))
-    for v in members:
-        _check_vertex(g, v)
-    if len(members) <= 1 or len(members) == g.n:
-        return True
-    inside = np.zeros(g.n, dtype=bool)
-    inside[[v - 1 for v in members]] = True
-    cols = g.adj[np.ix_(inside, ~inside)]
-    return bool(np.all(cols == cols[0]))
-
-
 def is_modular_prime(g: UGraph) -> bool:
     """No module M with 2 <= |M| <= n-1 exists (subset scan, n <= 16)."""
     n = g.n
@@ -528,20 +475,6 @@ def is_modular_prime(g: UGraph) -> bool:
     return True
 
 
-def _split_sides(g: UGraph, side1: Iterable[int], side2: Iterable[int]) -> np.ndarray:
-    s1 = sorted(set(side1))
-    s2 = sorted(set(side2))
-    for v in itertools.chain(s1, s2):
-        _check_vertex(g, v)
-    if not s1 or not s2:
-        raise ValueError("both sides of a cut must be nonempty")
-    if set(s1) & set(s2) or len(s1) + len(s2) != g.n:
-        raise ValueError("sides must partition the vertex set")
-    side = np.zeros(g.n, dtype=bool)
-    side[np.asarray(s1) - 1] = True
-    return side
-
-
 _SPLIT_CHUNK = 1 << 20  # graph x cut x vertex-pair cells per block of the cut scan
 
 
@@ -562,16 +495,6 @@ def _split_flags(adj: np.ndarray, sides: np.ndarray) -> np.ndarray:
         touched = cross.any(axis=3).sum(axis=2) * cross.any(axis=2).sum(axis=2)
         out[lo : lo + step] = edges == touched
     return out
-
-
-def is_split(g: UGraph, side1: Iterable[int], side2: Iterable[int]) -> bool:
-    """Whether (side1, side2) is a split: the cut-set is complete bipartite.
-
-    Both sides must be nonempty and partition the vertices.  A cut with no
-    crossing edges qualifies (the empty complete bipartite graph).
-    """
-    side = _split_sides(g, side1, side2)
-    return bool(_split_flags(g.adj[None], side[None])[0, 0])
 
 
 def _split_prime_flags(adj: np.ndarray) -> np.ndarray:
@@ -600,7 +523,7 @@ def is_split_prime(g: UGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Canonical forms and realizer enumeration
+# Canonical forms
 # ---------------------------------------------------------------------------
 
 _CANONICAL_LIMIT = 8
@@ -654,32 +577,6 @@ def canonical_form(g: UGraph) -> CanonicalForm:
     return CanonicalForm(_code_text(int(_canonical_codes(g.adj[None])[0]), n))
 
 
-_REALIZER_PERM_LIMIT = 7
-_REALIZER_MATCHING_LIMIT = 6
-
-
-def enumerate_realizers_perm(g: UGraph) -> list[Permutation]:
-    """All permutations whose inversion graph is isomorphic to g (scan of S_n, n <= 7)."""
-    n = g.n
-    if n > _REALIZER_PERM_LIMIT:
-        raise ValueError(f"permutation realizer scan is limited to n <= {_REALIZER_PERM_LIMIT} (got n={n})")
-    target = _canonical_codes(g.adj[None])[0]
-    images = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
-    hits = images[_canonical_codes(_inversion_adj(images)) == target]
-    return [Permutation(tuple(row)) for row in hits.tolist()]
-
-
-def enumerate_realizers_matching(g: UGraph) -> list[Matching]:
-    """All matchings whose circle graph is isomorphic to g (scan of M_n, n <= 6)."""
-    n = g.n
-    if n > _REALIZER_MATCHING_LIMIT:
-        raise ValueError(f"matching realizer scan is limited to n <= {_REALIZER_MATCHING_LIMIT} (got n={n})")
-    target = _canonical_codes(g.adj[None])[0]
-    partners = _matching_partners(n)
-    hits = partners[_canonical_codes(_circle_adj(partners)) == target]
-    return [Matching(tuple(row)) for row in hits.tolist()]
-
-
 # ---------------------------------------------------------------------------
 # Components
 # ---------------------------------------------------------------------------
@@ -697,12 +594,6 @@ def connected_components(g: UGraph) -> list[list[int]]:
         comps[lab].append(v + 1)
     comps.sort(key=lambda c: c[0])
     return comps
-
-
-def largest_component_size(g: UGraph) -> int:
-    if g.n == 0:
-        return 0
-    return max(len(c) for c in connected_components(g))
 
 
 # ---------------------------------------------------------------------------

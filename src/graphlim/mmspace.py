@@ -1,13 +1,11 @@
-"""Finite metric measure spaces, discretized excursions, and box-distance
-estimation for unit interval graphs.
+"""Discretized excursions and box-distance estimation for unit interval
+graphs.
 
-A finite mm-space is a distance matrix plus a probability vector; points are
-indexed 0..n-1 (plain numpy indexing — unlike graph vertices, they carry no
-seed labels).  Excursions live on the uniform grid t_i = i/m as m+1
-nonnegative values pinned to 0 at both ends; the excursion metric
-d_e(x, y) = integral of 1/e over [x, y] diverges at the endpoints, so every
-evaluation carries a mandatory truncation level delta and requests touching
-[0, delta) or (1-delta, 1] are rejected.
+Excursions live on the uniform grid t_i = i/m as m+1 nonnegative values
+pinned to 0 at both ends; the excursion metric d_e(x, y) = integral of 1/e
+over [x, y] diverges at the endpoints, so every evaluation carries a
+mandatory truncation level delta and requests touching [0, delta) or
+(1-delta, 1] are rejected.
 
 Quadrature is trapezoidal with linear interpolation inside partial cells:
 O(1/m) accuracy, exact for constant integrands, and exactly additive in the
@@ -18,23 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .combinat import DyckPath, _heights_arrays
-from .graphs import UGraph, _distances_from, all_pairs_distances
+from .graphs import _distances_from
 
 __all__ = [
-    "FiniteMmSpace",
     "ExcursionGrid",
-    "from_graph",
     "sample_excursion",
     "excursion_distance",
     "excursion_integral",
-    "box_discrepancy",
     "gp_box_estimate_unit",
-    "sampled_distance_matrix",
 ]
 
 _TRIANGLE_TOL = 1e-9
@@ -42,48 +36,6 @@ _WEIGHT_TOL = 1e-12
 _FULL_TRIANGLE_LIMIT = 200
 _SPOT_CHECK_TRIPLES = 2000
 _BOX_BLOCK_ROWS = 256
-
-
-@dataclass(frozen=True, eq=False)
-class FiniteMmSpace:
-    """Metric measure space on n points: distances and a probability vector.
-
-    The triangle inequality is verified on construction up to 1e-9 — in full
-    for n <= 200, on random triples (fixed internal seed) above that.
-    """
-
-    dist: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = np.array(self.dist, dtype=np.float64)
-        w = np.array(self.weights, dtype=np.float64)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise ValueError("dist must be a square matrix")
-        n = d.shape[0]
-        if w.shape != (n,):
-            raise ValueError("weights must have one entry per point")
-        if n:
-            # NaN or +inf would make the triangle slack NaN, which compares
-            # false and so would hide every violation (-inf fails as negative)
-            if not math.isfinite(float(d.max())):
-                raise ValueError("distances must be finite")
-            if np.any(np.diag(d) != 0.0):
-                raise ValueError("diagonal distances must be zero")
-            if np.any(d < 0.0):
-                raise ValueError("distances must be nonnegative")
-            if np.any(d != d.T):
-                raise ValueError("dist must be symmetric")
-            _check_weights(w)
-            _check_triangle(lambda i, j: d[i, j], n)
-        d.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "dist", d)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def n(self) -> int:
-        return self.dist.shape[0]
 
 
 def _check_weights(w: np.ndarray) -> None:
@@ -129,17 +81,6 @@ class ExcursionGrid:
     @property
     def m(self) -> int:
         return self.values.size - 1
-
-
-def from_graph(g: UGraph, scale: float) -> FiniteMmSpace:
-    """(V, scale * d_G, uniform) for a connected graph g."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    dist = all_pairs_distances(g)
-    if np.isinf(dist).any():
-        raise ValueError("graph must be connected")
-    n = g.n
-    return FiniteMmSpace(dist * scale, np.full(n, 1.0 / n))
 
 
 def sample_excursion(m: int, rng: np.random.Generator) -> ExcursionGrid:
@@ -214,30 +155,6 @@ def excursion_integral(e: ExcursionGrid, k: int) -> float:
     return float((v.sum() - 0.5 * (v[0] + v[-1])) / e.m)
 
 
-def box_discrepancy(
-    s1: FiniteMmSpace, s2: FiniteMmSpace, relation: Sequence[tuple[int, int]]
-) -> float:
-    """Largest distance distortion of a relation between two spaces.
-
-    relation is a list of index pairs (i, j); the discrepancy is the
-    supremum over pairs of related pairs of |d1(i, i') - d2(j, j')|.
-    """
-    if len(relation) == 0:
-        raise ValueError("relation must be nonempty")
-    idx1 = np.fromiter((p[0] for p in relation), dtype=np.int64, count=len(relation))
-    idx2 = np.fromiter((p[1] for p in relation), dtype=np.int64, count=len(relation))
-    if idx1.min() < 0 or idx1.max() >= s1.n or idx2.min() < 0 or idx2.max() >= s2.n:
-        raise ValueError("relation indices out of range")
-    # one block of related rows at a time, so no k x k gathered copy is made
-    worst = []
-    for start in range(0, idx1.size, _BOX_BLOCK_ROWS):
-        stop = start + _BOX_BLOCK_ROWS
-        diff = s1.dist.take(idx1[start:stop], axis=0).take(idx1, axis=1)
-        diff -= s2.dist.take(idx2[start:stop], axis=0).take(idx2, axis=1)
-        worst.append(np.abs(diff, out=diff).max())
-    return float(np.max(worst))
-
-
 def _truncated_grid(delta: float, m: int) -> np.ndarray:
     """Grid points delta, delta + 1/m, ..., up to 1 - delta."""
     count = int(math.floor((1.0 - 2.0 * delta) * m + 1e-9)) + 1
@@ -283,13 +200,15 @@ def gp_box_estimate_unit(
     (discrepancy, mass defect 2*delta); the box distance is bounded by the
     max of the two.
 
-    Equal, bit for bit, to box_discrepancy of the two FiniteMmSpaces under
-    the identity relation, without building them: both metrics are symmetric
+    Equal, bit for bit, to the largest |d_G(i, j) - d_e(i, j)| over the two
+    dense k x k metrics, without building them: both metrics are symmetric
     with zero diagonal by construction (U + U^T is integer addition, and
     |a - b| = |b - a| in IEEE), so one pass over row blocks of the upper
     triangle of the jump-walk matrix U against the 1-D excursion integral
     sees every entry.  Memory: U (8 k^2 bytes for k grid points) plus two
-    row blocks.  FiniteMmSpace's checks that can fail here still run.
+    row blocks.  Both metrics are checked to be finite, nonnegative and to
+    satisfy the triangle inequality; delta and m must leave at least two grid
+    points, or there is no pair to compare.
     """
     if not w.is_irreducible():
         raise ValueError("Dyck path must be irreducible")
@@ -298,6 +217,8 @@ def gp_box_estimate_unit(
     n = w.size
     h, f = _heights_arrays(w.steps)
     xs = _truncated_grid(delta, m)
+    if xs.size < 2:
+        raise ValueError("delta and m must leave at least 2 grid points in [delta, 1 - delta]")
     verts = np.minimum(1 + np.floor(xs * n).astype(np.int64), n)
     upper = _distances_from(f, verts)
 
@@ -309,7 +230,7 @@ def gp_box_estimate_unit(
     else:
         exc = sample_excursion(m, rng)
     cum = _grid_cumulative(exc.values, xs)
-    if not np.isfinite(cum).all():
+    if not np.isfinite(cum).all():  # a NaN triangle slack would hide every violation
         raise ValueError("distances must be finite")
 
     k = xs.size
@@ -330,10 +251,3 @@ def gp_box_estimate_unit(
         disc = max(disc, float(diff.max()))
     return disc, 2.0 * delta
 
-
-def sampled_distance_matrix(s: FiniteMmSpace, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Distance matrix of k i.i.d. weight-distributed points of s."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    idx = rng.choice(s.n, size=k, p=s.weights)
-    return s.dist[np.ix_(idx, idx)]

@@ -139,6 +139,38 @@ def brute_is_decomposable(partner: tuple[int, ...], k: int | None = None) -> boo
     return False
 
 
+def phi_inverse(
+    big: tuple[int, ...], mark: int, small: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Glue a marked matching and a plain one into a k-decomposed matching,
+    k = len(small) / 2 - 1.
+
+    The marked chord {a, b} of big (mark is one of its points; it may not
+    hold point 1) and the chord {1, t} of small are removed.  The ring reads
+    big's arc b+1 .. a-1 round the circle (c1), small's 2 .. t-1 (c2), big's
+    a+1 .. b-1 (c3) and small's t+1 .. end (c4), and is labelled clockwise
+    from big's point 1.  Returns the partner tuple and the parts
+    (c1, c2, c3, c4) in those labels.
+    """
+    a, b = sorted((mark, big[mark - 1]))
+    t = small[0]
+    parts = (
+        [("b", p % len(big) + 1) for p in range(b, a + len(big) - 1)],
+        [("s", p) for p in range(2, t)],
+        [("b", p) for p in range(a + 1, b)],
+        [("s", p) for p in range(t + 1, len(small) + 1)],
+    )
+    ring = [point for part in parts for point in part]
+    start = ring.index(("b", 1))
+    label = {point: (pos - start) % len(ring) + 1 for pos, point in enumerate(ring)}
+    partner = [0] * len(ring)
+    for side, mates in (("b", big), ("s", small)):
+        for x, y in enumerate(mates, 1):
+            if (side, x) in label:
+                partner[label[(side, x)] - 1] = label[(side, y)]
+    return tuple(partner), tuple(tuple(label[point] for point in part) for part in parts)
+
+
 # ---------------------------------------------------------------------------
 # limit graphons (latent points as (a, b) pairs in [0, 1]^2)
 # ---------------------------------------------------------------------------
@@ -332,3 +364,14 @@ def connected_component_count(n: int, edges: set[frozenset[int]]) -> int:
     for v in range(n):
         reps.add(min(u for u in range(n) if dist[v][u] != float("inf")))
     return len(reps)
+
+
+# ---------------------------------------------------------------------------
+# metric spaces (dense distance matrices, 0-based points)
+# ---------------------------------------------------------------------------
+
+
+def box_discrepancy(d1: np.ndarray, d2: np.ndarray, relation: list[tuple[int, int]]) -> float:
+    """Largest |d1[i, i'] - d2[j, j']| over pairs (i, j), (i', j') of the relation."""
+    i, j = np.array(relation).T
+    return float(np.abs(d1[np.ix_(i, i)] - d2[np.ix_(j, j)]).max())

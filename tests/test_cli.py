@@ -433,6 +433,10 @@ def test_argument_below_range_exits_2(tmp_path, capsys, argv, message):
         (["verify", "densities", "--n", "50", "--reps", "3", "--tol", "-1"], "tol must be >= 0"),
         (["verify", "densities", "--n", "50", "--reps", "3", "--tol", "nan"], "tol must be >= 0"),
         (["verify", "clique-scaling", "--n", "0", "--reps", "10", "--m", "64"], "n must be >= 1"),
+        (
+            ["verify", "gp", "--delta", "0.5", "--n-values", "50", "--seeds-per-n", "1", "--draws", "10", "--m", "64"],
+            "delta and m must leave at least 2 grid points",
+        ),
     ],
 )
 def test_empty_sample_or_bad_tolerance_exits_2(capsys, argv, message):
@@ -443,6 +447,20 @@ def test_empty_sample_or_bad_tolerance_exits_2(capsys, argv, message):
     assert code == 2
     assert f"error: {message}" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_undefined_estimate_is_strict_json(capsys, n):
+    # with at most two vertices every graph-side draw is equal, so the
+    # edge/triangle correlation is undefined: null, never a bare NaN token
+    code, out, _ = run_cli(["verify", "clique-scaling", "--n", n, "--reps", "10", "--m", "64", "--seed", "1"], capsys)
+    assert code == 1
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads(out, parse_constant=reject)
+    assert report["estimates"][-1] == {"label": "corr_edges_triangles", "stderr": None, "value": None}
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):

@@ -143,10 +143,12 @@ def test_phi_bijection_small():
         count = 0
         for m in C.iter_matchings(n):
             for dec in _all_decompositions(m, k):
-                marked, small = C.phi((m, dec))
-                images.add((marked[0].partner, marked[1], small.partner))
-                back_m, back_dec = C.phi_inverse(marked, small)
-                assert back_m == m
+                (big, mark), small = C.phi((m, dec))
+                images.add((big.partner, mark, small.partner))
+                partner, parts = oracles.phi_inverse(big.partner, mark, small.partner)
+                back_dec = C.Decomposition(*parts, k=k)
+                C.validate_decomposition(C.Matching(partner), back_dec)
+                assert partner == m.partner
                 assert back_dec == dec
                 count += 1
         assert count == C.count_decomposed(n, k)
@@ -446,7 +448,7 @@ def _xyz_zero_matching(n, rng):
 
 
 def _planted_xyz_zero(count, rng):
-    """(m, k): matchings with x = y = z = 0 glued by phi_inverse from a
+    """(m, k): matchings with x = y = z = 0 glued by the inverse of phi from a
     k-decomposition, so each is decomposable but takes the cut search.
     Parts of size 5 or more are drawn with x = y = z = 0 too (size 4 has
     none), or few gluings qualify."""
@@ -460,7 +462,9 @@ def _planted_xyz_zero(count, rng):
         k = int(rng.integers(3, n - 2))
         big, small = part(n - k + 1), part(k + 1)
         marks = [i for i in range(2, 2 * big.size + 1) if big.of(i) != 1]
-        m, _ = C.phi_inverse((big, marks[int(rng.integers(len(marks)))]), small)
+        partner, parts = oracles.phi_inverse(big.partner, marks[int(rng.integers(len(marks)))], small.partner)
+        m = C.Matching(partner)
+        C.validate_decomposition(m, C.Decomposition(*parts, k=k))
         if C.xyz_stats(m) == (0, 0, 0):
             cases.append((m, k))
     return cases

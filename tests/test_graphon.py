@@ -20,34 +20,6 @@ from graphlim import graphs as G
 from oracles import graphon_value
 
 
-def test_latent_point_validation():
-    with pytest.raises(ValueError):
-        W.LatentPoint(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        W.LatentPoint(0.1, 1.5)
-
-
-def test_eval_perm_graphon():
-    p, q = W.LatentPoint(0.1, 0.9), W.LatentPoint(0.2, 0.3)
-    assert W.eval_graphon(W.PERM_GRAPHON, p, q) == 1
-    assert W.eval_graphon(W.PERM_GRAPHON, q, p) == 1
-    assert W.eval_graphon(W.PERM_GRAPHON, p, p) == 0
-    r = W.LatentPoint(0.2, 0.95)
-    assert W.eval_graphon(W.PERM_GRAPHON, p, r) == 0  # concordant pair
-
-
-def test_eval_circle_graphon():
-    a, b = W.LatentPoint(0.0, 0.5), W.LatentPoint(0.25, 0.75)
-    assert W.eval_graphon(W.CIRCLE_GRAPHON, a, b) == 1
-    nested = W.LatentPoint(0.1, 0.2)
-    assert W.eval_graphon(W.CIRCLE_GRAPHON, a, nested) == 0
-    # wraparound arc
-    wrap = W.LatentPoint(0.9, 0.2)
-    assert W.eval_graphon(W.CIRCLE_GRAPHON, wrap, W.LatentPoint(0.1, 0.5)) == 1
-    # shared endpoint => no edge (ties resolve to 0)
-    assert W.eval_graphon(W.CIRCLE_GRAPHON, a, W.LatentPoint(0.5, 0.9)) == 0
-
-
 def test_edge_rule_matches_scalar_reference():
     # the grid holds shared endpoints, degenerate chords (a == b), both
     # endpoint orders (wrap-around arcs) and both 0 and 1; random points
@@ -61,15 +33,22 @@ def test_edge_rule_matches_scalar_reference():
         assert expected == [graphon_value(w.family, (r[2], r[3]), (r[0], r[1])) for r in rows.tolist()]
         assert W._adjacent(w.family, a1, b1, a2, b2).astype(int).tolist() == expected
         assert W._adjacent(w.family, a2, b2, a1, b1).astype(int).tolist() == expected
-        evaluated = [
-            W.eval_graphon(w, W.LatentPoint(r[0], r[1]), W.LatentPoint(r[2], r[3])) for r in rows.tolist()
-        ]
-        assert evaluated == expected
-    # an inside-XOR rule without the tie check would join these two chords
-    p, q = W.LatentPoint(0.0, 0.5), W.LatentPoint(0.0, 0.25)
-    assert graphon_value("circle", (p.a, p.b), (q.a, q.b)) == 0
-    assert W.eval_graphon(W.CIRCLE_GRAPHON, p, q) == 0
-    assert W.eval_graphon(W.CIRCLE_GRAPHON, q, p) == 0
+    # scalar points with known answers
+    cases = [
+        ("perm", (0.1, 0.9), (0.2, 0.3), 1),
+        ("perm", (0.1, 0.9), (0.1, 0.9), 0),
+        ("perm", (0.1, 0.9), (0.2, 0.95), 0),  # concordant pair
+        ("circle", (0.0, 0.5), (0.25, 0.75), 1),
+        ("circle", (0.0, 0.5), (0.1, 0.2), 0),  # nested chords
+        ("circle", (0.9, 0.2), (0.1, 0.5), 1),  # wrap-around arc
+        ("circle", (0.0, 0.5), (0.5, 0.9), 0),  # shared endpoint
+        # an inside-XOR rule without the tie check would join these two chords
+        ("circle", (0.0, 0.5), (0.0, 0.25), 0),
+    ]
+    for family, p, q, edge in cases:
+        assert graphon_value(family, p, q) == edge
+        assert W._adjacent(family, *p, *q) == edge
+        assert W._adjacent(family, *q, *p) == edge
 
 
 def test_clique_density_exact():
@@ -137,18 +116,6 @@ def test_step_graphon_validation():
         W.StepGraphon(np.array([[0.0, 0.5], [0.4, 0.0]]))  # asymmetric
     with pytest.raises(ValueError):
         W.StepGraphon(np.array([[0.0, 1.5], [1.5, 0.0]]))  # out of range
-
-
-def test_density_distance_proxy_discriminates():
-    rng = np.random.default_rng(3)
-    empty = G.UGraph.empty(4)
-    far, se = W.density_distance_proxy(empty, W.PERM_GRAPHON, (2,), 4000, rng)
-    assert abs(far - 0.5) < 0.05
-    assert se > 0
-    # a large random inversion graph should be close to its own limit
-    g = G.inversion_graph(C.sample_permutation(300, rng))
-    near, _ = W.density_distance_proxy(g, W.PERM_GRAPHON, (2, 3), 4000, rng)
-    assert near < 0.1
 
 
 def test_write_pgm_golden_bytes():

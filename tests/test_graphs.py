@@ -1,5 +1,5 @@
-"""Graph layer: builders, distances, cliques, primality predicates,
-canonical forms and realizer enumeration, against brute-force oracles."""
+"""Graph layer: builders, distances, cliques, primality predicates and
+canonical forms, against brute-force oracles."""
 
 from __future__ import annotations
 
@@ -84,15 +84,6 @@ def test_circle_graph_examples():
     assert empty.edge_count() == 0
 
 
-def test_chords_cross():
-    m = C.parse_matching("1-3 2-4")
-    assert G.chords_cross(m, 1, 2)
-    m = C.parse_matching("1-2 3-4")
-    assert not G.chords_cross(m, 1, 2)
-    with pytest.raises(ValueError):
-        G.chords_cross(m, 0, 1)
-
-
 def test_unit_interval_graph_matches_oracle():
     rng = np.random.default_rng(2)
     for _ in range(60):
@@ -121,7 +112,6 @@ def test_bfs_and_all_pairs_match_oracle():
         for i in range(n):
             for j in range(n):
                 assert ours[i, j] == brute[i][j]
-                assert G.bfs_distance(g, i + 1, j + 1) == brute[i][j]
 
 
 def test_unit_distance_formula_vs_bfs():
@@ -372,18 +362,6 @@ def test_clique_counters_memory_is_bounded():
 # ---------------------------------------------------------------------------
 
 
-def test_is_module_matches_oracle():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        n = int(rng.integers(2, 8))
-        g = _random_graph(n, 0.5, rng)
-        for size in range(1, n + 1):
-            for block in itertools.combinations(range(1, n + 1), size):
-                assert G.is_module(g, frozenset(block)) == oracles.brute_is_module(
-                    n, _edges(g), set(block)
-                )
-
-
 def test_is_modular_prime_matches_oracle():
     rng = np.random.default_rng(10)
     for _ in range(30):
@@ -404,12 +382,12 @@ def test_is_split_matches_oracle():
     for _ in range(15):
         n = int(rng.integers(4, 8))
         g = _random_graph(n, 0.5, rng)
-        verts = list(range(1, n + 1))
         for size in range(2, n - 1):
-            for side in itertools.combinations(verts, size):
-                other = frozenset(verts) - frozenset(side)
+            for side in itertools.combinations(range(1, n + 1), size):
+                mask = np.zeros(n, dtype=bool)
+                mask[np.asarray(side) - 1] = True
                 expected = oracles.brute_is_split(n, _edges(g), set(side))
-                assert G.is_split(g, frozenset(side), other) == expected
+                assert G._split_flags(g.adj[None], mask[None])[0, 0] == expected
 
 
 def test_is_split_prime_matches_oracle():
@@ -427,7 +405,7 @@ def test_split_prime_iff_indecomposable_small():
 
 
 # ---------------------------------------------------------------------------
-# canonical forms and realizers
+# canonical forms
 # ---------------------------------------------------------------------------
 
 
@@ -505,32 +483,6 @@ def test_canonical_form_guard():
         G.canonical_form(G.UGraph.empty(9))
 
 
-def test_enumerate_realizers_perm():
-    g = G.inversion_graph(C.Permutation((2, 4, 1, 3)))
-    realizers = G.enumerate_realizers_perm(g)
-    assert sorted(r.mapping for r in realizers) == [(2, 4, 1, 3), (3, 1, 4, 2)]
-    for r in realizers:
-        assert C.is_simple(r)
-
-
-def test_enumerate_realizers_matching():
-    m = C.parse_matching("1-4 2-5 3-6")  # K_3
-    realizers = G.enumerate_realizers_matching(G.circle_graph(m))
-    assert m.partner in {r.partner for r in realizers}
-    # closed under shift and reversal
-    group = {r.partner for r in realizers}
-    for r in realizers:
-        assert C.shift(r).partner in group
-        assert C.reversal(r).partner in group
-
-
-def test_realizer_guards():
-    with pytest.raises(ValueError):
-        G.enumerate_realizers_perm(G.UGraph.empty(8))
-    with pytest.raises(ValueError):
-        G.enumerate_realizers_matching(G.UGraph.empty(7))
-
-
 # ---------------------------------------------------------------------------
 # components and text formats
 # ---------------------------------------------------------------------------
@@ -544,7 +496,6 @@ def test_connected_components_matches_oracle():
         comps = G.connected_components(g)
         assert sorted(v for comp in comps for v in comp) == list(range(1, n + 1))
         assert len(comps) == oracles.connected_component_count(n, _edges(g))
-        assert G.largest_component_size(g) == max(len(c) for c in comps)
         # every component is internally connected and externally disconnected
         dist = G.all_pairs_distances(g)
         for comp in comps:

@@ -1,5 +1,6 @@
-"""Metric measure spaces and excursions: validation, the Vervaat sampler,
-truncated excursion distances, box discrepancy, and the graph coupling."""
+"""Excursions and metric checks: validation, the Vervaat sampler, truncated
+excursion distances, and the box-distance coupling of a graph with its
+excursion, against a dense oracle."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from graphlim import combinat as C
 from graphlim import graphs as G
 from graphlim import mmspace as M
@@ -21,22 +23,16 @@ def _const_excursion(value: float, m: int) -> M.ExcursionGrid:
 
 
 # ---------------------------------------------------------------------------
-# FiniteMmSpace
+# finite mm-space checks (the two k-point spaces of the box estimate)
 # ---------------------------------------------------------------------------
 
 
 def test_finite_mmspace_validation():
-    good = np.array([[0.0, 1.0], [1.0, 0.0]])
-    M.FiniteMmSpace(good, np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        M.FiniteMmSpace(good, np.array([0.7, 0.2]))  # weights not a distribution
-    with pytest.raises(ValueError):
-        M.FiniteMmSpace(np.array([[0.0, -1.0], [-1.0, 0.0]]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        M.FiniteMmSpace(np.array([[0.1, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
-    asym = np.array([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(ValueError):
-        M.FiniteMmSpace(asym, np.array([0.5, 0.5]))
+    M._check_weights(np.full(3, 1 / 3))
+    with pytest.raises(ValueError, match="probability vector"):
+        M._check_weights(np.array([0.7, 0.2]))  # does not sum to 1
+    with pytest.raises(ValueError, match="probability vector"):
+        M._check_weights(np.array([1.5, -0.5]))
 
 
 def test_finite_mmspace_triangle_violation():
@@ -47,46 +43,21 @@ def test_finite_mmspace_triangle_violation():
             [5.0, 1.0, 0.0],
         ]
     )
-    with pytest.raises(ValueError):
-        M.FiniteMmSpace(dist, np.full(3, 1 / 3))
+    with pytest.raises(ValueError, match="triangle inequality violated$"):
+        M._check_triangle(lambda i, j: dist[i, j], 3)
+    # squared gaps break the inequality whenever the middle point lies
+    # between the outer two: scanned in full up to 200 points, on random
+    # triples above
+    for n, message in ((200, "violated$"), (201, "spot check")):
+        M._check_triangle(lambda i, j: np.abs(i - j).astype(np.float64), n)
+        with pytest.raises(ValueError, match=message):
+            M._check_triangle(lambda i, j: ((i - j) ** 2).astype(np.float64), n)
 
 
 def test_finite_mmspace_rejects_non_finite():
-    weights = np.full(2, 0.5)
     for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="distances must be finite"):
-            M.FiniteMmSpace(np.array([[0.0, bad], [bad, 0.0]]), weights)
         with pytest.raises(ValueError, match="weights must be finite"):
-            M.FiniteMmSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([bad, 0.5]))
-
-
-def test_infinite_point_does_not_hide_triangle_violation():
-    # d(0,2) = 5 > d(0,1) + d(1,2); alone, these three points are rejected
-    # by the triangle check, and a fourth point at infinite distance used
-    # to turn every slack into NaN and let the space through
-    three = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
-    with pytest.raises(ValueError, match="triangle"):
-        M.FiniteMmSpace(three, np.full(3, 1 / 3))
-    four = np.full((4, 4), math.inf)
-    four[:3, :3] = three
-    four[3, 3] = 0.0
-    with pytest.raises(ValueError, match="distances must be finite"):
-        M.FiniteMmSpace(four, np.full(4, 0.25))
-
-
-def test_from_graph_scales_distances():
-    g = G.inversion_graph(C.Permutation((2, 4, 1, 3)))  # path 1-3-2-4
-    s = M.from_graph(g, 0.5)
-    assert s.dist[0, 2] == 0.5
-    assert s.dist[0, 1] == 1.0
-    assert s.dist[0, 3] == 1.5
-    assert np.allclose(s.weights, 0.25)
-
-
-def test_from_graph_rejects_disconnected():
-    g = G.UGraph.empty(3)
-    with pytest.raises(ValueError):
-        M.from_graph(g, 1.0)
+            M._check_weights(np.array([bad, 0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +137,8 @@ def test_excursion_distance_interior_zero_gives_inf():
 # ---------------------------------------------------------------------------
 
 
-def _space(dist):
-    n = dist.shape[0]
-    return M.FiniteMmSpace(dist, np.full(n, 1.0 / n))
-
-
 def test_box_discrepancy_identity_and_shift():
+    # the dense oracle that gp_box_estimate_unit is compared with below
     dist = np.array(
         [
             [0.0, 1.0, 2.0],
@@ -179,28 +146,12 @@ def test_box_discrepancy_identity_and_shift():
             [2.0, 1.0, 0.0],
         ]
     )
-    s1 = _space(dist)
     diag = [(i, i) for i in range(3)]
-    assert M.box_discrepancy(s1, s1, diag) == 0.0
+    assert oracles.box_discrepancy(dist, dist, diag) == 0.0
     shifted = dist + 0.25
     np.fill_diagonal(shifted, 0.0)
-    s2 = _space(shifted)
-    assert M.box_discrepancy(s1, s2, diag) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        M.box_discrepancy(s1, s2, [])
-    with pytest.raises(ValueError):
-        M.box_discrepancy(s1, s2, [(0, 5)])
-
-
-def test_sampled_distance_matrix():
-    rng = np.random.default_rng(2)
-    s = _space(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    sub = M.sampled_distance_matrix(s, 6, rng)
-    assert sub.shape == (6, 6)
-    assert np.allclose(sub, sub.T)
-    assert (np.diag(sub) == 0).all()
-    with pytest.raises(ValueError):
-        M.sampled_distance_matrix(s, 1, rng)
+    assert oracles.box_discrepancy(dist, shifted, diag) == 0.25
+    assert oracles.box_discrepancy(dist, dist, [(0, 0), (2, 1)]) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +169,9 @@ def test_gp_box_estimate_unit_structure():
         M.gp_box_estimate_unit(C.DyckPath("UDUD"), True, 0.1, 64, rng)
     with pytest.raises(ValueError):
         M.gp_box_estimate_unit(w, True, 0.0, 64, rng)
+    for delta, m in ((0.5, 64), (0.45, 4)):  # one grid point: no pair to compare
+        with pytest.raises(ValueError, match="at least 2 grid points"):
+            M.gp_box_estimate_unit(w, True, delta, m, rng)
 
 
 def test_gp_box_estimate_unit_deterministic_in_coupled_mode():
@@ -245,8 +199,8 @@ def test_gp_box_estimate_shrinks_with_n():
 
 
 def _dense_box_estimate(w, e_from_w, delta, m, rng):
-    # the dense construction: both k x k metrics as FiniteMmSpaces and the
-    # identity relation through box_discrepancy
+    # the dense construction: both k x k metrics, compared under the
+    # identity relation by the oracle
     n = w.size
     h, f = C._heights_arrays(w.steps)
     xs = M._truncated_grid(delta, m)
@@ -264,10 +218,7 @@ def _dense_box_estimate(w, e_from_w, delta, m, rng):
     for r, c in ((0, xs.size // 2), (1, xs.size - 2)):
         assert abs(cum[c] - cum[r]) == pytest.approx(M.excursion_distance(exc, xs[r], xs[c], delta), rel=1e-9)
     dist_e = np.abs(np.subtract.outer(cum, cum)) / math.sqrt(2.0)
-    k = xs.size
-    weights = np.full(k, 1.0 / k)
-    relation = [(i, i) for i in range(k)]
-    return M.box_discrepancy(M.FiniteMmSpace(dist_g, weights), M.FiniteMmSpace(dist_e, weights), relation)
+    return oracles.box_discrepancy(dist_g, dist_e, [(i, i) for i in range(xs.size)])
 
 
 @pytest.mark.parametrize(
