@@ -33,22 +33,32 @@ def test_edge_rule_matches_scalar_reference():
         assert expected == [graphon_value(w.family, (r[2], r[3]), (r[0], r[1])) for r in rows.tolist()]
         assert W._adjacent(w.family, a1, b1, a2, b2).astype(int).tolist() == expected
         assert W._adjacent(w.family, a2, b2, a1, b1).astype(int).tolist() == expected
-    # scalar points with known answers
-    cases = [
-        ("perm", (0.1, 0.9), (0.2, 0.3), 1),
-        ("perm", (0.1, 0.9), (0.1, 0.9), 0),
-        ("perm", (0.1, 0.9), (0.2, 0.95), 0),  # concordant pair
-        ("circle", (0.0, 0.5), (0.25, 0.75), 1),
-        ("circle", (0.0, 0.5), (0.1, 0.2), 0),  # nested chords
-        ("circle", (0.9, 0.2), (0.1, 0.5), 1),  # wrap-around arc
-        ("circle", (0.0, 0.5), (0.5, 0.9), 0),  # shared endpoint
-        # an inside-XOR rule without the tie check would join these two chords
-        ("circle", (0.0, 0.5), (0.0, 0.25), 0),
-    ]
-    for family, p, q, edge in cases:
-        assert graphon_value(family, p, q) == edge
-        assert W._adjacent(family, *p, *q) == edge
-        assert W._adjacent(family, *q, *p) == edge
+
+
+def _edge(w, p, q):
+    # the edge rule at one pair of latent chords, checked both ways round
+    # and against the scalar oracle
+    edge = int(W._adjacent(w.family, *p, *q))
+    assert int(W._adjacent(w.family, *q, *p)) == edge
+    assert graphon_value(w.family, p, q) == edge
+    return edge
+
+
+def test_eval_perm_graphon():
+    p, q = (0.1, 0.9), (0.2, 0.3)
+    assert _edge(W.PERM_GRAPHON, p, q) == 1
+    assert _edge(W.PERM_GRAPHON, p, p) == 0
+    assert _edge(W.PERM_GRAPHON, p, (0.2, 0.95)) == 0  # concordant pair
+
+
+def test_eval_circle_graphon():
+    a = (0.0, 0.5)
+    assert _edge(W.CIRCLE_GRAPHON, a, (0.25, 0.75)) == 1
+    assert _edge(W.CIRCLE_GRAPHON, a, (0.1, 0.2)) == 0  # nested chords
+    assert _edge(W.CIRCLE_GRAPHON, (0.9, 0.2), (0.1, 0.5)) == 1  # wrap-around arc
+    assert _edge(W.CIRCLE_GRAPHON, a, (0.5, 0.9)) == 0  # shared endpoint
+    # an inside-XOR rule without the tie check would join these two chords
+    assert _edge(W.CIRCLE_GRAPHON, a, (0.0, 0.25)) == 0
 
 
 def test_clique_density_exact():
