@@ -293,13 +293,22 @@ def sample_matching(n: int, rng: np.random.Generator) -> Matching:
     return Matching(tuple((_sample_matchings_batch(n, 1, rng)[0] + 1).tolist()))
 
 
-def _dyck_word(n: int, rng: np.random.Generator) -> str:
-    """A uniform Dyck word of size n >= 1 as a string (see :func:`sample_dyck`)."""
-    word = np.concatenate([np.ones(n, dtype=np.int8), -np.ones(n + 1, dtype=np.int8)])
-    word = rng.permutation(word)
-    cut = int(np.argmin(np.cumsum(word))) + 1  # first prefix-sum minimum
-    rotated = np.concatenate([word[cut:], word[:cut]])[:-1]
-    return np.where(rotated > 0, b"U", b"D").tobytes().decode("ascii")
+def _dyck_steps(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniform Dyck word of size n >= 0 as int8 steps, +1 for U and -1 for D
+    (:func:`sample_dyck`); the first prefix-sum minimum is the D left out."""
+    word = rng.permutation(np.repeat(np.array([1, -1], dtype=np.int8), [n, n + 1]))
+    cut = int(np.argmin(np.cumsum(word, dtype=np.int32)))
+    return np.concatenate((word[cut + 1 :], word[:cut]))
+
+
+def _irreducible_dyck_steps(n: int, rng: np.random.Generator) -> np.ndarray:
+    """U + (uniform Dyck word of size n-1) + D as int8 steps, n >= 1."""
+    return np.concatenate(([1], _dyck_steps(n - 1, rng), [-1]), dtype=np.int8)
+
+
+def _word_text(steps: np.ndarray) -> str:
+    """The U/D text of an int8 step array."""
+    return np.where(steps > 0, b"U", b"D").tobytes().decode("ascii")
 
 
 def sample_dyck(n: int, rng: np.random.Generator) -> DyckPath:
@@ -314,16 +323,14 @@ def sample_dyck(n: int, rng: np.random.Generator) -> DyckPath:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return DyckPath(_dyck_word(n, rng))
+    return DyckPath(_word_text(_dyck_steps(n, rng)))
 
 
 def sample_irreducible_dyck(n: int, rng: np.random.Generator) -> DyckPath:
     """Uniform irreducible Dyck path: U + (uniform path of size n-1) + D."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return DyckPath("UD")
-    return DyckPath("U" + _dyck_word(n - 1, rng) + "D")
+    return DyckPath(_word_text(_irreducible_dyck_steps(n, rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +430,21 @@ def is_palindromic(w: DyckPath) -> bool:
     return w == mirror(w)
 
 
-def _heights_arrays(steps: str) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (h, f) for a balanced word; see :func:`heights`."""
-    ups = np.frombuffer(steps.encode("ascii"), dtype=np.uint8) == ord("U")
-    walk = np.cumsum(np.where(ups, 1, -1))
-    h = walk[ups]
-    # number of up steps at or before the i-th down step, minus i
-    cum_ups = np.cumsum(ups)
-    f = cum_ups[~ups] - np.arange(1, h.size + 1)
-    return h.astype(np.int64), f.astype(np.int64)
+def _heights_arrays(steps: str | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h, f) of a Dyck word given as text or as int8 steps; see :func:`heights`.
+
+    The i-th down step, at 0-based position pos, has pos - i + 1 up steps
+    before it, so f there is pos - 2i + 1.  Step arrays skip :class:`DyckPath`,
+    so the walk is checked here: nonnegative, and ending at 0.
+    """
+    if isinstance(steps, str):
+        steps = np.where(np.frombuffer(steps.encode("ascii"), dtype=np.uint8) == ord("U"), 1, -1)
+    ups = steps > 0
+    walk = np.cumsum(steps, dtype=np.int64)
+    if walk.size and (walk[-1] or walk.min() < 0):
+        raise ValueError("steps do not form a Dyck word")
+    down = (~ups).nonzero()[0]
+    return walk[ups], down - np.arange(1, 2 * down.size, 2)
 
 
 def heights(w: DyckPath) -> tuple[tuple[int, ...], tuple[int, ...]]:

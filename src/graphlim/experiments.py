@@ -786,6 +786,19 @@ def _build_tables(n: int) -> None:
     _block_table(n, n)
 
 
+def _connected_uig_steps(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Int8 steps of :func:`sample_connected_unit_interval_graph`.  The mirror
+    of a is -a[::-1]; D = -1 < U = +1 keeps the lexicographic order."""
+    while True:
+        a = combinat._irreducible_dyck_steps(n, rng)
+        mirrored = -a[::-1]
+        differ = np.flatnonzero(a != mirrored)
+        if not differ.size:
+            return a
+        if rng.random() < 0.5:
+            return a if a[differ[0]] < mirrored[differ[0]] else mirrored
+
+
 def sample_connected_unit_interval_graph(n: int, rng: np.random.Generator) -> DyckPath:
     """Canonical irreducible Dyck word of a uniform connected unit interval
     graph class on n vertices.
@@ -797,13 +810,7 @@ def sample_connected_unit_interval_graph(n: int, rng: np.random.Generator) -> Dy
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    while True:
-        w = combinat.sample_irreducible_dyck(n, rng)
-        mirrored = combinat.mirror(w)
-        if w == mirrored:
-            return w
-        if rng.random() < 0.5:
-            return w if w.steps < mirrored.steps else mirrored
+    return DyckPath(combinat._word_text(_connected_uig_steps(n, rng)))
 
 
 def _sample_uig_blocks(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -816,13 +823,12 @@ def _sample_uig_blocks(n: int, rng: np.random.Generator) -> list[tuple[int, int]
     return blocks
 
 
-def _sample_uig_words(n: int, rng: np.random.Generator) -> list[DyckPath]:
-    """Component words of a uniform unit interval graph (j copies of one
-    uniform connected class per decomposition step)."""
+def _sample_uig_words(n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Int8 steps of the component words of a uniform unit interval graph
+    (j copies of one uniform connected class per decomposition step)."""
     words = []
     for d, j in _sample_uig_blocks(n, rng):
-        w = sample_connected_unit_interval_graph(d, rng)
-        words.extend([w] * j)
+        words.extend([_connected_uig_steps(d, rng)] * j)
     return words
 
 
@@ -830,15 +836,9 @@ def sample_unit_interval_graph(n: int, rng: np.random.Generator) -> UGraph:
     """Representative of a uniform unlabeled unit interval graph on n vertices."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    words = _sample_uig_words(n, rng)
-    adj = np.zeros((n, n), dtype=bool)
-    offset = 0
-    for w in words:
-        block = graphs.unit_interval_graph(w).adj
-        d = block.shape[0]
-        adj[offset : offset + d, offset : offset + d] = block
-        offset += d
-    return UGraph(adj)
+    # the words in a row are one Dyck word, one component per word
+    _, f = _heights_arrays(np.concatenate(_sample_uig_words(n, rng)))
+    return UGraph(graphs._unit_interval_adj(f[None])[0])
 
 
 def largest_component_stats(
@@ -904,10 +904,7 @@ def mc_unit_clique_scaling(
     _build_tables(n)
 
     def graph_side(_: int, child: np.random.Generator) -> list[float]:
-        words = _sample_uig_words(n, child)
-        f_all = np.concatenate(
-            [_heights_arrays(w.steps)[1] for w in words]
-        ).astype(np.float64)
+        f_all = _heights_arrays(np.concatenate(_sample_uig_words(n, child)))[1].astype(np.float64)
         out = []
         for k in ks_range:
             # sum_i binom(f_i, k-1) via falling factorials; float64 is ample
@@ -1001,7 +998,8 @@ def verify_distance_formula(n_max: int, reps: int, rng: np.random.Generator) -> 
         _, f = _heights_arrays(w.steps)
         bfs = graphs.all_pairs_distances(graphs.unit_interval_graph(w))
         upper = np.triu_indices(n, 1)
-        walk = graphs._distances_from(f, np.arange(1, n + 1))
+        verts = np.arange(1, n + 1)
+        walk = graphs._table_distances(graphs._distances_from(f, verts), verts)
         pairs += upper[0].size
         mismatches += int(np.count_nonzero(walk[upper] != bfs[upper]))
     return Report(
@@ -1054,10 +1052,9 @@ def verify_clique_formula(
 
 
 def _two_point_graph_draw(n: int, child: np.random.Generator) -> float:
-    w = combinat.sample_irreducible_dyck(n, child)
-    _, f = _heights_arrays(w.steps)
+    _, f = _heights_arrays(combinat._irreducible_dyck_steps(n, child))
     ends = np.sort(child.integers(1, n + 1, size=2))
-    return int(graphs._distances_from(f, ends)[0, 1]) / math.sqrt(n)
+    return np.count_nonzero(graphs._distances_from(f, ends)[0] < ends[1]) / math.sqrt(n)
 
 
 def _two_point_excursion_draw(m_grid: int, child: np.random.Generator) -> float:
@@ -1090,6 +1087,7 @@ def verify_gp(
         raise ValueError("n_values must be nonempty")
     if seeds_per_n < 1 or draws < 1:
         raise ValueError("seeds_per_n and draws must be >= 1")
+    mmspace._box_grid(delta, m_grid)  # a bad grid is a usage error before any draw
     master = _master_seed(rng)
     n_big = max(n_values) if two_point_n is None else two_point_n
 

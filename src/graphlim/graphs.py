@@ -259,37 +259,39 @@ def unit_distance_formula(w: DyckPath, i: int, j: int) -> int:
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"vertex out of range 1..{n}")
     _, f = _heights_arrays(w.steps)
-    return int(_distances_from(f, np.asarray(sorted((i, j))))[0, 1])
+    sources = np.asarray(sorted((i, j)))
+    return int(_table_distances(_distances_from(f, sources), sources)[0, 1])
 
 
 def _distances_from(f: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Jump-walk distances between all pairs of sorted 1-based sources.
+    """Jump walks from sorted 1-based sources, as a k x L table of step columns.
 
-    Returns an integer k x k matrix D with D[a, b] the graph distance from
-    v_{sources[a]} to v_{sources[b]} for a < b, and 0 on and below the
-    diagonal (duplicate sources are at distance 0).  Every walk
-    i_{m+1} = min(i_m + f(i_m), n) advances at once; the distance to a later
-    source is the number of walk points strictly before it, so each point
-    adds 1 at the first column whose source lies beyond it and a running sum
-    along the rows turns those marks into distances.  A walk that stalls
-    (f(i) = 0 before the last vertex, a reducible word) raises ValueError.
+    Column t holds where each walk is after t jumps of g(i) = min(i + f(i), n),
+    up to the first column that is all at or past sources[-1].  The distance
+    from v_{sources[a]} to a later v_j is the number of points of row a before
+    j.  g is nondecreasing, so columns are sorted.  A walk that would stall
+    (f(i) = 0 at a vertex it must pass: a reducible word) raises ValueError.
     """
     n = f.size
-    dist = np.zeros((sources.size, sources.size), dtype=np.int64)
-    rows = np.arange(sources.size)
-    cur = sources.astype(np.int64)
-    while True:
-        live = cur < sources[-1]
-        if not live.any():
-            break
-        rows, cur = rows[live], cur[live]
-        dist[rows, np.searchsorted(sources, cur, side="right")] += 1
-        step = f[cur - 1]
-        if not step.all():
-            raise ValueError(f"jump walk stalls at vertex {int(cur[step == 0][0])}: the word is reducible")
-        cur = np.minimum(cur + step, n)
-    np.cumsum(dist, axis=1, out=dist)
-    return dist
+    first, last = int(sources[0]), int(sources[-1])
+    stalls = np.flatnonzero(f[first - 1 : last - 1] == 0)
+    if stalls.size:
+        raise ValueError(f"jump walk stalls at vertex {first + int(stalls[0])}: the word is reducible")
+    jump = np.minimum(np.arange(n + 1) + np.concatenate(([0], f)), n)  # jump[v] = g(v)
+    cols = [np.asarray(sources, dtype=np.int64)]
+    while cols[-1][0] < last:
+        cols.append(jump[cols[-1]])
+    return np.stack(cols, axis=1)
+
+
+def _table_distances(table: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """The k x k distances of a walk table: D[a, b] from v_{sources[a]} to
+    v_{sources[b]} for a < b, 0 on and below the diagonal.  Each walk point
+    marks the first column beyond it, and a running sum counts the marks."""
+    k = sources.size
+    marks = np.searchsorted(sources, table, side="right") + (k + 1) * np.arange(k)[:, None]
+    dist = np.bincount(marks.ravel(), minlength=k * (k + 1)).reshape(k, k + 1)[:, :k]
+    return np.cumsum(dist, axis=1)
 
 
 # ---------------------------------------------------------------------------

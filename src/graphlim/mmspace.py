@@ -51,12 +51,12 @@ def _check_triangle(pair: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int
         idx = np.arange(n)
         d = pair(idx[:, None], idx[None, :])
         slack = d[:, :, None] + d[None, :, :] - d[:, None, :]
-        if float(slack.min()) < -_TRIANGLE_TOL:
+        if not slack.min() >= -_TRIANGLE_TOL:  # a NaN slack fails too
             raise ValueError("triangle inequality violated")
         return
     check_rng = np.random.default_rng(0xD15C)
     i, j, k = check_rng.integers(0, n, size=(3, _SPOT_CHECK_TRIPLES))
-    if float((pair(i, j) + pair(j, k) - pair(i, k)).min()) < -_TRIANGLE_TOL:
+    if not (pair(i, j) + pair(j, k) - pair(i, k)).min() >= -_TRIANGLE_TOL:
         raise ValueError("triangle inequality violated (spot check)")
 
 
@@ -161,18 +161,32 @@ def _truncated_grid(delta: float, m: int) -> np.ndarray:
     return delta + np.arange(count) / m
 
 
+def _box_grid(delta: float, m: int) -> np.ndarray:
+    """The truncated grid of :func:`gp_box_estimate_unit`, checked to hold a
+    pair of points to compare, all off the two boundary cells."""
+    if not 0.0 < delta <= 0.5:
+        raise ValueError("delta must lie in (0, 0.5]")
+    if m < 2:
+        raise ValueError("grid size m must be >= 2")
+    xs = _truncated_grid(delta, m)
+    if xs.size < 2:
+        raise ValueError("delta and m must leave at least 2 grid points in [delta, 1 - delta]")
+    cells = np.floor(xs * m + 1e-12)
+    if cells.min() < 1 or cells.max() > m - 2:
+        raise ValueError("truncation level must keep the grid off the boundary cells")
+    return xs
+
+
 def _grid_cumulative(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Excursion integral of 1/e from t_1 to each grid point, in one cumulative
     pass, so that d_e(x_r, x_c) = |c_r - c_c|.
 
-    Requires every grid point to lie at least one cell away from the ends
-    (the first and last cells touch the divergent boundary).
+    Requires every grid point to lie at least one cell away from the ends,
+    where 1/e diverges (:func:`_box_grid` checks this).
     """
     m = values.size - 1
     pos = xs * m
     cell = np.clip(np.floor(pos + 1e-12).astype(np.int64), 0, m - 1)
-    if cell.min() < 1 or cell.max() > m - 2:
-        raise ValueError("truncation level must keep the grid off the boundary cells")
     interior = values[1:m]
     if interior.min() <= 0.0:
         raise ValueError("excursion vanishes inside the truncated window")
@@ -200,27 +214,22 @@ def gp_box_estimate_unit(
     (discrepancy, mass defect 2*delta); the box distance is bounded by the
     max of the two.
 
-    Equal, bit for bit, to the largest |d_G(i, j) - d_e(i, j)| over the two
-    dense k x k metrics, without building them: both metrics are symmetric
-    with zero diagonal by construction (U + U^T is integer addition, and
-    |a - b| = |b - a| in IEEE), so one pass over row blocks of the upper
-    triangle of the jump-walk matrix U against the 1-D excursion integral
-    sees every entry.  Memory: U (8 k^2 bytes for k grid points) plus two
-    row blocks.  Both metrics are checked to be finite, nonnegative and to
-    satisfy the triangle inequality; delta and m must leave at least two grid
-    points, or there is no pair to compare.
+    Equal, bit for bit, to the largest |d_G(a, b) - d_e(a, b)| over the two
+    dense k x k metrics, without building them.  Both are symmetric, so pairs
+    a < b suffice.  Row a of d_G is a nondecreasing step function of b with at
+    most L steps (the jump-walk table's columns) and the excursion cumulative
+    c is nondecreasing, so on a run of equal d_G the value
+    |d / sqrt(n) - |(c_a - c_b) / sqrt(2)|| is monotone in b (each IEEE
+    operation is) and peaks at an end of the run: O(k L) work, no k x k
+    array.  Both metrics are checked against the triangle inequality.
     """
     if not w.is_irreducible():
         raise ValueError("Dyck path must be irreducible")
-    if not 0.0 < delta <= 0.5:
-        raise ValueError("delta must lie in (0, 0.5]")
+    xs = _box_grid(delta, m)
     n = w.size
     h, f = _heights_arrays(w.steps)
-    xs = _truncated_grid(delta, m)
-    if xs.size < 2:
-        raise ValueError("delta and m must leave at least 2 grid points in [delta, 1 - delta]")
     verts = np.minimum(1 + np.floor(xs * n).astype(np.int64), n)
-    upper = _distances_from(f, verts)
+    table = _distances_from(f, verts)
 
     if e_from_w:
         mid = np.minimum(1 + np.floor(np.arange(1, m) / m * n).astype(np.int64), n)
@@ -230,24 +239,30 @@ def gp_box_estimate_unit(
     else:
         exc = sample_excursion(m, rng)
     cum = _grid_cumulative(exc.values, xs)
-    if not np.isfinite(cum).all():  # a NaN triangle slack would hide every violation
+    if not np.isfinite(cum).all():  # a NaN would slip past the order check below
         raise ValueError("distances must be finite")
+    if np.any(cum[1:] < cum[:-1]):
+        raise ValueError("excursion cumulative decreases along the grid")
 
     k = xs.size
     _check_weights(np.full(k, 1.0 / k))
-    _check_triangle(lambda i, j: (upper[i, j] + upper[j, i]) / math.sqrt(n), k)
+    _check_triangle(
+        lambda i, j: np.count_nonzero(table[np.minimum(i, j)] < verts[np.maximum(i, j), None], axis=-1)
+        / math.sqrt(n),
+        k,
+    )
     _check_triangle(lambda i, j: np.abs(cum[i] - cum[j]) / math.sqrt(2.0), k)
     disc = 0.0
     for r0 in range(0, k, _BOX_BLOCK_ROWS):
-        r1 = r0 + _BOX_BLOCK_ROWS
-        diff = upper[r0:r1, r0:] / math.sqrt(n)
-        if diff.min() < 0.0:
-            raise ValueError("distances must be nonnegative")
-        rule = np.subtract.outer(cum[r0:r1], cum[r0:])
+        edge = np.searchsorted(verts, table[r0 : r0 + _BOX_BLOCK_ROWS], side="right")
+        edge = np.insert(edge, 0, r0 + 1 + np.arange(edge.shape[0]), axis=1)
+        # row r0 + a has distance t on columns edge[a, t] .. edge[a, t + 1] - 1
+        a, t = np.nonzero(edge[:, 1:] != edge[:, :-1])
+        rows = r0 + np.concatenate((a, a))
+        cols = np.concatenate((edge[a, t], edge[a, t + 1] - 1))
+        diff = np.concatenate((t, t)) / math.sqrt(n)
+        rule = cum[rows] - cum[cols]
         rule /= math.sqrt(2.0)  # |a| / s == |a / s|: rounding is symmetric
         diff -= np.abs(rule, out=rule)
-        np.abs(diff, out=diff)
-        diff[:, :_BOX_BLOCK_ROWS] = np.triu(diff[:, :_BOX_BLOCK_ROWS], 1)  # pairs c > r only
-        disc = max(disc, float(diff.max()))
+        disc = max(disc, float(np.abs(diff, out=diff).max(initial=0.0)))
     return disc, 2.0 * delta
-

@@ -227,6 +227,41 @@ def brute_irreducible(word: str) -> bool:
     return True
 
 
+def cycle_lemma_dyck_word(n: int, rng: np.random.Generator) -> str:
+    """Uniform Dyck word of size n >= 0 by the cycle lemma, on strings.
+
+    The generator shuffles n ones followed by n + 1 minus-ones as int8, so
+    the draw stream is the package's; the shuffle is read as U/D text,
+    rotated to start just after its first prefix-sum minimum, and the final
+    D is dropped.
+    """
+    shuffled = rng.permutation(np.array([1] * n + [-1] * (n + 1), dtype=np.int8))
+    word = "".join("U" if s > 0 else "D" for s in shuffled.tolist())
+    height, low, cut = 0, 1, 0
+    for pos, c in enumerate(word):
+        height += 1 if c == "U" else -1
+        if height < low:
+            low, cut = height, pos + 1
+    return (word[cut:] + word[:cut])[:-1]
+
+
+def irreducible_dyck_word(n: int, rng: np.random.Generator) -> str:
+    """U + (cycle-lemma word of size n-1) + D; "UD" draws nothing."""
+    return "UD" if n == 1 else "U" + cycle_lemma_dyck_word(n - 1, rng) + "D"
+
+
+def connected_uig_word(n: int, rng: np.random.Generator) -> str:
+    """The smaller of an irreducible word and its mirror, kept outright when
+    they are equal and with probability 1/2 otherwise."""
+    while True:
+        word = irreducible_dyck_word(n, rng)
+        mirrored = word[::-1].translate(str.maketrans("UD", "DU"))
+        if word == mirrored:
+            return word
+        if rng.random() < 0.5:
+            return min(word, mirrored)
+
+
 def unit_interval_edges(word: str) -> set[frozenset[int]]:
     """Edges straight from the definition: i ~ j (i < j) iff fewer than
     f(i) := #ups strictly between up_i and down_i separate them."""

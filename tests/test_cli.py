@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import graphlim
-from graphlim import cli, combinat, graphs
+from graphlim import cli, combinat, experiments, graphs
 
 
 def run_cli(argv, capsys):
@@ -444,6 +444,27 @@ def test_empty_sample_or_bad_tolerance_exits_2(capsys, argv, message):
     # negative tolerance: a usage error, not a crash (3) or a failed
     # criterion (1)
     code, out, err = run_cli(argv + ["--seed", "1"], capsys)
+    assert code == 2
+    assert f"error: {message}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--delta", "0.5"], "delta and m must leave at least 2 grid points"),
+        (["--delta", "0"], "delta must lie in (0, 0.5]"),
+        (["--m", "1"], "grid size m must be >= 2"),
+        (["--delta", "0.001", "--m", "64"], "truncation level must keep the grid off the boundary cells"),
+    ],
+)
+def test_verify_gp_bad_grid_exits_2_before_any_draw(capsys, monkeypatch, argv, message):
+    # the grid is checked before the default 10,000 two-point draws
+    def no_draw(*args):
+        raise AssertionError("two-point draw made before the grid was checked")
+
+    monkeypatch.setattr(experiments, "_two_point_graph_draw", no_draw)
+    code, out, err = run_cli(["verify", "gp", *argv, "--seed", "3"], capsys)
     assert code == 2
     assert f"error: {message}" in err
     assert out == ""

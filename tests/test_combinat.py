@@ -380,6 +380,17 @@ def test_sample_irreducible_dyck_validates_once(monkeypatch):
         assert checks == [w.steps]
 
 
+def test_heights_arrays_rejects_corrupted_steps():
+    steps = C._irreducible_dyck_steps(40, RNG(1))
+    h, f = C._heights_arrays(steps)
+    assert (tuple(h.tolist()), tuple(f.tolist())) == C.heights(C.DyckPath(C._word_text(steps)))
+    # first step flipped (negative prefix), last step dropped (unbalanced),
+    # word reversed (starts with D)
+    for bad in (np.concatenate((-steps[:1], steps[1:])), steps[:-1], steps[::-1]):
+        with pytest.raises(ValueError, match="do not form a Dyck word"):
+            C._heights_arrays(bad)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
 def test_sampled_objects_are_valid(n, seed):

@@ -21,6 +21,7 @@ from graphlim import combinat as C
 from graphlim import experiments as X
 from graphlim import graphs as G
 
+import oracles
 from oracles import all_dyck_words, brute_irreducible, sequential_pairing
 
 
@@ -127,6 +128,29 @@ def test_sample_connected_uig_is_canonical_word():
         assert w.steps <= _mirror_word(w.steps)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
+def test_dyck_draw_stream_matches_string_reference(n):
+    # the int8 step rule draws the words of the string rule and leaves the
+    # generator where the string rule leaves it
+    samplers = [
+        (C.sample_dyck, oracles.cycle_lemma_dyck_word),
+        (C.sample_irreducible_dyck, oracles.irreducible_dyck_word),
+        (X.sample_connected_unit_interval_graph, oracles.connected_uig_word),
+    ]
+    for seed in range(4):
+        for ours, reference in samplers:
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert [ours(n, rng).steps for _ in range(3)] == [reference(n, ref) for _ in range(3)]
+            assert rng.bit_generator.state == ref.bit_generator.state
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        words = [C._word_text(a) for a in X._sample_uig_words(n, rng)]
+        expected = [
+            word for d, j in X._sample_uig_blocks(n, ref) for word in [oracles.connected_uig_word(d, ref)] * j
+        ]
+        assert words == expected
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_sample_connected_uig_uniform_over_classes():
     rng = np.random.default_rng(1)
     n, draws = 5, 12000
@@ -145,7 +169,7 @@ def test_sample_uig_uniform_over_isomorphism_classes():
     n, draws = 5, 10500
     counts: dict[tuple, int] = {}
     for _ in range(draws):
-        key = tuple(sorted(w.steps for w in X._sample_uig_words(n, rng)))
+        key = tuple(sorted(C._word_text(a) for a in X._sample_uig_words(n, rng)))
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == X.count_unit_interval_graphs(n)  # 21 classes
     _, p = scipy.stats.chisquare(list(counts.values()))

@@ -150,7 +150,8 @@ def test_unit_distance_formula_integer_hop_counting():
 
 def _jump_walk(word: str, sources) -> np.ndarray:
     _, f = C._heights_arrays(word)
-    return G._distances_from(f, np.asarray(sources, dtype=np.int64))
+    sources = np.asarray(sources, dtype=np.int64)
+    return G._table_distances(G._distances_from(f, sources), sources)
 
 
 def test_jump_walk_matches_bfs_oracle_on_all_irreducible_words():
