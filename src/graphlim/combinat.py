@@ -391,31 +391,42 @@ def reversal(m: Matching) -> Matching:
     return Matching(tuple(_reverse_partners(np.asarray(m.partner)).tolist()))
 
 
+def _xyz_batch(partner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, z) as int64 for each row of int32 (2n < 2^31) or int64 0-based partners.
+
+    With d = partner - index, x counts d in {1, 1-2n} and y counts d in {2, 2-2n}
+    (wrapped values fit only the last two columns).  z's only candidates are the
+    ~2 per row where consecutive partners differ by +-1 (mod 2n): k, k+1 -> ell,
+    ell+1 counts if 1 < ell - k (ell - k = 2n-1 arises only at n = 1, and a flat
+    pair across a row end has k = 2n-1, so neither counts).
+    """
+    rows, two_n = partner.shape
+    d = partner - np.arange(two_n, dtype=partner.dtype)
+    pos = np.flatnonzero((d == 1) | (d == 2))
+    row, is_x = pos // two_n, d.reshape(-1)[pos] == 1
+    x = np.bincount(row[is_x], minlength=rows) + (d[:, -1] == 1 - two_n)
+    y = np.bincount(row[~is_x], minlength=rows) + (d[:, -2] == 2 - two_n) + (d[:, -1] == 2 - two_n)
+    del d
+    flat = partner.reshape(-1)
+    step = np.abs(flat[1:] - flat[:-1])
+    pos = np.flatnonzero((step == 1) | (step == two_n - 1))
+    del step
+    a, b = flat[pos], flat[pos + 1]
+    row, k = np.divmod(pos, two_n)
+    ell = np.where((b - a == 1) | (b - a == 1 - two_n), a, b)
+    return x, y, np.bincount(row[ell - k > 1], minlength=rows)
+
+
 def xyz_stats(m: Matching) -> tuple[int, int, int]:
     """The adjacency statistics (x, y, z) of a matching.
 
     x counts points with m(i) = i+1 (mod 2n), y those with m(j) = j+2, and
     z counts index pairs k < l <= 2n with l-k != +-1 (mod 2n) such that
     {m(k), m(k+1)} = {l, l+1} (mod 2n): two consecutive points matched onto
-    two consecutive points.
+    two consecutive points.  This is the one-row case of :func:`_xyz_batch`.
     """
-    p = m.partner
-    two_n = len(p)
-    x = sum(1 for i in range(1, two_n + 1) if (p[i - 1] - i - 1) % two_n == 0)
-    y = sum(1 for j in range(1, two_n + 1) if (p[j - 1] - j - 2) % two_n == 0)
-    z = 0
-    for k in range(1, two_n):
-        a = p[k - 1]
-        b = p[k % two_n]  # m(k+1), wrapping not needed since k < 2n
-        if (b - a - 1) % two_n == 0:
-            ell = a
-        elif (a - b - 1) % two_n == 0:
-            ell = b
-        else:
-            continue
-        if k < ell <= two_n and (ell - k) % two_n not in (1, two_n - 1):
-            z += 1
-    return x, y, z
+    x, y, z = _xyz_batch(np.asarray(m.partner, dtype=np.int64)[None] - 1)
+    return int(x[0]), int(y[0]), int(z[0])
 
 
 _SWAP_UD = str.maketrans("UD", "DU")
@@ -463,19 +474,16 @@ def heights(w: DyckPath) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def has_nontrivial_symmetry(m: Matching) -> bool:
     """True iff some nontrivial symmetry of the 2n-gon fixes the matching.
 
-    Tests every nontrivial rotation (i -> i+r) and every reflection
-    (i -> c-i) of the circle of 2n points.
+    A reflection is the reversal followed by a turn r = 0..2n-1, and a
+    nontrivial rotation is a turn r = 1..2n-1.
     """
-    p = m.partner
-    two_n = len(p)
-    for r in range(1, two_n):
-        if all(p[(i + r) % two_n] == (p[i] + r - 1) % two_n + 1 for i in range(two_n)):
-            return True
-    for c in range(two_n):
-        # reflection x -> (c - x) mod 2n on labels 1..2n: point i + 1 sits at index c - i - 2
-        if all(p[(c - i - 2) % two_n] == (c - p[i] - 1) % two_n + 1 for i in range(two_n)):
-            return True
-    return False
+    p = np.asarray(m.partner)
+    flipped = _reverse_partners(p)
+    return any(
+        np.array_equal(_rotate_partners(q, r), p)
+        for q, first in ((p, 1), (flipped, 0))
+        for r in range(first, p.size)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -543,18 +551,18 @@ def count_symmetric_matchings(n: int, d: int) -> int:
     >>> count_symmetric_matchings(2, 2)
     3
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if d < 2:
         raise ValueError("rotation order d must be >= 2")
     if (2 * n) % d:
         raise ValueError(f"d={d} does not divide 2n={2 * n}")
     k = 2 * n // d
     even = 1 if d % 2 == 0 else 0
-    prev2, prev1 = 1, even  # a_0, a_1
-    if k == 0:
-        return 1
-    for t in range(2, k + 1):
+    prev2, prev1 = 0, 1  # a_{-1}, a_0
+    for t in range(1, k + 1):
         prev2, prev1 = prev1, even * prev1 + d * (t - 1) * prev2
-    return prev1 if k >= 1 else prev2
+    return prev1
 
 
 # ---------------------------------------------------------------------------
@@ -799,18 +807,26 @@ def k_decomposition(m: Matching, k: int) -> Decomposition | None:
     return None if cuts is None else _decomposition_from_cuts(m, cuts)
 
 
-def is_indecomposable(m: Matching) -> bool:
-    """True iff m is not k-decomposable for any k in [2, n-2].
+def _indecomposable_rows(partner: np.ndarray) -> np.ndarray:
+    """Per row of a stack of 1-based partner rows: True iff that matching is
+    not k-decomposable for any k in [2, n-2].
 
     Fast path: for n >= 4, any of x, y, z > 0 already forces a 2- or
-    (n-2)-decomposition, so only matchings with x = y = z = 0 reach the
-    cut search.
+    (n-2)-decomposition, so only rows with x = y = z = 0 reach the cut search.
     """
-    if m.size <= 3:
-        return True
-    if any(xyz_stats(m)):
-        return False
-    return _decomposition_cuts(m.partner) is None
+    if partner.shape[1] <= 6:
+        return np.ones(partner.shape[0], dtype=bool)
+    x, y, z = _xyz_batch(partner - 1)
+    out = (x == 0) & (y == 0) & (z == 0)
+    for i in np.flatnonzero(out):
+        out[i] = _decomposition_cuts(partner[i]) is None
+    return out
+
+
+def is_indecomposable(m: Matching) -> bool:
+    """True iff m is not k-decomposable for any k in [2, n-2]: the one-row
+    case of :func:`_indecomposable_rows`."""
+    return bool(_indecomposable_rows(np.asarray(m.partner, dtype=np.int64)[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.stats
 
 from . import combinat, graphon, graphs, mmspace
-from .combinat import DyckPath, Permutation, _heights_arrays, _sample_matchings_batch
+from .combinat import DyckPath, Permutation, _heights_arrays, _sample_matchings_batch, _xyz_batch
 from .graphs import UGraph
 
 __all__ = [
@@ -217,32 +217,6 @@ def mc_clique_density(
 # ---------------------------------------------------------------------------
 # Poisson statistics of matchings
 # ---------------------------------------------------------------------------
-
-
-def _xyz_batch(partner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, y, z) as int64 for each row of int32 (2n < 2^31) or int64 0-based partners.
-
-    With d = partner - index, x counts d in {1, 1-2n} and y counts d in {2, 2-2n}
-    (wrapped values fit only the last two columns).  z's only candidates are the
-    ~2 per row where consecutive partners differ by +-1 (mod 2n): k, k+1 -> ell,
-    ell+1 counts if 1 < ell - k (ell - k = 2n-1 arises only at n = 1, and a flat
-    pair across a row end has k = 2n-1, so neither counts).
-    """
-    rows, two_n = partner.shape
-    d = partner - np.arange(two_n, dtype=partner.dtype)
-    pos = np.flatnonzero((d == 1) | (d == 2))
-    row, is_x = pos // two_n, d.reshape(-1)[pos] == 1
-    x = np.bincount(row[is_x], minlength=rows) + (d[:, -1] == 1 - two_n)
-    y = np.bincount(row[~is_x], minlength=rows) + (d[:, -2] == 2 - two_n) + (d[:, -1] == 2 - two_n)
-    del d
-    flat = partner.reshape(-1)
-    step = np.abs(flat[1:] - flat[:-1])
-    pos = np.flatnonzero((step == 1) | (step == two_n - 1))
-    del step
-    a, b = flat[pos], flat[pos + 1]
-    row, k = np.divmod(pos, two_n)
-    ell = np.where((b - a == 1) | (b - a == 1 - two_n), a, b)
-    return x, y, np.bincount(row[ell - k > 1], minlength=rows)
 
 
 def mc_poisson_xyz(n: int, reps: int, max_moment: int, rng: np.random.Generator, threads: int = 1) -> Report:
@@ -490,17 +464,20 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
             counterexamples[label] = witness
 
     # Each family is enumerated once per size, as arrays, and every section
-    # reuses it; the predicates under test still see every seed in order.
+    # reuses it; the per-seed predicates under test still see every seed in
+    # order, and indecomposability is checked by its stacked rule.
     sizes = range(1, n_max + 1)
     perm_rows = {n: np.array(list(itertools.permutations(range(1, n + 1)))) for n in sizes}
     perms = {n: [Permutation(tuple(r)) for r in rows.tolist()] for n, rows in perm_rows.items()}
     perm_adj = {n: graphs._inversion_adj(rows) for n, rows in perm_rows.items()}
     match_rows = {n: combinat._matching_partners(n) for n in sizes}
-    matchings = {n: [combinat.Matching(tuple(r)) for r in rows.tolist()] for n, rows in match_rows.items()}
     circle_adj = {n: graphs._circle_adj(rows) for n, rows in match_rows.items()}
     split_prime = {n: graphs._split_prime_flags(adj) for n, adj in circle_adj.items()}
     dyck = {n: list(combinat.iter_dyck_paths(n)) for n in sizes}
     irreducible = {n: list(combinat.iter_irreducible_dyck(n)) for n in sizes}
+
+    def matching_text(n: int, row: int) -> str:
+        return combinat.format_matching(combinat.Matching(tuple(match_rows[n][row].tolist())))
 
     def uig_adj(words: list[DyckPath]) -> np.ndarray:
         return graphs._unit_interval_adj(np.array([_heights_arrays(w.steps)[1] for w in words]))
@@ -561,11 +538,9 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
     # --- split primality <=> indecomposability
     bad = None
     for n in sizes:
-        for m, prime in zip(matchings[n], split_prime[n]):
-            if prime != combinat.is_indecomposable(m):
-                bad = combinat.format_matching(m)
-                break
-        if bad:
+        wrong = np.flatnonzero(split_prime[n] != combinat._indecomposable_rows(match_rows[n]))
+        if wrong.size:
+            bad = matching_text(n, int(wrong[0]))
             break
     record("split_prime_iff_indecomposable", bad is None, bad)
 
@@ -576,7 +551,7 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
     for n in sizes[1:]:
         found, witness = _matching_cut_scan(match_rows[n])
         if xyz_bad is None and witness is not None:
-            xyz_bad = f"n={n}: {combinat.format_matching(matchings[n][witness])}"
+            xyz_bad = f"n={n}: {matching_text(n, witness)}"
         for k in range(2, n - 1):
             if found.get(k, 0) != combinat.count_decomposed(n, k):
                 bad = f"n={n} k={k}: scan {found.get(k, 0)} vs formula {combinat.count_decomposed(n, k)}"
@@ -1087,6 +1062,8 @@ def verify_gp(
         raise ValueError("n_values must be nonempty")
     if seeds_per_n < 1 or draws < 1:
         raise ValueError("seeds_per_n and draws must be >= 1")
+    if min(n_values) < 1 or (two_point_n is not None and two_point_n < 1):
+        raise ValueError("n_values and two_point_n must be >= 1")
     mmspace._box_grid(delta, m_grid)  # a bad grid is a usage error before any draw
     master = _master_seed(rng)
     n_big = max(n_values) if two_point_n is None else two_point_n

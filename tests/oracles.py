@@ -139,6 +139,30 @@ def brute_is_decomposable(partner: tuple[int, ...], k: int | None = None) -> boo
     return False
 
 
+def xyz_stats(partner: tuple[int, ...]) -> tuple[int, int, int]:
+    """(x, y, z) of a 1-based partner tuple, one point at a time.
+
+    x counts points with m(i) = i+1 (mod 2n), y those with m(j) = j+2, and
+    z counts index pairs k < l <= 2n with l-k != +-1 (mod 2n) such that
+    {m(k), m(k+1)} = {l, l+1} (mod 2n).
+    """
+    two_n = len(partner)
+    x = sum(1 for i in range(1, two_n + 1) if (partner[i - 1] - i - 1) % two_n == 0)
+    y = sum(1 for j in range(1, two_n + 1) if (partner[j - 1] - j - 2) % two_n == 0)
+    z = 0
+    for k in range(1, two_n):
+        a, b = partner[k - 1], partner[k]  # m(k), m(k+1); k < 2n, so no wrap
+        if (b - a - 1) % two_n == 0:
+            ell = a
+        elif (a - b - 1) % two_n == 0:
+            ell = b
+        else:
+            continue
+        if k < ell <= two_n and (ell - k) % two_n not in (1, two_n - 1):
+            z += 1
+    return x, y, z
+
+
 def phi_inverse(
     big: tuple[int, ...], mark: int, small: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:

@@ -456,10 +456,14 @@ def test_empty_sample_or_bad_tolerance_exits_2(capsys, argv, message):
         (["--delta", "0"], "delta must lie in (0, 0.5]"),
         (["--m", "1"], "grid size m must be >= 2"),
         (["--delta", "0.001", "--m", "64"], "truncation level must keep the grid off the boundary cells"),
+        (["--n-values", "50,0"], "n_values and two_point_n must be >= 1"),
+        (["--n-values", "-5"], "n_values and two_point_n must be >= 1"),
+        (["--two-point-n", "0"], "n_values and two_point_n must be >= 1"),
     ],
 )
 def test_verify_gp_bad_grid_exits_2_before_any_draw(capsys, monkeypatch, argv, message):
-    # the grid is checked before the default 10,000 two-point draws
+    # the grid and the sizes are checked before the default 10,000
+    # two-point draws
     def no_draw(*args):
         raise AssertionError("two-point draw made before the grid was checked")
 

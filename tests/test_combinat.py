@@ -110,9 +110,10 @@ def test_matching_text_roundtrip():
 
 
 def test_xyz_frozen_examples():
-    assert C.xyz_stats(C.parse_matching("1-2 3-4")) == (2, 0, 1)
-    assert C.xyz_stats(C.parse_matching("1-3 2-4")) == (0, 4, 2)
-    assert C.xyz_stats(C.parse_matching("1-4 2-5 3-6")) == (0, 0, 3)
+    for text, xyz in (("1-2 3-4", (2, 0, 1)), ("1-3 2-4", (0, 4, 2)), ("1-4 2-5 3-6", (0, 0, 3))):
+        m = C.parse_matching(text)
+        assert oracles.xyz_stats(m.partner) == xyz
+        assert C.xyz_stats(m) == xyz
 
 
 def test_decomposed_counts_formula_values():
@@ -274,6 +275,19 @@ def test_symmetric_matching_counts_vs_brute():
             if (2 * n) % d:
                 continue
             assert C.count_symmetric_matchings(n, d) == _rotation_fixed_count(n, d), (n, d)
+
+
+def test_symmetric_matching_counts_reject_bad_input():
+    # like count_matchings, a negative size is an error, not the empty count
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        C.count_symmetric_matchings(-1, 2)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        C.count_matchings(-1)
+    with pytest.raises(ValueError, match="d must be >= 2"):
+        C.count_symmetric_matchings(2, 1)
+    with pytest.raises(ValueError, match="does not divide"):
+        C.count_symmetric_matchings(2, 3)
+    assert C.count_symmetric_matchings(0, 2) == 1
 
 
 def _fixed_by_dihedral_map(partner: tuple[int, ...]) -> bool:

@@ -263,14 +263,17 @@ def test_log_block_law_matches_exact_weights(n):
 
 
 def test_xyz_batch_matches_per_matching_stats():
-    # the exhaustive suite checks x/y/z through the batch function, so it
-    # must agree with xyz_stats on every matching up to n = 6; the kernel
-    # works in its input's dtype, so every stack runs as int32 and int64
+    # the exhaustive suite and every indecomposability check count x/y/z
+    # through the batch function, so it must agree with the point-by-point
+    # oracle on every matching up to n = 6, and xyz_stats, its one-row case,
+    # with both; the kernel works in its input's dtype, so every stack runs
+    # as int32 and int64
     rng = np.random.default_rng(6)
     batches = [X._sample_matchings_batch(n, 300, rng) for n in (2, 3, 5, 8)]
     batches += [C._matching_partners(n) - 1 for n in range(1, 7)]
     for batch in batches:
-        expected = [C.xyz_stats(C.Matching(tuple(int(v) + 1 for v in row))) for row in batch]
+        expected = [oracles.xyz_stats(tuple(int(v) + 1 for v in row)) for row in batch]
+        assert [C.xyz_stats(C.Matching(tuple(int(v) + 1 for v in row))) for row in batch] == expected
         for dtype in (np.int32, np.int64):
             xs, ys, zs = X._xyz_batch(batch.astype(dtype))
             assert xs.dtype == ys.dtype == zs.dtype == np.int64
@@ -292,11 +295,18 @@ def test_xyz_batch_matches_per_matching_stats():
 )
 def test_xyz_batch_wrap_candidates(text, xyz, dtype):
     m = C.parse_matching(text)
+    assert oracles.xyz_stats(m.partner) == xyz
     assert C.xyz_stats(m) == xyz
     # stacked three times, each row's last partner and the next row's first
     # differ by 1: a flat candidate across the row end, which never counts
     xs, ys, zs = X._xyz_batch(np.array([m.partner] * 3, dtype=dtype) - 1)
     assert list(zip(xs.tolist(), ys.tolist(), zs.tolist())) == [xyz] * 3
+
+
+def test_traced_xyz_kernel_is_shared():
+    # the benchmark tracer swaps this one object in every namespace, so its
+    # experiments.xyz_batch spans also count the calls made from combinat
+    assert X._xyz_batch is C._xyz_batch
 
 
 def test_xyz_batch_memory_is_bounded():
@@ -628,11 +638,22 @@ def test_exact_enumeration_suite_pinned_with_small_blocks(monkeypatch):
 _FAULT_MATCHING = "1-4 2-6 3-8 5-9 7-10"
 _FAULT_PERM = (2, 4, 1, 5, 3)
 
+
+def _flip_fault_row(f):
+    fault = np.array(C.parse_matching(_FAULT_MATCHING).partner)
+
+    def flipped(rows):
+        out = f(rows)
+        return out ^ (rows == fault).all(axis=1) if rows.shape[1] == fault.size else out
+
+    return flipped
+
+
 # One predicate or formula made wrong on one size-5 seed, and the labels and
 # witnesses the suite reported for it with the one-graph-at-a-time suite.
 _FAULTS = {
-    "is_indecomposable": (
-        lambda f: lambda m: (not f(m)) if C.format_matching(m) == _FAULT_MATCHING else f(m),
+    "_indecomposable_rows": (
+        _flip_fault_row,
         {"split_prime_iff_indecomposable": "1-4 2-6 3-8 5-9 7-10"},
     ),
     "is_simple": (
@@ -664,10 +685,10 @@ def test_exact_enumeration_suite_reports_injected_fault(monkeypatch, name):
 
 
 def test_exact_enumeration_suite_consults_predicates_per_seed(monkeypatch):
-    # the predicates under test and the closed forms are called exactly as
-    # often as by the one-graph-at-a-time suite: every seed, in order
+    # the per-seed predicates under test and the closed forms are called
+    # exactly as often as by the one-graph-at-a-time suite: every seed, in
+    # order; indecomposability is asked once per size, of every matching row
     expected = {
-        "is_indecomposable": 1069,
         "is_simple": 188,
         "count_decomposed": 3,
         "count_matchings": 11,
@@ -686,8 +707,19 @@ def test_exact_enumeration_suite_consults_predicates_per_seed(monkeypatch):
 
     for name in expected:
         monkeypatch.setattr(C, name, counting(name, getattr(C, name)))
+    stacks = []
+    rows_rule = C._indecomposable_rows
+
+    def recording(rows):
+        stacks.append(rows)
+        return rows_rule(rows)
+
+    monkeypatch.setattr(C, "_indecomposable_rows", recording)
     assert X.exact_enumeration_suite(5).passed
     assert calls == expected
+    seen = [tuple(row) for rows in stacks for row in rows.tolist()]
+    assert seen == [m.partner for n in range(1, 6) for m in C.iter_matchings(n)]
+    assert len(seen) == 1069
 
 
 def _peak_mib(fn) -> float:
