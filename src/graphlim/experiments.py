@@ -14,14 +14,13 @@ use uniform seed objects, whose graph statistics have the same limits.
 Reports carry this note in their params.
 
 Counting of unit interval graphs is exact (big integers).  The multiset
-sampler uses the exact counts for n <= 600 and switches to log-space
-weights (relative error ~1e-13, far below any statistical resolution here)
-above that; the cutoff is recorded in the sampler's report params.
+sampler draws every decomposition step from log-space float64 weights
+(relative error ~1e-12 against the exact counts, far below any statistical
+resolution here), one uniform per step.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import json
@@ -187,6 +186,8 @@ def mc_clique_density(
         raise ValueError("reps must be >= 1")
     if tol is not None and not tol >= 0:
         raise ValueError("tol must be >= 0")
+    if tol is None and reps < 2:
+        raise ValueError("reps must be >= 2 unless tol is given")
     master = _master_seed(rng)
     total = math.comb(n, k)
 
@@ -640,11 +641,10 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
 # Unit interval graph counting and sampling
 # ---------------------------------------------------------------------------
 
-_EXACT_SAMPLING_LIMIT = 600
-
 # Every table below is a memoized pure function of its size, read-only once
 # built, so pool workers share it without a lock; drivers build their top
-# size's tables before fanning out, so that no two workers build one at once.
+# size's block table before fanning out, so that no two workers build one at
+# once.
 
 
 def count_connected_unit_interval_graphs(n: int) -> int:
@@ -660,38 +660,36 @@ def count_connected_unit_interval_graphs(n: int) -> int:
 
 
 @functools.cache
-def _exact_counts(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(U_0..U_n, d * C_d for d = 0..n) by the Euler transform
-    t U_t = sum_k a_k U_{t-k} with a_k = sum_{d|k} d C_d (exact integers)."""
-    dc = [0] + [d * count_connected_unit_interval_graphs(d) for d in range(1, n + 1)]
+def _exact_counts(n: int) -> tuple[int, ...]:
+    """U_0..U_n by the Euler transform t U_t = sum_k a_k U_{t-k} with
+    a_k = sum_{d|k} d C_d (exact integers)."""
     a = [0] * (n + 1)
     for d in range(1, n + 1):
+        dc = d * count_connected_unit_interval_graphs(d)
         for k in range(d, n + 1, d):
-            a[k] += dc[d]
+            a[k] += dc
     u = [1]
     for t in range(1, n + 1):
         s, r = divmod(sum(map(operator.mul, a[1 : t + 1], reversed(u))), t)
         if r:
             raise AssertionError("Euler recursion must divide exactly")
         u.append(s)
-    return tuple(u), tuple(dc)
+    return tuple(u)
 
 
 def count_unit_interval_graphs(n: int) -> int:
     """U_n: unit interval graphs on n vertices (exact integer), read from a
-    power-of-two table, or the sampler's when that is smaller and holds n,
-    so that a small n builds a small table and a scan over n builds few."""
+    power-of-two table, so that a small n builds a small table and a scan
+    over n builds few."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    size = 1 << n.bit_length()
-    return _exact_counts(size if n > _EXACT_SAMPLING_LIMIT else min(size, _EXACT_SAMPLING_LIMIT))[0][n]
+    return _exact_counts(1 << n.bit_length())[n]
 
 
 @functools.cache
 def _log_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(log d C_d for d = 0..n, log U_0..log U_n) in float64: C_d by lgamma,
-    U_t by the same Euler transform; used only for sampling weights above
-    the exact cutoff."""
+    U_t by the same Euler transform; the sampler's block weights."""
     log_dc = np.full(n + 1, -np.inf)
     log_a = np.full(n + 1, -np.inf)
     for d in range(1, n + 1):
@@ -709,36 +707,18 @@ def _log_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
     return log_dc, log_u
 
 
-def _rand_below(total: int, rng: np.random.Generator) -> int:
-    bits = total.bit_length()
-    nbytes = (bits + 7) // 8
-    shift = 8 * nbytes - bits
-    while True:
-        r = int.from_bytes(rng.bytes(nbytes), "big") >> shift
-        if r < total:
-            return r
-
-
 @functools.cache
-def _block_table(n: int, top: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...] | np.ndarray]:
+def _block_table(n: int, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (d, j) pairs of one decomposition step at n, d-major, as two
-    arrays, and running sums of their weights d * C_d * U_{n-jd}: exact
-    integers up to the cutoff, else log-space floats (max weight 1) read
-    from the log tables of the sample's size top."""
+    arrays, and running sums of their weights d * C_d * U_{n-jd} in float64
+    (max weight 1), read from the log tables of the sample's size top."""
     per_d = n // np.arange(1, n + 1)
     ds = np.repeat(np.arange(1, n + 1), per_d)
     js = np.arange(1, ds.size + 1) - np.repeat(np.cumsum(per_d) - per_d, per_d)
-    ds.flags.writeable = js.flags.writeable = False
-    if n <= _EXACT_SAMPLING_LIMIT:
-        u, dc = _exact_counts(_EXACT_SAMPLING_LIMIT)
-        cum = tuple(itertools.accumulate(dc[d] * u[n - j * d] for d, j in zip(ds.tolist(), js.tolist())))
-        if cum[-1] != n * u[n]:
-            raise AssertionError("block weights must sum to n * U_n")
-        return ds, js, cum
     log_dc, log_u = _log_counts(top)
     logw = log_dc[ds] + log_u[n - js * ds]
     cum = np.cumsum(np.exp(logw - logw.max()))
-    cum.flags.writeable = False
+    ds.flags.writeable = js.flags.writeable = cum.flags.writeable = False
     return ds, js, cum
 
 
@@ -746,19 +726,9 @@ def _draw_block(n: int, rng: np.random.Generator, top: int | None = None) -> tup
     """One multiset-decomposition step: (component size d, copy count j)
     with probability d * C_d * U_{n-jd} / (n * U_n), inside a sample of
     size top (default n)."""
-    if n <= _EXACT_SAMPLING_LIMIT:
-        ds, js, cum = _block_table(n, n)
-        i = bisect.bisect_right(cum, _rand_below(cum[-1], rng))
-    else:
-        ds, js, cum = _block_table(n, top or n)
-        i = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), ds.size - 1)
+    ds, js, cum = _block_table(n, top or n)
+    i = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), ds.size - 1)
     return ds.item(i), js.item(i)
-
-
-def _build_tables(n: int) -> None:
-    """Build the tables a size-n sample reads first, before a pool fans out."""
-    _exact_counts(_EXACT_SAMPLING_LIMIT)
-    _block_table(n, n)
 
 
 def _connected_uig_steps(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -831,7 +801,7 @@ def largest_component_stats(
     if deficiency_cutoff < 0:
         raise ValueError("deficiency_cutoff must be >= 0")
     master = _master_seed(rng)
-    _build_tables(n)
+    _block_table(n, n)
 
     def one(_: int, child: np.random.Generator) -> int:
         blocks = _sample_uig_blocks(n, child)
@@ -874,9 +844,11 @@ def mc_unit_clique_scaling(
         raise ValueError("k_max must be in 2..6")
     if reps < 10:
         raise ValueError("reps must be >= 10")
+    if m_grid < 2:
+        raise ValueError("grid size m must be >= 2")
     master = _master_seed(rng)
     ks_range = range(2, k_max + 1)
-    _build_tables(n)
+    _block_table(n, n)
 
     def graph_side(_: int, child: np.random.Generator) -> list[float]:
         f_all = _heights_arrays(np.concatenate(_sample_uig_words(n, child)))[1].astype(np.float64)
@@ -912,7 +884,9 @@ def mc_unit_clique_scaling(
         estimates.append(EstimateRecord(f"excursion_mean_k{k}", me, se_))
         ok &= stat < 0.05
     if k_max >= 3:
-        corr = float(np.corrcoef(gvals[:, 0], gvals[:, 1])[0, 1])
+        # a constant column has no correlation: NaN, reported as null
+        with np.errstate(invalid="ignore", divide="ignore"):
+            corr = float(np.corrcoef(gvals[:, 0], gvals[:, 1])[0, 1])
         estimates.append(EstimateRecord("corr_edges_triangles", corr, None))
         ok &= corr > 0.0
     return Report(

@@ -437,12 +437,13 @@ def test_argument_below_range_exits_2(tmp_path, capsys, argv, message):
             ["verify", "gp", "--delta", "0.5", "--n-values", "50", "--seeds-per-n", "1", "--draws", "10", "--m", "64"],
             "delta and m must leave at least 2 grid points",
         ),
+        (["verify", "densities", "--n", "50", "--reps", "1"], "reps must be >= 2 unless tol is given"),
     ],
 )
 def test_empty_sample_or_bad_tolerance_exits_2(capsys, argv, message):
-    # an empty sample has no median or KS statistic and no mean meets a
-    # negative tolerance: a usage error, not a crash (3) or a failed
-    # criterion (1)
+    # an empty sample has no median or KS statistic, one rep has no standard
+    # error to set a default tolerance, and no mean meets a negative
+    # tolerance: a usage error, not a crash (3) or a failed criterion (1)
     code, out, err = run_cli(argv + ["--seed", "1"], capsys)
     assert code == 2
     assert f"error: {message}" in err
@@ -471,6 +472,19 @@ def test_verify_gp_bad_grid_exits_2_before_any_draw(capsys, monkeypatch, argv, m
     code, out, err = run_cli(["verify", "gp", *argv, "--seed", "3"], capsys)
     assert code == 2
     assert f"error: {message}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["--m", "1"], ["--m", "-3"]])
+def test_verify_clique_scaling_bad_grid_exits_2_before_any_draw(capsys, monkeypatch, argv):
+    # the excursion grid is checked before the graph side draws its samples
+    def no_draw(*args):
+        raise AssertionError("graph draw made before the grid was checked")
+
+    monkeypatch.setattr(experiments, "_sample_uig_words", no_draw)
+    code, out, err = run_cli(["verify", "clique-scaling", *argv, "--seed", "1"], capsys)
+    assert code == 2
+    assert "error: grid size m must be >= 2" in err
     assert out == ""
 
 

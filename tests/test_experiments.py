@@ -104,13 +104,13 @@ def test_log_tables_match_exact_counts():
 
 def test_memoized_tables_are_read_only():
     # pool workers share every table without a lock, so none can be written
-    u, dc = X._exact_counts(12)
+    u = X._exact_counts(12)
     log_dc, log_u = X._log_counts(700)
     assert X._exact_counts(12) is X._exact_counts(12)
-    for table in (u, dc, X._block_table(12, 12)[2]):
-        with pytest.raises(TypeError):
-            table[1] = 0
-    for table in (log_dc, log_u, *X._block_table(12, 12)[:2], *X._block_table(650, 700)):
+    assert isinstance(u, tuple) and len(u) == 13
+    with pytest.raises(TypeError):
+        u[1] = 0
+    for table in (log_dc, log_u, *X._block_table(12, 12), *X._block_table(650, 700)):
         with pytest.raises(ValueError, match="read-only"):
             table[1] = 0
 
@@ -191,7 +191,7 @@ def test_sample_uig_components_are_consecutive_blocks():
 
 def test_log_path_sampler_runs_above_exact_cutoff():
     rng = np.random.default_rng(4)
-    n = X._EXACT_SAMPLING_LIMIT + 37
+    n = 637
     g = X.sample_unit_interval_graph(n, rng)
     assert g.n == n
     w = X.sample_connected_unit_interval_graph(n, rng)
@@ -230,21 +230,19 @@ def test_draw_block_distribution_small_n():
 
 def test_draw_block_distribution_above_cutoff():
     # the log-space table: one uniform searched in its running sums
-    _assert_block_law(X._EXACT_SAMPLING_LIMIT + 1, np.random.default_rng(5))
+    _assert_block_law(601, np.random.default_rng(5))
 
 
-@pytest.mark.parametrize("n", [601, 650, 1000])
+@pytest.mark.parametrize("n", [1, 2, 4, 12, 150, 600, 601, 650, 1000])
 def test_log_block_law_matches_exact_weights(n):
-    # above the exact cutoff the block table comes from the log tables; its
-    # normalised running sums must be d * C_d * U_{n-jd} / (n * U_n) summed
-    # with big-integer counts
-    assert n > X._EXACT_SAMPLING_LIMIT
+    # the block table comes from the log tables; its normalised running sums
+    # must be d * C_d * U_{n-jd} / (n * U_n) summed with big-integer counts
     ds, js, cum = X._block_table(n, n)
     pairs = list(zip(ds.tolist(), js.tolist()))
     assert pairs == [(d, j) for d in range(1, n + 1) for j in range(1, n // d + 1)]
     # the step table inside a larger sample reads a longer log table
     assert np.array_equal(X._block_table(n, 2 * n)[2], cum)
-    u = X._exact_counts(n)[0]
+    u = X._exact_counts(n)
     c = X.count_connected_unit_interval_graphs
     weights = [d * c(d) * u[n - j * d] for d, j in pairs]
     total = n * u[n]
@@ -366,8 +364,9 @@ print(json.dumps(reports))
 
 
 def test_counting_tables_thread_safe_from_cold():
-    # the count and block tables are grown by pool workers on first use; a
-    # fresh process makes them cold, on both sides of the exact/log cutoff
+    # the count and block tables are built on first use; a fresh process
+    # makes them cold, for a sample small enough that exact counts could
+    # have drawn it and for a larger one
     src = Path(X.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_TABLES_SCRIPT],
@@ -382,17 +381,20 @@ def test_counting_tables_thread_safe_from_cold():
     assert cold4_2000 == warm1_2000
 
 
-# SHA-256 of largest_component_stats(n, 200, default_rng(n)) report JSON on
-# both sides of the exact/log cutoff, and of a clique-scaling run whose
-# draws step through both, recorded with the lazily grown, lock-guarded
-# counting tables; the memoized read-only tables must reproduce every byte
-# at any thread count.
+# SHA-256 of largest_component_stats(n, 200, default_rng(n)) report JSON at
+# sizes below and above 600, and of a clique-scaling run whose samples take
+# several block steps; the memoized read-only tables must reproduce every
+# byte at any thread count.  The 150, 600 and clique-scaling digests were
+# recorded again when every block step moved to the log-space table (one
+# uniform per step, in place of big-integer weights up to n = 600); the 601
+# and 2000 reports draw their deficiency from the first step, which was
+# already a log-space draw, and kept their digests.
 _PINNED_BLOCK_REPORTS = {
-    150: "56fe1a20ba7c8cf34e86f27e5fcb251489ebc3ab912cac396ab1c0e960a2af0e",
-    600: "be84ab36a71c03f8537b56df5a3992ba59e11ba27b27432c6a8f661aff96f2a6",
+    150: "573d8a47fd128f9c8e64af26d35f3ef6b1c1feb0315b5b244cb7b07071565a7a",
+    600: "3c6af4dacc4a2264d217949e01f16f6364cb7e7e3135697ac37455f24e50e425",
     601: "1c2d6804e70acfc0a5adacf3f3e9afeb50be19e98950ea79eb1ce184dcd0457a",
     2000: "cb8b6919e414bb1e8666f5864b098f9c27c45d8bf0a5c15face9dcdb45e4d48c",
-    "mc_unit_clique_scaling_700": "f9de574b16f069f411351db89ddef14fed45fd05933f4344c251dc44963fb53f",
+    "mc_unit_clique_scaling_700": "da306154568ea2bde8cdc9568b2498eabb9d9f27e66d5084651ac63875699a70",
 }
 
 
@@ -411,10 +413,12 @@ def test_block_draw_reports_pinned(threads):
 
 # SHA-256 of report JSON for small unit-interval metric runs, recorded with
 # the earlier one-source-at-a-time jump walk and character-loop Dyck words;
-# the vectorised code must reproduce every byte at any thread count.
+# the vectorised code must reproduce every byte at any thread count.  The
+# clique-scaling digest was recorded again when every block step moved to the
+# log-space table; the other two draw no blocks.
 _PINNED_REPORTS = {
     "verify_gp": "71d71170904682795e8048ee4f14ecb26ce88e8ce3ed5c1c8f47453f515cb6c0",
-    "mc_unit_clique_scaling": "6fe0a1170eb4899061694e05f9d46f5dd021a09358d294a169da5d086e3eed7c",
+    "mc_unit_clique_scaling": "5dce8f0571b189f28fc34481332c62411367454c8f770604765e8705bc77410e",
     "verify_distance_formula": "2f536802d09095b5b1d6bd209742ac1e44a335b95c19fb448bfe8075037f1668",
 }
 
@@ -571,6 +575,11 @@ def test_mc_clique_density_validation():
         X.mc_clique_density("perm", 4000, 2, 5, rng)
     with pytest.raises(ValueError):
         X.mc_clique_density("perm", 10, 2, 0, rng)
+    # one rep has no standard error, so the default tolerance would be a
+    # float-equality test; an explicit tolerance keeps one rep legal
+    with pytest.raises(ValueError, match="reps must be >= 2 unless tol is given"):
+        X.mc_clique_density("perm", 10, 2, 1, rng)
+    assert X.mc_clique_density("perm", 10, 2, 1, rng, tol=0.5).params["reps"] == 1
 
 
 def test_mc_poisson_xyz_small():
