@@ -37,13 +37,16 @@ _SUITES = (
     "components",
 )
 _EXPORT_KINDS = ("heatmap", "excursion", "distance-matrix")
+# the --format values each command can write; without --format it writes its own default
+_FORMATS = {"sample": (), "build": ("csv",), "verify": ("json",), "export heatmap": ("pgm", "csv"),
+            "export excursion": ("csv",), "export distance-matrix": ("csv",)}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     seed: int
     out_dir: Path
-    format: str  # json | csv | pgm
+    format: str | None  # json | csv | pgm, or None for the command's default
     threads: int
 
     def rng(self) -> np.random.Generator:
@@ -54,7 +57,10 @@ def _resolve_threads(value: str | None) -> int:
     if value is None:
         value = os.environ.get("GRAPHLIM_THREADS", "1")
     if value == "auto":
-        return os.cpu_count() or 1
+        try:  # the CPUs this process may run on, not all of the host's
+            return len(os.sched_getaffinity(0))
+        except AttributeError:
+            return os.cpu_count() or 1
     threads = int(value)
     if threads < 1:
         raise ValueError("threads must be >= 1 or 'auto'")
@@ -62,6 +68,10 @@ def _resolve_threads(value: str | None) -> int:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    command = f"export {args.kind}" if args.command == "export" else args.command
+    if args.format is not None and args.format not in _FORMATS[command]:
+        can = " or ".join(_FORMATS[command]) or "no --format"
+        raise ValueError(f"{command} cannot write --format {args.format}; it takes {can}")
     seed = args.seed
     if seed is None:
         env = os.environ.get("GRAPHLIM_SEED")
@@ -270,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="64-bit seed (env GRAPHLIM_SEED)")
     common.add_argument("--threads", default=None, help="worker count or 'auto' (env GRAPHLIM_THREADS)")
     common.add_argument("--out-dir", default=".", help="directory for output files")
-    common.add_argument("--format", choices=("json", "csv", "pgm"), default="json")
+    common.add_argument("--format", choices=("json", "csv", "pgm"), help="default: the command's own output")
     common.add_argument("--out", default=None, help="output file name (default: stdout where possible)")
 
     parser = argparse.ArgumentParser(

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from .combinat import (
     DyckPath,
@@ -232,6 +230,7 @@ def all_pairs_distances(g: UGraph) -> np.ndarray:
     """Matrix of BFS distances (float, np.inf for disconnected pairs)."""
     if g.n == 0:
         return np.zeros((0, 0))
+    import scipy.sparse.csgraph  # imported here, not at module load, for a fast cold start
     sparse = scipy.sparse.csr_matrix(g.adj)
     return scipy.sparse.csgraph.shortest_path(sparse, method="D", unweighted=True)
 
@@ -588,6 +587,7 @@ def connected_components(g: UGraph) -> list[list[int]]:
     """Vertex sets of the connected components, each sorted, ordered by minimum vertex."""
     if g.n == 0:
         return []
+    import scipy.sparse.csgraph  # imported here, not at module load, for a fast cold start
     n_comp, labels = scipy.sparse.csgraph.connected_components(
         scipy.sparse.csr_matrix(g.adj), directed=False
     )

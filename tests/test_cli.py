@@ -408,6 +408,60 @@ def test_usage_errors_exit_2():
 
 
 @pytest.mark.parametrize(
+    "argv, fmt, can",
+    [
+        (["sample", "perm", "--n", "3"], "json", "no --format"),
+        (["sample", "perm", "--n", "3"], "csv", "no --format"),
+        (["sample", "perm", "--n", "3"], "pgm", "no --format"),
+        (["build", "inversion"], "json", "csv"),
+        (["build", "inversion"], "pgm", "csv"),
+        (["verify", "exact", "--nmax", "3"], "csv", "json"),
+        (["verify", "exact", "--nmax", "3"], "pgm", "json"),
+        (["export", "heatmap", "--n", "6", "--reps", "2"], "json", "pgm or csv"),
+        (["export", "excursion", "--m", "16"], "json", "csv"),
+        (["export", "excursion", "--m", "16"], "pgm", "csv"),
+        (["export", "distance-matrix", "--n", "5"], "json", "csv"),
+        (["export", "distance-matrix", "--n", "5"], "pgm", "csv"),
+    ],
+)
+def test_format_the_command_cannot_write_exits_2(tmp_path, capsys, argv, fmt, can):
+    # an explicit --format is never silently replaced by the command's own output
+    args = argv + ["--format", fmt, "--seed", "1", "--out-dir", str(tmp_path / "out")]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    command = " ".join(argv[:2]) if argv[0] == "export" else argv[0]
+    assert f"error: {command} cannot write --format {fmt}; it takes {can}" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_format_the_command_writes_matches_its_default(tmp_path, capsys):
+    verify = ["verify", "exact", "--nmax", "3", "--seed", "2"]
+    assert run_cli(verify + ["--format", "json"], capsys)[1] == run_cli(verify, capsys)[1]
+    for argv, name, fmt in [
+        (["export", "heatmap", "--n", "6", "--reps", "2"], "heatmap_perm_n6.pgm", "pgm"),
+        (["export", "excursion", "--m", "16"], "excursion_m16.csv", "csv"),
+        (["export", "distance-matrix", "--n", "5"], "distances_perm_n5.csv", "csv"),
+    ]:
+        files = []
+        for extra in ([], ["--format", fmt]):
+            out_dir = tmp_path / f"{argv[1]}{len(extra)}"
+            assert run_cli(argv + extra + ["--seed", "3", "--out-dir", str(out_dir)], capsys)[0] == 0
+            files.append((out_dir / name).read_bytes())
+        assert files[0] == files[1]
+
+
+def test_threads_auto_counts_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert cli._resolve_threads("auto") == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._resolve_threads("auto") == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._resolve_threads("auto") == 1
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["export", "heatmap", "--n", "6", "--reps", "-1"], "reps must be >= 1"),
@@ -563,3 +617,22 @@ def test_python_dash_m_runs_cli():
     src_dir = Path(graphlim.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src_dir)}
     _run_matching_sample([sys.executable, "-m", "graphlim"], env=env)
+
+
+def test_import_loads_scipy_submodules_only_when_called():
+    """``import graphlim, graphlim.cli`` loads no scipy submodule, which keeps
+    a cold start short; the sparse-graph routines load theirs on first call."""
+    src_dir = Path(graphlim.__file__).resolve().parent.parent
+    script = (
+        "import sys\n"
+        "import graphlim, graphlim.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.sparse', 'scipy.special'))))\n"
+        "graphlim.graphs.all_pairs_distances(graphlim.graphs.UGraph.complete(3))\n"
+        "print('scipy.sparse.csgraph' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src_dir)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]

@@ -605,6 +605,42 @@ def test_verify_sample_laws():
     assert rep.get("chisq_p_circle").value > 1e-3
 
 
+@pytest.mark.parametrize(
+    "na, nb", [(1, 1), (10, 10), (2000, 3000), (999, 1000), (10_000, 10_000)]
+)
+def test_ks_statistic_equals_scipy(na, nb):
+    # sizes up to 10^4 a side, where scipy's exact mode rounds to h / lcm:
+    # gcd > 1 (2000 vs 3000) and gcd 1 (999 vs 1000)
+    rng = np.random.default_rng(na * 7 + nb)
+    a, b = rng.random(na), 1.05 * rng.random(nb)
+    assert X._ks_statistic(a, b) == scipy.stats.ks_2samp(a, b).statistic
+    ties_a, ties_b = rng.integers(0, 4, na).astype(float), rng.integers(0, 5, nb).astype(float)
+    assert X._ks_statistic(ties_a, ties_b) == scipy.stats.ks_2samp(ties_a, ties_b).statistic
+
+
+def test_ks_statistic_nan_and_large_samples():
+    rng = np.random.default_rng(31)
+    assert math.isnan(X._ks_statistic([0.5, np.nan, 0.1], [0.2, 0.3]))
+    assert math.isnan(X._ks_statistic([0.5, 0.1], [np.nan]))
+    # above 10^4 a side scipy returns its unrounded float
+    for na, nb in [(10_001, 12_000), (20_000, 15_000)]:
+        a, b = rng.random(na), 1.02 * rng.random(nb)
+        assert X._ks_statistic(a, b) == pytest.approx(
+            scipy.stats.ks_2samp(a, b).statistic, rel=0, abs=1e-15
+        )
+
+
+def test_chisquare_p_equals_scipy():
+    rng = np.random.default_rng(32)
+    for size in (2, 4, 9):
+        expected = rng.random(size) + 0.1
+        expected *= 5000 / expected.sum()
+        observed = rng.multinomial(5000, expected / expected.sum()).astype(np.float64)
+        assert X._chisquare_p(observed, expected) == scipy.stats.chisquare(observed, expected).pvalue
+    with pytest.raises(ValueError):
+        X._chisquare_p([10.0, 20.0], [10.0, 21.0])
+
+
 def test_exact_enumeration_suite_small():
     rep = X.exact_enumeration_suite(4)
     assert rep.passed
