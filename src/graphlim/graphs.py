@@ -227,12 +227,44 @@ def unit_interval_graph(w: DyckPath) -> UGraph:
 
 
 def all_pairs_distances(g: UGraph) -> np.ndarray:
-    """Matrix of BFS distances (float, np.inf for disconnected pairs)."""
-    if g.n == 0:
-        return np.zeros((0, 0))
-    import scipy.sparse.csgraph  # imported here, not at module load, for a fast cold start
-    sparse = scipy.sparse.csr_matrix(g.adj)
-    return scipy.sparse.csgraph.shortest_path(sparse, method="D", unweighted=True)
+    """Matrix of BFS distances (float, np.inf for disconnected pairs).
+
+    A bit-parallel BFS from all sources at once (Then et al., "The More the
+    Merrier", PVLDB 8(4), 2014), run on blocks of 128 sources.  Bit b of word
+    w in row v of ``reach`` says that v is within the current radius of
+    source lo + 64w + b; one level ORs the words of each closed neighbourhood
+    together, and a block ends at the first level that adds no bit.  A pair's
+    distance is the number of levels at which it was still apart.
+
+    The work is levels x (n + 2m) x ceil(n/64) words, so this loses to a
+    per-source search on sparse graphs of large diameter: a 1000-vertex path
+    takes about a second.  Dense graphs and graphs of diameter O(1) or about
+    sqrt(n) (random perm, circle and unit interval graphs) are its case.
+    """
+    n = g.n
+    rows, cols = np.nonzero(g.adj | np.eye(n, dtype=bool))
+    cols = cols.astype(np.int32)
+    starts = np.searchsorted(rows, np.arange(n))
+    dist = np.empty((n, n))
+    for lo in range(0, n, 128):
+        k = min(128, n - lo)
+        bit = np.arange(k)
+        reach = np.zeros((n, 2), dtype=np.uint64)
+        reach[lo + bit, bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
+        apart = np.zeros((n, 128), dtype=np.int32)
+        while True:
+            apart += _bits(~reach)
+            grown = np.bitwise_or.reduceat(reach.take(cols, axis=0), starts, axis=0)
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+        dist[lo : lo + k] = np.where(_bits(reach)[:, :k], apart[:, :k], np.inf).T
+    return dist
+
+
+def _bits(words: np.ndarray) -> np.ndarray:
+    """(n, w) uint64 words as (n, 64w) 0/1 uint8: bit b of word j is column 64j + b."""
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little")
 
 
 def _require_irreducible(w: DyckPath) -> None:
@@ -587,15 +619,9 @@ def connected_components(g: UGraph) -> list[list[int]]:
     """Vertex sets of the connected components, each sorted, ordered by minimum vertex."""
     if g.n == 0:
         return []
-    import scipy.sparse.csgraph  # imported here, not at module load, for a fast cold start
-    n_comp, labels = scipy.sparse.csgraph.connected_components(
-        scipy.sparse.csr_matrix(g.adj), directed=False
-    )
-    comps: list[list[int]] = [[] for _ in range(n_comp)]
-    for v, lab in enumerate(labels):
-        comps[lab].append(v + 1)
-    comps.sort(key=lambda c: c[0])
-    return comps
+    reach = np.isfinite(all_pairs_distances(g))
+    # the first finite column of a row is the least vertex of its component
+    return [(np.flatnonzero(reach[v]) + 1).tolist() for v in np.unique(reach.argmax(axis=1))]
 
 
 # ---------------------------------------------------------------------------

@@ -621,18 +621,20 @@ def test_python_dash_m_runs_cli():
 
 def test_import_loads_scipy_submodules_only_when_called():
     """``import graphlim, graphlim.cli`` loads no scipy submodule, which keeps
-    a cold start short; the sparse-graph routines load theirs on first call."""
+    a cold start short, and the graph routines never load ``scipy.sparse``."""
     src_dir = Path(graphlim.__file__).resolve().parent.parent
     script = (
         "import sys\n"
         "import graphlim, graphlim.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.sparse', 'scipy.special'))))\n"
-        "graphlim.graphs.all_pairs_distances(graphlim.graphs.UGraph.complete(3))\n"
-        "print('scipy.sparse.csgraph' in sys.modules)\n"
+        "g = graphlim.graphs.UGraph.from_edges(4, [(1, 2)])\n"
+        "graphlim.graphs.all_pairs_distances(g)\n"
+        "graphlim.graphs.connected_components(g)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(src_dir)}
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True"]
+    assert proc.stdout.splitlines() == ["[]", "[]"]

@@ -798,6 +798,23 @@ def test_verify_distance_formula_small():
     assert rep.get("pairs_checked").value > 0
 
 
+@pytest.mark.parametrize("side", ["_table_distances", "all_pairs_distances"])
+def test_verify_distance_formula_detects_a_wrong_distance(monkeypatch, side):
+    # one wrong entry per graph, on either side of the comparison, is one
+    # mismatch per rep
+    rule = getattr(G, side)
+
+    def off_by_one(*args):
+        dist = rule(*args)
+        dist[0, -1] += 1
+        return dist
+
+    monkeypatch.setattr(G, side, off_by_one)
+    rep = X.verify_distance_formula(40, 25, np.random.default_rng(19))
+    assert not rep.passed
+    assert rep.get("mismatches").value == 25.0
+
+
 def test_verify_clique_formula_small():
     rep = X.verify_clique_formula(12, 4, 20, np.random.default_rng(20))
     assert rep.passed

@@ -114,6 +114,53 @@ def test_bfs_and_all_pairs_match_oracle():
                 assert ours[i, j] == brute[i][j]
 
 
+def _scipy_distances(g: G.UGraph) -> np.ndarray:
+    import scipy.sparse.csgraph
+
+    return scipy.sparse.csgraph.shortest_path(
+        scipy.sparse.csr_matrix(g.adj), method="D", unweighted=True
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 300])
+def test_all_pairs_distances_bytes_equal_scipy_dijkstra(n):
+    # n crosses the 64-bit word and 128-source block edges of the bitset BFS
+    rng = np.random.default_rng(n)
+    graphs = [G.UGraph(np.zeros((n, n), dtype=bool)), G.UGraph.complete(n)]
+    graphs += [_random_graph(n, p, rng) for p in (0.002, 0.01, 0.05, 0.3)]
+    if n >= 2:
+        # two random blocks with no edge between them
+        a = _random_graph(n, 0.1, rng).adj
+        half = rng.random(n) < 0.5
+        graphs.append(G.UGraph(a & (half[:, None] == half[None, :])))
+        graphs.append(G.unit_interval_graph(C.sample_irreducible_dyck(n, rng)))
+        graphs.append(G.unit_interval_graph(C.sample_dyck(n, rng)))
+    for g in graphs:
+        ours = G.all_pairs_distances(g)
+        want = _scipy_distances(g) if n else np.zeros((0, 0))
+        assert (ours.dtype, ours.shape) == (want.dtype, want.shape)
+        assert ours.tobytes() == want.tobytes()
+
+
+def test_all_pairs_distances_memory_is_bounded():
+    # measured peaks at n = 1000: 22.4 MiB on this circle graph (336k
+    # adjacency entries) and 10.9 MiB on this unit interval graph, of which
+    # 7.6 MiB is the float64 result; the per-level work is one gathered
+    # (nnz + n, 2) uint64 array and an (n, 128) int32 level count
+    rng = np.random.default_rng(23)
+    circle = G.circle_graph(C.sample_matching(1000, rng))
+    unit = G.unit_interval_graph(C.sample_irreducible_dyck(1000, rng))
+    G.all_pairs_distances(G.UGraph.complete(3))
+    for g, bound in ((circle, 24), (unit, 12)):
+        tracemalloc.start()
+        try:
+            G.all_pairs_distances(g)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (g.n, peak)
+
+
 def test_unit_distance_formula_vs_bfs():
     rng = np.random.default_rng(4)
     for _ in range(40):
