@@ -31,7 +31,6 @@ __all__ = [
     "Permutation",
     "Matching",
     "DyckPath",
-    "Decomposition",
     "parse_permutation",
     "parse_matching",
     "parse_dyck",
@@ -42,11 +41,8 @@ __all__ = [
     "sample_dyck",
     "sample_irreducible_dyck",
     "is_simple",
-    "k_decomposition",
     "is_indecomposable",
-    "validate_decomposition",
     "xyz_stats",
-    "phi",
     "count_matchings",
     "count_decomposed",
     "count_irreducible_dyck",
@@ -169,48 +165,6 @@ class DyckPath:
         """True iff every proper prefix has strictly more U than D."""
         ups = np.frombuffer(self.steps.encode("ascii"), dtype=np.uint8) == ord("U")
         return bool(np.all(np.cumsum(np.where(ups, 1, -1))[:-1] > 0))
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Four circular intervals (c1, c2, c3, c4) of {1..2n} witnessing that a
-    matching is k-decomposable: the parts appear in this circular order,
-    1 in c1, every chord inside c1+c3 or inside c2+c4, and c2+c4 carries
-    exactly k chords with 2 <= k <= n-2.
-
-    c1 is stored in circular run order (it may wrap past 2n); c2, c3, c4 are
-    plain increasing runs (the complement of c1 never wraps).  Empty slots
-    among c2/c3/c4 are allowed and meaningful: (s, (), ()) and ((), (), s)
-    are different decompositions of the same chord set.
-    """
-
-    c1: tuple[int, ...]
-    c2: tuple[int, ...]
-    c3: tuple[int, ...]
-    c4: tuple[int, ...]
-    k: int
-
-    def __post_init__(self) -> None:
-        points = (*self.c1, *self.c2, *self.c3, *self.c4)
-        two_n = len(points)
-        if sorted(points) != list(range(1, two_n + 1)):
-            raise ValueError("parts do not partition {1..2n}")
-        if 1 not in self.c1:
-            raise ValueError("1 must lie in c1")
-        n = two_n // 2
-        if not 2 <= self.k <= n - 2:
-            raise ValueError(f"k={self.k} outside [2, {n - 2}]")
-        for name, part in (("c1", self.c1), ("c2", self.c2), ("c3", self.c3), ("c4", self.c4)):
-            if part and not _is_circular_run(part, two_n):
-                raise ValueError(f"{name} is not a circular interval: {part}")
-
-    @property
-    def size(self) -> int:
-        return (len(self.c1) + len(self.c2) + len(self.c3) + len(self.c4)) // 2
-
-
-def _is_circular_run(part: Sequence[int], two_n: int) -> bool:
-    return all(part[t + 1] == part[t] % two_n + 1 for t in range(len(part) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -722,11 +676,11 @@ def _equal_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, order[at]
 
 
-def _decomposition_cuts(partner: Sequence[int], k: int | None = None) -> tuple[int, ...] | None:
+def _decomposition_cuts(partner: Sequence[int]) -> tuple[int, ...] | None:
     """Sorted cuts (g1, g2, g3, g4) whose side (g1, g2] + (g3, g4] the matching
-    keeps closed, with k chords on the side away from point 1 (any k in
-    [2, n-2] when k is None); single arcs (a, b] come first, as (a, a, a, b).
-    None when no such cuts exist.
+    keeps closed, with k in [2, n-2] chords on the side away from point 1;
+    single arcs (a, b] come first, as (a, a, a, b).  None when no such cuts
+    exist.
     """
     p = np.asarray(partner, dtype=np.int64) - 1
     two_n = len(p)
@@ -749,7 +703,7 @@ def _decomposition_cuts(partner: Sequence[int], k: int | None = None) -> tuple[i
     )
     size = cuts[:, 1] - cuts[:, 0] + cuts[:, 3] - cuts[:, 2]
     side_k = np.where(cuts[:, 0] == 0, n - size // 2, size // 2)
-    wanted = (side_k >= 2) & (side_k <= n - 2) if k is None else side_k == k
+    wanted = (side_k >= 2) & (side_k <= n - 2)
     side = np.zeros(two_n, dtype=bool)
     for g1, g2, g3, g4 in cuts[wanted].tolist():
         side[:] = False
@@ -758,53 +712,6 @@ def _decomposition_cuts(partner: Sequence[int], k: int | None = None) -> tuple[i
         if np.array_equal(side[p], side):
             return g1, g2, g3, g4
     return None
-
-
-def _decomposition_from_cuts(m: Matching, cuts: tuple[int, ...]) -> Decomposition:
-    """Assemble the labelled Decomposition for exact side-consistent cuts.
-
-    The arc containing point 1 becomes c1 and the remaining arcs follow in
-    circular order; coincident cuts encode empty slots, so single-arc cuts
-    put the entire opposite arc into a single slot.
-    """
-    two_n = 2 * m.size
-    g1, g2, g3, g4 = cuts
-    arcs = [
-        tuple(range(g1 + 1, g2 + 1)),
-        tuple(range(g2 + 1, g3 + 1)),
-        tuple(range(g3 + 1, g4 + 1)),
-        tuple(p % two_n + 1 for p in range(g4, g1 + two_n)),
-    ]
-    at = next(t for t, arc in enumerate(arcs) if 1 in arc)
-    c1, c2, c3, c4 = (arcs[(at + d) % 4] for d in range(4))
-    return Decomposition(c1=c1, c2=c2, c3=c3, c4=c4, k=(len(c2) + len(c4)) // 2)
-
-
-def validate_decomposition(m: Matching, dec: Decomposition) -> None:
-    """Raise ValueError unless dec is a valid decomposition of m."""
-    two_n = 2 * m.size
-    if dec.size != m.size:
-        raise ValueError("decomposition and matching sizes differ")
-    mask = np.zeros(two_n, dtype=bool)
-    mask[np.asarray(dec.c2 + dec.c4, dtype=np.int64) - 1] = True
-    if not np.array_equal(mask[np.asarray(m.partner) - 1], mask):
-        raise ValueError("a chord crosses between the c1+c3 and c2+c4 sides")
-    if int(mask.sum()) != 2 * dec.k:
-        raise ValueError(f"c2+c4 carries {int(mask.sum()) // 2} chords, not k={dec.k}")
-    # circular order: walking clockwise from the start of c1 must traverse
-    # c1, c2, c3, c4 in this order
-    walk = list(dec.c1) + list(dec.c2) + list(dec.c3) + list(dec.c4)
-    if not _is_circular_run(walk, two_n):
-        raise ValueError("parts are not in circular order c1, c2, c3, c4")
-
-
-def k_decomposition(m: Matching, k: int) -> Decomposition | None:
-    """A witness k-decomposition of m, or None when none exists."""
-    n = m.size
-    if not 2 <= k <= n - 2:
-        raise ValueError(f"k={k} outside [2, n-2] for n={n}")
-    cuts = _decomposition_cuts(m.partner, k)
-    return None if cuts is None else _decomposition_from_cuts(m, cuts)
 
 
 def _indecomposable_rows(partner: np.ndarray) -> np.ndarray:
@@ -834,47 +741,37 @@ def is_indecomposable(m: Matching) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def phi(dm: tuple[Matching, Decomposition]) -> tuple[tuple[Matching, int], Matching]:
-    """Split a k-decomposed matching of size n into a marked matching of size
-    n-k+1 and a plain matching of size k+1.
+def _phi_rows(partner: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi on a stack of k-decomposed matchings, one k for the whole stack.
 
-    The big part glues c1 and c3 with a fresh marked chord in the two cut
-    positions, relabelled so that the original point 1 keeps label 1; the
-    marked chord is reported by its smaller endpoint.  The small part glues
-    c2 and c4 with a fresh chord whose endpoint next to min(c2) is labelled
-    1 (the chord is {1, 2} when c2 is empty).
+    Row i of `partner` (1-based) keeps the side (g1, g2] + (g3, g4] of its
+    sorted cut gaps cuts[i] closed, with k chords away from point 1.  Read
+    from point 1, the circle is c1's head, c2, c3, c4 and c1's tail, with
+    c2 + c4 away from point 1; the cuts sorted with zeros moved to 2n are
+    the gaps r0..r3 that end c1's head, c2, c3 and c4.  Returns int8 rows
+    (2n < 127): the big matching of size n-k+1 (c1 and c3 with a fresh chord
+    {P, Q} in place of c2 and c4, labelled from point 1), its mark P (the
+    chord's smaller end), and the small matching of size k+1 (c2 and c4 with
+    a fresh chord {S, R} in place of c1 and c3, labelled from S = 1).
     """
-    m, dec = dm
-    validate_decomposition(m, dec)
-
-    # --- big part: [c1 run] P [c3 run] Q, then labels starting at old 1
-    seq: list[object] = list(dec.c1) + ["P"] + list(dec.c3) + ["Q"]
-    start = seq.index(1)
-    label_of: dict[object, int] = {}
-    for t in range(len(seq)):
-        label_of[seq[(start + t) % len(seq)]] = t + 1
-    pairs = [
-        (label_of[a], label_of[b])
-        for a, b in m.pairs()
-        if a in label_of and b in label_of
-    ]
-    mark_chord = (label_of["P"], label_of["Q"])
-    pairs.append(mark_chord)
-    big = Matching.from_pairs(pairs)
-    mark = min(mark_chord)
-
-    # --- small part: [c2 run] R [c4 run] S with label 1 on S
-    seq2: list[object] = list(dec.c2) + ["R"] + list(dec.c4) + ["S"]
-    start2 = seq2.index("S")
-    label2: dict[object, int] = {}
-    for t in range(len(seq2)):
-        label2[seq2[(start2 + t) % len(seq2)]] = t + 1
-    pairs2 = [
-        (label2[a], label2[b])
-        for a, b in m.pairs()
-        if a in label2 and b in label2
-    ]
-    pairs2.append((label2["R"], label2["S"]))
-    small = Matching.from_pairs(pairs2)
-    return (big, mark), small
-
+    rows, two_n = partner.shape
+    r0, r1, r2, r3 = np.sort(np.where(cuts == 0, two_n, cuts), axis=1).T[:, :, None]
+    x = np.arange(two_n, dtype=np.int8)
+    away = ((x >= r0) & (x < r1)) | ((x >= r2) & (x < r3))
+    label = np.where(
+        away,
+        np.cumsum(away, axis=1, dtype=np.int8) + (x >= r2),
+        np.cumsum(~away, axis=1, dtype=np.int8) - 1 + (x >= r1) + (x >= r3),
+    )
+    # one flat scatter puts each point's mate in the big row or, after it,
+    # in the small row
+    width = two_n + 2 - int(away[0].sum())
+    at = np.arange(rows)
+    mate = label.reshape(-1)[at[:, None] * two_n + partner - 1] + 1
+    glued = np.empty((rows, two_n + 4), dtype=np.int8)
+    glued.reshape(-1)[at[:, None] * (two_n + 4) + label + away * width] = mate
+    big, small = glued[:, :width], glued[:, width:]
+    p, q, r = r0[:, 0], (r0 + r2 - r1 + 1)[:, 0], (r1 - r0 + 1)[:, 0]
+    big[at, p], big[at, q] = q + 1, p + 1
+    small[:, 0], small[at, r] = r + 1, 1
+    return big, p + 1, small

@@ -211,6 +211,8 @@ def mc_clique_density(
         raise ValueError("k must be in 1..5")
     if not 1 <= n <= 3000:
         raise ValueError("n must be in 1..3000")
+    if k > n:
+        raise ValueError("k must be <= n")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if tol is not None and not tol >= 0:
@@ -360,55 +362,80 @@ def _canonical_classes(adj: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarra
 
 
 def _row_index(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Position in `rows` of each row of `query` (distinct rows, entries 0..width)."""
+    """Position in `rows` of each row of `query` (distinct rows, entries
+    0..width); a row missing from `rows` gets some position, so compare."""
     weights = (rows.shape[1] + 1) ** np.arange(rows.shape[1], dtype=np.int64)
     keys = rows @ weights
     order = np.argsort(keys)
-    return order[np.searchsorted(keys, query @ weights, sorter=order)]
+    return order[np.minimum(np.searchsorted(keys, query @ weights, sorter=order), len(keys) - 1)]
 
 
 _CUT_SCAN_CHUNK = 1 << 19  # cut set x matching entries per block of the scan
 
 
-def _matching_cut_scan(partner: np.ndarray) -> tuple[dict[int, int], int | None]:
-    """Scan every matching (1-based partner rows) against every 4-multiset of cut gaps.
+def _matching_cut_scan(partner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every consistent (matching, cut set) pair with k in [2, n-2], scanning
+    each matching (1-based partner rows) against every 4-multiset of cut gaps.
 
-    Returns per-k counts of k-decomposed matchings straight from the
-    definition, plus the row of the first counterexample (if any) to 'xyz =
-    (0,0,0) iff the matching is neither 2- nor (n-2)-decomposable'.  A cut
-    set is consistent with a matching iff the matching maps the cut set's
-    side onto itself; with the side as a bitmask over the points, the
-    image's bitmask is one matrix product for a block of matchings (sums of
-    distinct powers of two below 2^12, exact in float64).
+    A cut set g1 <= g2 <= g3 <= g4 is consistent with a matching iff the
+    matching maps the side (g1, g2] + (g3, g4] onto itself, and k counts the
+    chords away from point 1.  With the side as a bitmask over the points,
+    the image's bitmask is one matrix product for a block of matchings (sums
+    of distinct powers of two below 2^12, exact in float64).  Returns each
+    pair's row (int32), cut set (int8) and k (int8), ordered by row.
     """
     two_n = partner.shape[1]
     n = two_n // 2
     pref = np.arange(two_n)[None, :] < np.arange(two_n + 1)[:, None]
-    cut_sets = list(itertools.combinations_with_replacement(range(two_n), 4))
-    masks = np.array(
-        [pref[g2] ^ pref[g1] ^ pref[g4] ^ pref[g3] for g1, g2, g3, g4 in cut_sets]
-    )
+    cut_sets = np.array(list(itertools.combinations_with_replacement(range(two_n), 4)), dtype=np.int8)
+    masks = np.logical_xor.reduce(pref[cut_sets], axis=1)
     pop = masks.sum(axis=1)
     k_side = np.where(masks[:, 0], n - pop // 2, pop // 2)
-    in_range = (k_side >= 2) & (k_side <= n - 2)
-    extreme_cut = in_range & ((k_side == 2) | (k_side == n - 2))
+    keep = (k_side >= 2) & (k_side <= n - 2)
+    cut_sets, masks, k_side = cut_sets[keep], masks[keep], k_side[keep].astype(np.int8)
     side_code = masks @ (1 << np.arange(two_n))
-    side_bits = masks.astype(np.float64)
+    side_bits = masks.T.astype(np.float64)
     point_bits = np.exp2(partner - 1)
-    hits = np.zeros(masks.shape[0], dtype=np.int64)  # consistent matchings per cut set
-    extreme = np.zeros(partner.shape[0], dtype=bool)
-    step = max(1, _CUT_SCAN_CHUNK // masks.shape[0])
+    row, at = [], []
+    step = max(1, _CUT_SCAN_CHUNK // max(1, masks.shape[0]))
     for lo in range(0, partner.shape[0], step):
-        consistent = side_bits @ point_bits[lo : lo + step].T == side_code[:, None]
-        hits += consistent.sum(axis=1)
-        extreme[lo : lo + step] = consistent[extreme_cut].any(axis=0)
-    acc = np.bincount(k_side[in_range], weights=hits[in_range], minlength=n - 1)
-    counts = {k: int(acc[k]) for k in range(2, n - 1) if acc[k]}
-    if n < 4:
-        return counts, None
-    x, y, z = _xyz_batch(partner - 1)
-    wrong = np.flatnonzero(((x == 0) & (y == 0) & (z == 0)) == extreme)
-    return counts, int(wrong[0]) if wrong.size else None
+        r, c = np.nonzero(point_bits[lo : lo + step] @ side_bits == side_code)
+        row.append((r + lo).astype(np.int32))
+        at.append(c.astype(np.int32))
+    at = np.concatenate(at)
+    return np.concatenate(row), cut_sets[at], k_side[at]
+
+
+def _phi_failure(partner: np.ndarray, cuts: np.ndarray, match_rows: dict[int, np.ndarray]) -> str | None:
+    """None iff phi maps the k-decomposed matchings of one k (partner rows
+    with their cut sets) one-to-one onto the product set, else the first pair
+    whose image is wrong or shared, or the number of images missed.
+
+    The product set is every matching of size n-k+1, marked at the smaller
+    end of a chord that misses point 1, times every matching of size k+1,
+    both read from the exhaustive lists in `match_rows`.
+    """
+    big, mark, small = combinat._phi_rows(partner, cuts)
+    big_rows, small_rows = match_rows[big.shape[1] // 2], match_rows[small.shape[1] // 2]
+    width = big_rows.shape[1]
+    marks = (big_rows > np.arange(1, width + 1)) & (np.arange(width) > 0)
+    i, j = _row_index(big_rows, big), _row_index(small_rows, small)
+    at = np.clip(mark, 1, width) - 1
+    image = (i * width + at) * small_rows.shape[0] + j
+    hits = np.bincount(image, minlength=marks.size * small_rows.shape[0])
+    wrong = (
+        (big_rows[i] != big).any(axis=1)
+        | (small_rows[j] != small).any(axis=1)
+        | (mark != at + 1)
+        | ~marks[i, at]
+        | (hits[image] != 1)
+    )
+    if wrong.any():
+        t = int(np.flatnonzero(wrong)[0])
+        matching = combinat.format_matching(combinat.Matching(tuple(partner[t].tolist())))
+        return f"{matching} cuts {tuple(cuts[t].tolist())}"
+    missed = int(marks.sum()) * small_rows.shape[0] - image.size
+    return f"{missed} images missed" if missed else None
 
 
 def _edge_count_law_exhaustive(family: str) -> np.ndarray:
@@ -472,10 +499,12 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
     realizer counts and closure for modular-prime permutation graphs and
     split-prime circle graphs; split primality <=> indecomposability; the
     decomposed-matching count formula; the xyz zero <=> not 2/(n-2)-
-    decomposable equivalence; size-3 graphon sample laws; connected unit
-    interval graphs having 1 or 2 mirror-paired irreducible words; Euler-
-    transform counts of unit interval graphs; and the closed-form counting
-    formulas against direct enumeration.
+    decomposable equivalence; the splitting bijection phi, one-to-one from
+    the k-decomposed matchings onto the marked (n-k+1)-matchings times the
+    (k+1)-matchings, for every n and k; size-3 graphon sample laws;
+    connected unit interval graphs having 1 or 2 mirror-paired irreducible
+    words; Euler-transform counts of unit interval graphs; and the
+    closed-form counting formulas against direct enumeration.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -574,23 +603,36 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
             break
     record("split_prime_iff_indecomposable", bad is None, bad)
 
-    # --- decomposed-count formula d_n^k = (n-k) m_{k+1} m_{n-k+1}, and
-    #     xyz = 0 iff neither 2- nor (n-2)-decomposable (same cut scan)
+    # --- from one cut scan's (matching, cut set) pairs: the decomposed-count
+    #     formula d_n^k = (n-k) m_{k+1} m_{n-k+1}; xyz = 0 iff neither 2- nor
+    #     (n-2)-decomposable; and phi one-to-one onto its product set
     bad = None
     xyz_bad = None
+    phi_bad = None
     for n in sizes[1:]:
-        found, witness = _matching_cut_scan(match_rows[n])
-        if xyz_bad is None and witness is not None:
-            xyz_bad = f"n={n}: {matching_text(n, witness)}"
+        row, cuts, ks = _matching_cut_scan(match_rows[n])
+        found = np.bincount(ks, minlength=n - 1)
+        if xyz_bad is None and n >= 4:
+            extreme = np.zeros(match_rows[n].shape[0], dtype=bool)
+            extreme[row[(ks == 2) | (ks == n - 2)]] = True
+            x, y, z = _xyz_batch(match_rows[n] - 1)
+            wrong = np.flatnonzero(((x == 0) & (y == 0) & (z == 0)) == extreme)
+            if wrong.size:
+                xyz_bad = f"n={n}: {matching_text(n, int(wrong[0]))}"
+        rows8 = match_rows[n].astype(np.int8)
         for k in range(2, n - 1):
-            if found.get(k, 0) != combinat.count_decomposed(n, k):
-                bad = f"n={n} k={k}: scan {found.get(k, 0)} vs formula {combinat.count_decomposed(n, k)}"
+            if phi_bad is None:
+                witness = _phi_failure(rows8[row[ks == k]], cuts[ks == k], match_rows)
+                phi_bad = None if witness is None else f"n={n} k={k}: {witness}"
+            if found[k] != combinat.count_decomposed(n, k):
+                bad = f"n={n} k={k}: scan {found[k]} vs formula {combinat.count_decomposed(n, k)}"
                 break
         if bad:
             break
     record("decomposed_count_formula", bad is None, bad)
     if n_max >= 4:
         record("xyz_zero_iff_not_extreme_decomposable", xyz_bad is None, xyz_bad)
+        record("phi_bijection", phi_bad is None, phi_bad)
 
     # --- graphon sample laws at size 3
     laws = verify_sample_laws(100_000, child)

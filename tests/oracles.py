@@ -119,24 +119,29 @@ def circle_edges(partner: tuple[int, ...]) -> set[frozenset[int]]:
     }
 
 
-def brute_is_decomposable(partner: tuple[int, ...], k: int | None = None) -> bool:
-    """Is the matching k-decomposable (for some k in [2, n-2] when k is None)?
+def cut_side(g1: int, g2: int, g3: int, g4: int) -> set[int]:
+    """The points of (g1, g2] and (g3, g4], for cut gaps g1 <= g2 <= g3 <= g4
+    (gap g between points g and g+1, gap 0 before point 1)."""
+    return set(range(g1 + 1, g2 + 1)) | set(range(g3 + 1, g4 + 1))
 
-    Tries every 4-multiset of cut gaps g1 <= g2 <= g3 <= g4 (gap g between
-    points g and g+1, gap 0 before point 1): the side is the points of
-    (g1, g2] and (g3, g4], no chord may join it to the rest, and k counts the
-    chords of whichever part misses point 1.
-    """
+
+def closed_side_k(partner: tuple[int, ...], side: set[int]) -> int | None:
+    """k when no chord joins `side` to the rest and 2 <= k <= n-2, where k
+    counts the chords of whichever part misses point 1; None otherwise."""
     two_n = len(partner)
-    n = two_n // 2
-    for g1, g2, g3, g4 in itertools.combinations_with_replacement(range(two_n), 4):
-        side = set(range(g1 + 1, g2 + 1)) | set(range(g3 + 1, g4 + 1))
-        if any((partner[i - 1] in side) != (i in side) for i in range(1, two_n + 1)):
-            continue
-        away = len(side if 1 not in side else set(range(1, two_n + 1)) - side) // 2
-        if 2 <= away <= n - 2 and k in (None, away):
-            return True
-    return False
+    if any((partner[i - 1] in side) != (i in side) for i in range(1, two_n + 1)):
+        return None
+    away = len(side if 1 not in side else set(range(1, two_n + 1)) - side) // 2
+    return away if 2 <= away <= two_n // 2 - 2 else None
+
+
+def brute_is_decomposable(partner: tuple[int, ...]) -> bool:
+    """Is the matching k-decomposable for some k in [2, n-2]?  Tries the side
+    of every 4-multiset of cut gaps."""
+    return any(
+        closed_side_k(partner, cut_side(*cuts)) is not None
+        for cuts in itertools.combinations_with_replacement(range(len(partner)), 4)
+    )
 
 
 def xyz_stats(partner: tuple[int, ...]) -> tuple[int, int, int]:

@@ -73,8 +73,17 @@ def test_criterion_04_realizer_bounds(suite6):
 
 def test_criterion_05_decomposed_count_formula(suite6):
     report, _ = suite6
-    ok = _flag(report, "decomposed_count_formula") and combinat.count_decomposed(4, 2) == 450
-    _line(5, ok, "decomposed-matching counts match (n-k) m_{k+1} m_{n-k+1}, incl. d_4^2 = 450")
+    ok = (
+        _flag(report, "decomposed_count_formula")
+        and _flag(report, "phi_bijection")
+        and combinat.count_decomposed(4, 2) == 450
+    )
+    _line(
+        5,
+        ok,
+        "decomposed-matching counts match (n-k) m_{k+1} m_{n-k+1}, incl. d_4^2 = 450; "
+        "phi is one-to-one onto marked (n-k+1)- times (k+1)-matchings",
+    )
 
 
 def test_criterion_06_xyz_iff_decomposable(suite6):

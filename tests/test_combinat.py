@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from graphlim import combinat as C
+from graphlim import experiments as X
 
 RNG = lambda s=0: np.random.default_rng(s)  # noqa: E731
 
@@ -130,70 +131,38 @@ def test_decomposed_counts_formula_values():
 def test_k_decomposition_finds_valid_witnesses():
     # every size-4 matching is 2-decomposable (no xyz = (0,0,0) exists there)
     for m in C.iter_matchings(4):
-        dec = C.k_decomposition(m, 2)
-        assert dec is not None
-        C.validate_decomposition(m, dec)  # must not raise
+        cuts = C._decomposition_cuts(m.partner)
+        assert cuts is not None
+        assert oracles.closed_side_k(m.partner, oracles.cut_side(*cuts)) == 2
     # at size 5 both outcomes occur
-    found = sum(1 for m in C.iter_matchings(5) if C.k_decomposition(m, 2) is not None)
+    found = sum(1 for m in C.iter_matchings(5) if C._decomposition_cuts(m.partner) is not None)
     assert 0 < found < C.count_matchings(5)
 
 
 def test_phi_bijection_small():
-    for n, k in ((4, 2), (5, 2), (5, 3)):
-        images = set()
-        count = 0
-        for m in C.iter_matchings(n):
-            for dec in _all_decompositions(m, k):
-                (big, mark), small = C.phi((m, dec))
-                images.add((big.partner, mark, small.partner))
-                partner, parts = oracles.phi_inverse(big.partner, mark, small.partner)
-                back_dec = C.Decomposition(*parts, k=k)
-                C.validate_decomposition(C.Matching(partner), back_dec)
-                assert partner == m.partner
-                assert back_dec == dec
-                count += 1
-        assert count == C.count_decomposed(n, k)
-        assert len(images) == count  # injective
+    # phi on the exhaustive scan's (matching, cut set) pairs: the independent
+    # inverse gives back each matching and the four arcs between its cuts,
+    # there are d_n^k images, and they are distinct
+    for n in (4, 5):
+        partners = C._matching_partners(n)
+        row, cuts, ks = X._matching_cut_scan(partners)
+        for k in range(2, n - 1):
+            decomposed, cut_sets = partners[row[ks == k]], cuts[ks == k]
+            big, mark, small = C._phi_rows(decomposed, cut_sets)
+            images = list(zip(map(tuple, big.tolist()), mark.tolist(), map(tuple, small.tolist())))
+            for partner, cut, (b, a, s) in zip(decomposed.tolist(), cut_sets.tolist(), images):
+                assert 1 < a < b[a - 1]  # the smaller end of a chord that misses point 1
+                assert oracles.phi_inverse(b, a, s) == (tuple(partner), _cut_arcs(cut, 2 * n))
+            assert len(images) == C.count_decomposed(n, k)
+            assert len(set(images)) == len(images)
 
 
-def _all_decompositions(m, k):
-    """All k-decompositions of m, enumerated from raw circular cuts with the
-    package's validator used only as a predicate (independent of the search
-    in k_decomposition)."""
-    decs = []
-    seen = set()
-    n = m.size
-    for cuts in itertools.combinations_with_replacement(range(2 * n), 4):
-        dec = _decomposition_from_cuts(cuts, n, k)
-        if dec is None or dec in seen:
-            continue
-        try:
-            C.validate_decomposition(m, dec)
-        except ValueError:
-            continue
-        seen.add(dec)
-        decs.append(dec)
-    return decs
-
-
-def _decomposition_from_cuts(cuts, n, k):
-    two_n = 2 * n
-    bounds = list(cuts)
-    spans = []
-    for a, b in zip(bounds, bounds[1:] + [bounds[0] + two_n]):
-        spans.append(tuple((p % two_n) + 1 for p in range(a, b)))
-    for _ in range(4):
-        if 1 in spans[0]:
-            break
-        spans = spans[1:] + spans[:1]
-    if 1 not in spans[0]:
-        return None
-    if len(spans[1]) + len(spans[3]) != 2 * k:
-        return None
-    try:
-        return C.Decomposition(spans[0], spans[1], spans[2], spans[3], k)
-    except ValueError:
-        return None
+def _cut_arcs(cuts, two_n):
+    """The four arcs between circular cut gaps, from the one holding point 1."""
+    bounds = [*cuts, cuts[0] + two_n]
+    arcs = [tuple(p % two_n + 1 for p in range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    at = next(t for t, arc in enumerate(arcs) if 1 in arc)
+    return tuple(arcs[at:] + arcs[:at])
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +406,13 @@ _matching_points = st.integers(1, 10).flatmap(lambda n: st.permutations(range(1,
 @given(_matching_points)
 def test_decomposition_search_matches_brute_force(points):
     m = C.Matching.from_pairs(zip(points[::2], points[1::2]))
-    assert C.is_indecomposable(m) == (not oracles.brute_is_decomposable(m.partner))
-    # k_decomposition runs the cut search on every matching, with no fast path
-    for k in range(2, m.size - 1):
-        dec = C.k_decomposition(m, k)
-        assert (dec is not None) == oracles.brute_is_decomposable(m.partner, k)
-        if dec is not None:
-            C.validate_decomposition(m, dec)
-            assert dec.k == k
+    decomposable = oracles.brute_is_decomposable(m.partner)
+    assert C.is_indecomposable(m) == (not decomposable)
+    # the cut search on its own, with no x/y/z fast path
+    cuts = C._decomposition_cuts(m.partner)
+    assert (cuts is not None) == decomposable
+    if cuts is not None:
+        assert oracles.closed_side_k(m.partner, oracles.cut_side(*cuts)) is not None
 
 
 def test_decomposition_search_exact_under_hash_collisions(monkeypatch):
@@ -452,16 +420,14 @@ def test_decomposition_search_exact_under_hash_collisions(monkeypatch):
     # the exact check can reject it
     matchings = [m for n in (5, 6) for m in C.iter_matchings(n) if n == 5 or C.xyz_stats(m) == (0, 0, 0)]
     expected = [C.is_indecomposable(m) for m in matchings]
-    found = [[C.k_decomposition(m, k) is not None for k in range(2, m.size - 1)] for m in matchings]
+    found = [C._decomposition_cuts(m.partner) is not None for m in matchings]
     monkeypatch.setattr(C, "_gap_hashes", lambda p: np.zeros(len(p), dtype=np.uint64))
     assert [C.is_indecomposable(m) for m in matchings] == expected
-    for m, row in zip(matchings, found):
-        for k, ok in zip(range(2, m.size - 1), row):
-            dec = C.k_decomposition(m, k)
-            assert (dec is not None) == ok
-            if dec is not None:
-                C.validate_decomposition(m, dec)
-                assert dec.k == k
+    for m, ok in zip(matchings, found):
+        cuts = C._decomposition_cuts(m.partner)
+        assert (cuts is not None) == ok
+        if cuts is not None:
+            assert oracles.closed_side_k(m.partner, oracles.cut_side(*cuts)) is not None
 
 
 def _xyz_zero_matching(n, rng):
@@ -489,7 +455,7 @@ def _planted_xyz_zero(count, rng):
         marks = [i for i in range(2, 2 * big.size + 1) if big.of(i) != 1]
         partner, parts = oracles.phi_inverse(big.partner, marks[int(rng.integers(len(marks)))], small.partner)
         m = C.Matching(partner)
-        C.validate_decomposition(m, C.Decomposition(*parts, k=k))
+        assert oracles.closed_side_k(partner, set(parts[1] + parts[3])) == k
         if C.xyz_stats(m) == (0, 0, 0):
             cases.append((m, k))
     return cases
@@ -500,10 +466,9 @@ def test_planted_decompositions_are_found():
     # that always answers "indecomposable" would pass the sampled checks
     for m, k in _planted_xyz_zero(100, RNG(6)):
         assert not C.is_indecomposable(m)
-        dec = C.k_decomposition(m, k)
-        assert dec is not None
-        C.validate_decomposition(m, dec)
-        assert dec.k == k
+        cuts = C._decomposition_cuts(m.partner)
+        assert cuts is not None
+        assert oracles.closed_side_k(m.partner, oracles.cut_side(*cuts)) is not None
 
 
 @pytest.mark.parametrize("n, limit_mib", [(1000, 16), (10_000, 128)])

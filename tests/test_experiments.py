@@ -573,6 +573,8 @@ def test_mc_clique_density_validation():
         X.mc_clique_density("perm", 10, 6, 5, rng)
     with pytest.raises(ValueError):
         X.mc_clique_density("perm", 4000, 2, 5, rng)
+    with pytest.raises(ValueError, match="k must be <= n"):
+        X.mc_clique_density("circle", 3, 5, 5, rng)
     with pytest.raises(ValueError):
         X.mc_clique_density("perm", 10, 2, 0, rng)
     # one rep has no standard error, so the default tolerance would be a
@@ -653,8 +655,9 @@ def test_exact_enumeration_suite_small():
 
 
 # SHA-256 of exact_enumeration_suite(n_max).to_json() for n_max = 1..6,
-# recorded with the earlier one-graph-at-a-time suite; the batched suite
-# must reproduce every byte.
+# recorded with the earlier one-graph-at-a-time suite, which had no
+# phi_bijection record; the batched suite must reproduce every byte once
+# that record is dropped.
 _PINNED_EXACT_SUITE = {
     1: "6f7cf04b9c0a794c35dd060afd594d40dd3c3b0c87fa6599b207d7b18f4564e7",
     2: "b66a5a0f71d7c3c987d1440590af8e5b1b5a2c84ecae7efb1b9579cb4536ab1a",
@@ -665,10 +668,30 @@ _PINNED_EXACT_SUITE = {
 }
 
 
+# SHA-256 of the whole report, phi_bijection record included (n_max >= 4)
+_PINNED_EXACT_SUITE_PHI = {
+    4: "a59ce95b80b42364a7f58dd35c88d0e972633dd4cc0710cdc4eb7bed3c4be9fd",
+    5: "1844db7c1f5d6b37e5ab4ea89da498e85104c4a27de9b3c2bdb83ff62bb12993",
+    6: "281e58abcff61e7aa537aee707fda253e7f74d86f678c4a2012adc03e3ccd827",
+}
+
+
+def _without_phi(text: str) -> str:
+    """A report's JSON text with its phi_bijection record dropped."""
+    report = json.loads(text)
+    report["estimates"] = [e for e in report["estimates"] if e["label"] != "phi_bijection"]
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _assert_exact_suite_pinned(text: str, n_max: int) -> None:
+    assert hashlib.sha256(_without_phi(text).encode()).hexdigest() == _PINNED_EXACT_SUITE[n_max]
+    full = _PINNED_EXACT_SUITE_PHI.get(n_max, _PINNED_EXACT_SUITE[n_max])
+    assert hashlib.sha256(text.encode()).hexdigest() == full
+
+
 @pytest.mark.parametrize("n_max", sorted(_PINNED_EXACT_SUITE))
 def test_exact_enumeration_suite_pinned(n_max):
-    digest = hashlib.sha256(X.exact_enumeration_suite(n_max).to_json().encode()).hexdigest()
-    assert digest == _PINNED_EXACT_SUITE[n_max]
+    _assert_exact_suite_pinned(X.exact_enumeration_suite(n_max).to_json(), n_max)
 
 
 def test_exact_enumeration_suite_pinned_with_small_blocks(monkeypatch):
@@ -676,8 +699,7 @@ def test_exact_enumeration_suite_pinned_with_small_blocks(monkeypatch):
     monkeypatch.setattr(G, "_CODE_CHUNK", 1000)
     monkeypatch.setattr(G, "_SPLIT_CHUNK", 5000)
     monkeypatch.setattr(X, "_CUT_SCAN_CHUNK", 7000)
-    digest = hashlib.sha256(X.exact_enumeration_suite(5).to_json().encode()).hexdigest()
-    assert digest == _PINNED_EXACT_SUITE[5]
+    _assert_exact_suite_pinned(X.exact_enumeration_suite(5).to_json(), 5)
 
 
 _FAULT_MATCHING = "1-4 2-6 3-8 5-9 7-10"
@@ -692,6 +714,18 @@ def _flip_fault_row(f):
         return out ^ (rows == fault).all(axis=1) if rows.shape[1] == fault.size else out
 
     return flipped
+
+
+def _shared_phi_image(f):
+    # the first n = 5, k = 2 pair is given the second pair's image (a fault
+    # the one-graph-at-a-time suite had no record for)
+    def faulty(partner, cuts):
+        big, mark, small = f(partner, cuts)
+        if (partner.shape[1], small.shape[1]) == (10, 6):
+            big[0], mark[0], small[0] = big[1], mark[1], small[1]
+        return big, mark, small
+
+    return faulty
 
 
 # One predicate or formula made wrong on one size-5 seed, and the labels and
@@ -715,6 +749,10 @@ _FAULTS = {
     "count_symmetric_matchings": (
         lambda f: lambda n, d: f(n, d) + 1 if (n, d) == (5, 5) else f(n, d),
         {"counting_formulas": "symmetric n=5 d=5: scan 5 vs formula"},
+    ),
+    "_phi_rows": (
+        _shared_phi_image,
+        {"phi_bijection": "n=5 k=2: 1-2 3-4 5-6 7-8 9-10 cuts (0, 0, 0, 6)"},
     ),
 }
 
@@ -789,6 +827,12 @@ def test_exact_enumeration_suite_memory_is_bounded():
     assert _peak_mib(lambda: G._canonical_codes(adj)) <= 8
     assert _peak_mib(lambda: G._split_prime_flags(adj)) <= 8
     assert _peak_mib(lambda: X._matching_cut_scan(partners)) <= 8
+    # the phi pass of each k on the scan's pairs (about 15, 9 and 7 MiB)
+    row, cuts, ks = X._matching_cut_scan(partners)
+    match_rows = {n: C._matching_partners(n) for n in range(1, 6)}
+    rows8 = partners.astype(np.int8)
+    for k in (2, 3, 4):
+        assert _peak_mib(lambda: X._phi_failure(rows8[row[ks == k]], cuts[ks == k], match_rows)) <= 20
 
 
 def test_verify_distance_formula_small():
