@@ -26,6 +26,7 @@ import itertools
 import json
 import math
 import operator
+import statistics
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -757,23 +758,67 @@ def count_unit_interval_graphs(n: int) -> int:
     return _exact_counts(1 << n.bit_length())[n]
 
 
+_DOT_CHUNK = 8192  # below OpenBLAS's 10,000-term threading cutoff for ddot
+
+
+def _divisor_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (d, j) with d * j <= n, d-major, as two int arrays."""
+    per_d = n // np.arange(1, n + 1)
+    ds = np.repeat(np.arange(1, n + 1), per_d)
+    js = np.arange(1, ds.size + 1) - np.repeat(np.cumsum(per_d) - per_d, per_d)
+    return ds, js
+
+
+def _scaled_euler(b: np.ndarray) -> np.ndarray:
+    """V_0..V_n in float64, with V_0 = 1 and t V_t = sum_{k=1..t} b_k V_{t-k}.
+
+    V is built reversed (rev[n - t] = V_t), so that each sum is a dot
+    product of two forward slices.  OpenBLAS splits a dot product of more
+    than 10,000 terms across its threads, which can change the last bit, so
+    each dot covers at most _DOT_CHUNK terms and the partial sums are added
+    in order: the result does not depend on the BLAS thread count.
+    """
+    n = b.size - 1
+    rev = np.zeros(n + 1)
+    rev[n] = 1.0
+    for t in range(1, n + 1):
+        bt, vt = b[: t + 1], rev[n - t :]
+        s = 0.0
+        for lo in range(1, t + 1, _DOT_CHUNK):
+            s += bt[lo : lo + _DOT_CHUNK] @ vt[lo : lo + _DOT_CHUNK]
+        rev[n - t] = s / t
+    return rev[::-1]
+
+
 @functools.cache
 def _log_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(log d C_d for d = 0..n, log U_0..log U_n) in float64: C_d by lgamma,
-    U_t by the same Euler transform; the sampler's block weights."""
+    U_t by the same Euler transform; the sampler's block weights.
+
+    U_t overflows float64 from t = 521, but it grows like 4^t t^(-3/2)
+    (Bell, Bender, Cameron and Richmond, Electron. J. Combin. 7, 2000), and
+    d C_d like 4^d d^(-1/2).  So the base 4 takes the exponential growth
+    out of both: the transform runs in linear float64 on V_t = U_t / 4^t
+    (about 0.11 t^(-3/2)) and b_k = a_k / 4^k = sum_{d|k} d C_d / 4^k
+    (about 0.07 k^(-1/2)), as t V_t = sum_k b_k V_{t-k} in
+    :func:`_scaled_euler`, whose sums do not depend on the BLAS thread
+    count.  log U_t = log V_t + t log 4 is taken once at the end.  Every
+    term is positive, so plain float64 sums keep the relative error of a
+    log-sum-exp without its t exp calls per entry.
+    """
+    lg = np.array([math.lgamma(m) for m in range(1, 2 * n + 1)])  # lg[m - 1] = lgamma(m)
+    k = np.arange(n)  # k = d - 1
+    log_cat = lg[2 * k] - lg[k] - lg[k + 1]
+    log_bin = lg[k] - lg[k // 2] - lg[k - k // 2]
     log_dc = np.full(n + 1, -np.inf)
-    log_a = np.full(n + 1, -np.inf)
-    for d in range(1, n + 1):
-        k = d - 1
-        log_cat = math.lgamma(2 * k + 1) - math.lgamma(k + 1) - math.lgamma(k + 2)
-        log_bin = math.lgamma(d) - math.lgamma(k // 2 + 1) - math.lgamma(d - k // 2)
-        log_dc[d] = math.log(d) + float(np.logaddexp(log_cat, log_bin) - math.log(2.0))
-        log_a[d::d] = np.logaddexp(log_a[d::d], log_dc[d])
-    log_u = np.zeros(n + 1)
-    for t in range(1, n + 1):
-        terms = log_a[1 : t + 1] + log_u[t - 1 :: -1]
-        peak = terms.max()
-        log_u[t] = peak + math.log(np.exp(terms - peak).sum()) - math.log(t)
+    # math.log, not np.log: numpy's SIMD log is not always correctly rounded,
+    # and log d C_d sets the block weights bit for bit
+    log_d = np.array([math.log(d) for d in range(1, n + 1)])
+    log_dc[1:] = log_d + (np.logaddexp(log_cat, log_bin) - math.log(2.0))
+    ds, js = _divisor_pairs(n)
+    dj = ds * js
+    b = np.bincount(dj, weights=np.exp(log_dc[ds] - dj * math.log(4.0)), minlength=n + 1)
+    log_u = np.log(_scaled_euler(b)) + np.arange(n + 1) * math.log(4.0)
     log_dc.flags.writeable = log_u.flags.writeable = False
     return log_dc, log_u
 
@@ -783,9 +828,7 @@ def _block_table(n: int, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (d, j) pairs of one decomposition step at n, d-major, as two
     arrays, and running sums of their weights d * C_d * U_{n-jd} in float64
     (max weight 1), read from the log tables of the sample's size top."""
-    per_d = n // np.arange(1, n + 1)
-    ds = np.repeat(np.arange(1, n + 1), per_d)
-    js = np.arange(1, ds.size + 1) - np.repeat(np.cumsum(per_d) - per_d, per_d)
+    ds, js = _divisor_pairs(n)
     log_dc, log_u = _log_counts(top)
     logw = log_dc[ds] + log_u[n - js * ds]
     cum = np.cumsum(np.exp(logw - logw.max()))
@@ -1127,8 +1170,7 @@ def verify_gp(
             disc, _ = mmspace.gp_box_estimate_unit(w, True, delta, m_grid, child)
             return disc
 
-        discs = np.asarray(_map_reps(one, master + 2 + pos, seeds_per_n, threads))
-        medians.append(float(np.median(discs)))
+        medians.append(statistics.median(_map_reps(one, master + 2 + pos, seeds_per_n, threads)))
 
     nonincreasing = all(b <= a + 1e-12 for a, b in zip(medians, medians[1:]))
     estimates = [EstimateRecord("two_point_ks", ks, None)]

@@ -10,6 +10,7 @@ meant for small sizes.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 
 import numpy as np
@@ -289,6 +290,27 @@ def connected_uig_word(n: int, rng: np.random.Generator) -> str:
             return word
         if rng.random() < 0.5:
             return min(word, mirrored)
+
+
+def log_unit_interval_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log d C_d for d = 0..n, log U_0..log U_n) by the Euler transform
+    t U_t = sum_k a_k U_{t-k}, a_k = sum_{d|k} d C_d, kept in log space
+    throughout: a log-sum-exp over all t terms for every t, O(n^2) exp
+    calls.  C_d = (Catalan(d-1) + binom(d-1, floor((d-1)/2))) / 2 by lgamma."""
+    log_dc = np.full(n + 1, -np.inf)
+    log_a = np.full(n + 1, -np.inf)
+    for d in range(1, n + 1):
+        k = d - 1
+        log_cat = math.lgamma(2 * k + 1) - math.lgamma(k + 1) - math.lgamma(k + 2)
+        log_bin = math.lgamma(d) - math.lgamma(k // 2 + 1) - math.lgamma(d - k // 2)
+        log_dc[d] = math.log(d) + float(np.logaddexp(log_cat, log_bin) - math.log(2.0))
+        log_a[d::d] = np.logaddexp(log_a[d::d], log_dc[d])
+    log_u = np.zeros(n + 1)
+    for t in range(1, n + 1):
+        terms = log_a[1 : t + 1] + log_u[t - 1 :: -1]
+        peak = terms.max()
+        log_u[t] = peak + math.log(np.exp(terms - peak).sum()) - math.log(t)
+    return log_dc, log_u
 
 
 def unit_interval_edges(word: str) -> set[frozenset[int]]:

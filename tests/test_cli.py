@@ -630,12 +630,16 @@ def test_python_dash_m_runs_cli():
 
 def test_import_loads_scipy_submodules_only_when_called():
     """``import graphlim, graphlim.cli`` loads no scipy submodule, which keeps
-    a cold start short, and the graph routines never load ``scipy.sparse``."""
+    a cold start short, the graph routines never load ``scipy.sparse``, and
+    ``verify_gp`` never loads ``numpy.ma`` (which ``np.median`` imports)."""
     src_dir = Path(graphlim.__file__).resolve().parent.parent
     script = (
         "import sys\n"
+        "import numpy as np\n"
         "import graphlim, graphlim.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.sparse', 'scipy.special'))))\n"
+        "graphlim.experiments.verify_gp((40, 80), 0.1, 64, 2, 5, np.random.default_rng(3))\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
         "g = graphlim.graphs.UGraph.from_edges(4, [(1, 2)])\n"
         "graphlim.graphs.all_pairs_distances(g)\n"
         "graphlim.graphs.connected_components(g)\n"
@@ -646,4 +650,4 @@ def test_import_loads_scipy_submodules_only_when_called():
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]"]

@@ -95,11 +95,55 @@ def test_count_validation():
 
 
 def test_log_tables_match_exact_counts():
-    log_dc, log_u = X._log_counts(300)
-    for n in (1, 2, 10, 57, 137, 300):
-        exact = math.log(X.count_unit_interval_graphs(n))
-        assert log_u[n] == pytest.approx(exact, rel=1e-12)
+    log_dc, log_u = X._log_counts(1024)
+    u = X._exact_counts(1024)
+    for n in (1, 2, 10, 57, 137, 300, 600, 1000, 1024):
+        assert log_u[n] == pytest.approx(math.log(u[n]), rel=1e-12)
         assert log_dc[n] == pytest.approx(math.log(n * X.count_connected_unit_interval_graphs(n)), rel=1e-12)
+    assert u[300] == X.count_unit_interval_graphs(300)
+
+
+def test_log_tables_are_prefixes_of_larger_tables():
+    # a sample of size m reads the table of size m, a larger sample reads
+    # the same entries from its own table: both must give the same bits
+    big_dc, big_u = X._log_counts(10_000)
+    for m in (1, 2, 600, 601, 2000):
+        log_dc, log_u = X._log_counts(m)
+        assert log_dc.tobytes() == big_dc[: m + 1].tobytes()
+        assert log_u.tobytes() == big_u[: m + 1].tobytes()
+
+
+def test_log_tables_match_log_sum_exp_oracle():
+    ref_dc, ref_u = oracles.log_unit_interval_counts(3000)
+    log_dc, log_u = X._log_counts(3000)
+    np.testing.assert_array_equal(log_dc, ref_dc)
+    np.testing.assert_allclose(log_u, ref_u, rtol=1e-14, atol=0)
+
+
+_TABLE_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from graphlim import experiments as X
+b = np.concatenate(([0.0], 0.125 / np.sqrt(np.arange(1.0, 12_001.0))))
+print(hashlib.sha256(b"".join(t.tobytes() for t in X._log_counts(12_000))).hexdigest())
+print(hashlib.sha256(X._scaled_euler(b).tobytes()).hexdigest())
+"""
+
+
+def test_log_tables_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot product of more than 10,000 terms across its
+    # threads, which can change the last bit of the sum.  The final log
+    # absorbs most last-bit changes of V, so V itself is hashed as well.
+    src = Path(X.__file__).resolve().parent.parent
+    digests = []
+    for blas_threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": blas_threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", _TABLE_DIGEST_SCRIPT], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert digests[0] == digests[1]
 
 
 def test_memoized_tables_are_read_only():

@@ -161,6 +161,20 @@ def test_all_pairs_distances_memory_is_bounded():
         assert peak <= bound, (g.n, peak)
 
 
+def test_unit_interval_adj_memory_is_bounded():
+    # measured peak at n = 3000: 17.2 MiB, two n x n bool arrays; the int64
+    # n x n gap matrix it replaced made it 94 MiB
+    f = C._heights_arrays(C._irreducible_dyck_steps(3000, np.random.default_rng(24)))[1]
+    G._unit_interval_adj(f[None])
+    tracemalloc.start()
+    try:
+        G._unit_interval_adj(f[None])
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24, peak
+
+
 def test_unit_distance_formula_vs_bfs():
     rng = np.random.default_rng(4)
     for _ in range(40):
