@@ -223,15 +223,34 @@ def _sample_matchings_batch(n: int, batch: int, rng: np.random.Generator) -> np.
     """0-based int32 partner arrays of `batch` uniform matchings, shape (batch, 2n).
 
     Consecutive positions of a uniform shuffle are paired; every matching
-    arises from exactly 2^n n! shuffles, so the law is uniform.  Rows are int32
-    (2n < 2^31), written by one flat scatter of each position's shuffle mate.
+    arises from exactly 2^n n! shuffles, so the law is uniform.  The shuffle
+    is the argsort of one row of `rng.random`, found by an in-place sort of
+    int64 keys floor(u * 2^(63-b)) * 2^b + position, b = bit_length(2n - 1):
+    while a row's truncated floats are distinct the key order is the float
+    order.  A row where two keys tie above the position bits (about 4e-9 per
+    row at n = 2000, exact float ties included) is argsorted from its floats,
+    so every row and the generator's final state equal the argsort rule's,
+    tie-breaking included.  Rows are int32 (2n < 2^31), written by two half
+    scatters, each position of a pair receiving the other.
     """
     two_n = 2 * n
-    order = np.argsort(rng.random((batch, two_n)), axis=1)
-    mate = order.reshape(batch, n, 2)[:, :, ::-1].astype(np.int32).reshape(batch, two_n)
-    order += np.arange(0, batch * two_n, two_n)[:, None]
+    b = (two_n - 1).bit_length()
+    u = rng.random((batch, two_n))
+    key = np.empty((batch, two_n), dtype=np.int64)
+    np.multiply(u, 2.0 ** (63 - b), out=key, casting="unsafe")
+    key <<= b
+    key |= np.arange(two_n)
+    key.sort(axis=1)
+    order = np.empty((batch, two_n), dtype=np.int32)
+    np.bitwise_and(key, (1 << b) - 1, out=order, casting="unsafe")
+    tied = np.flatnonzero(((key[:, 1:] ^ key[:, :-1]) < (1 << b)).any(axis=1))
+    if tied.size:
+        order[tied] = np.argsort(u[tied], axis=1)
+    del key, u
+    flat = order + np.arange(0, batch * two_n, two_n)[:, None]
     partner = np.empty(batch * two_n, dtype=np.int32)
-    partner[order] = mate
+    partner[flat[:, 0::2]] = order[:, 1::2]
+    partner[flat[:, 1::2]] = order[:, 0::2]
     return partner.reshape(batch, two_n)
 
 

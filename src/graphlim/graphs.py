@@ -621,8 +621,10 @@ def connected_components(g: UGraph) -> list[list[int]]:
     if g.n == 0:
         return []
     reach = np.isfinite(all_pairs_distances(g))
-    # the first finite column of a row is the least vertex of its component
-    return [(np.flatnonzero(reach[v]) + 1).tolist() for v in np.unique(reach.argmax(axis=1))]
+    # the first finite column of a row is the least vertex of its component,
+    # so the least vertices are the rows whose first finite column is their own
+    least = np.flatnonzero(reach.argmax(axis=1) == np.arange(g.n))
+    return [(np.flatnonzero(reach[v]) + 1).tolist() for v in least]
 
 
 # ---------------------------------------------------------------------------

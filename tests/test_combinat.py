@@ -318,7 +318,8 @@ def test_sample_matching_is_batch_row(n):
 def test_batch_sampler_rows_are_int32_argsort_pairings():
     # int32 rows, and the same matchings and final generator state as
     # pairing consecutive positions of the shuffle into an int64 array
-    for n, batch in [(1, 4), (3, 50), (500, 7)]:
+    # from 2n = 2048 up the key keeps fewer than the 53 bits of a float
+    for n, batch in [(1, 4), (3, 50), (500, 7), (1024, 5), (1025, 5), (2000, 4), (10_000, 2)]:
         for s in range(3):
             rng_batch, rng_ref = RNG(s), RNG(s)
             rows = C._sample_matchings_batch(n, batch, rng_batch)
@@ -329,6 +330,36 @@ def test_batch_sampler_rows_are_int32_argsort_pairings():
             assert rows.dtype == np.int32 and rows.shape == (batch, 2 * n)
             assert np.array_equal(rows, ref)
             assert rng_batch.random() == rng_ref.random()
+
+
+class _FixedUniforms:
+    """A stand-in generator whose ``random`` returns the given rows."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.shape
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("n", [2, 2000])
+def test_batch_sampler_tied_keys_follow_argsort(n):
+    # rows whose sort keys tie above the position bits: exact duplicates, and
+    # float neighbours that share a key once it keeps fewer than 53 bits
+    # (2n > 2048), the larger one at the earlier position so that key order
+    # and float order disagree; the last row keeps its distinct uniforms
+    u = np.random.default_rng(40).random((4, 2 * n))
+    u[0, 0] = u[0, 1] = 0.5
+    u[1, 0], u[1, -1] = np.nextafter(0.75, 1.0), 0.75
+    u[2, :] = 0.25
+    u[2, 1::2] = np.nextafter(0.25, 0.0)
+    rows = C._sample_matchings_batch(n, 4, _FixedUniforms(u))
+    order = np.argsort(u, axis=1)
+    ref = np.empty((4, 2 * n), dtype=np.int64)
+    np.put_along_axis(ref, order[:, 0::2], order[:, 1::2], axis=1)
+    np.put_along_axis(ref, order[:, 1::2], order[:, 0::2], axis=1)
+    assert np.array_equal(rows, ref)
 
 
 def test_sample_dyck_uniform():

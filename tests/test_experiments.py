@@ -360,6 +360,13 @@ def test_xyz_batch_memory_is_bounded():
     assert _peak_mib(lambda: X._xyz_batch(stack)) * 2**20 <= 4.5 * stack.nbytes
 
 
+def test_mc_poisson_xyz_memory_is_bounded():
+    # each chunk is drawn and reduced in cache-sized blocks: one 500-row
+    # chunk drawn at once holds about 61 MiB of floats, keys and partners
+    X.mc_poisson_xyz(40, 50, 2, np.random.default_rng(0))
+    assert _peak_mib(lambda: X.mc_poisson_xyz(2000, 1000, 2, np.random.default_rng(21), threads=1)) <= 16
+
+
 def test_batch_sampler_is_uniform():
     rng = np.random.default_rng(7)
     batch = X._sample_matchings_batch(3, 15000, rng)
@@ -571,6 +578,14 @@ def test_xyz_reports_pinned(threads):
         for n, reps, moment, seed in _PINNED_XYZ_REPORTS
     }
     assert digests == _PINNED_XYZ_REPORTS
+
+
+@pytest.mark.parametrize("block_keys", [12_345, 1 << 30])
+def test_xyz_reports_pinned_at_any_block_size(monkeypatch, block_keys):
+    # blocks are not part of the draw stream: uneven blocks of 3 rows at
+    # n = 2000 (154 at n = 40), or one block per chunk, give the same reports
+    monkeypatch.setattr(X, "_XYZ_BLOCK_KEYS", block_keys)
+    test_xyz_reports_pinned(1)
 
 
 def test_reports_deterministic_across_threads():
