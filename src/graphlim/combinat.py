@@ -97,16 +97,21 @@ class Matching:
     partner: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        p = self.partner
-        if len(p) == 0 or len(p) % 2:
+        p = np.asarray(self.partner)
+        if p.size == 0 or p.size % 2:
             raise ValueError("matching needs an even, positive number of points")
-        for i, j in enumerate(p, start=1):
-            if not 1 <= j <= len(p):
-                raise ValueError(f"point {i}: partner {j} out of range 1..{len(p)}")
-            if j == i:
-                raise ValueError(f"point {i} is a fixed point")
-            if p[j - 1] != i:
-                raise ValueError(f"not an involution at point {i}")
+        points = np.arange(1, p.size + 1)
+        outside = (p < 1) | (p > p.size)
+        fixed = p == points
+        # the first bad point, with the faults at it in order of priority
+        bad = outside | fixed | (p[np.clip(p, 1, p.size) - 1] != points)
+        if bad.any():
+            i = int(bad.argmax())
+            if outside[i]:
+                raise ValueError(f"point {i + 1}: partner {self.partner[i]} out of range 1..{p.size}")
+            if fixed[i]:
+                raise ValueError(f"point {i + 1} is a fixed point")
+            raise ValueError(f"not an involution at point {i + 1}")
 
     @property
     def size(self) -> int:

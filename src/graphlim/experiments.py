@@ -456,14 +456,11 @@ def _phi_failure(partner: np.ndarray, cuts: np.ndarray, match_rows: dict[int, np
 
 def _edge_count_law_exhaustive(family: str) -> np.ndarray:
     """Exact law of the edge count of the size-3 graph of a uniform seed."""
-    counts = np.zeros(4)
     if family == "perm":
-        for mapping in itertools.permutations((1, 2, 3)):
-            g = graphs.inversion_graph(Permutation(mapping))
-            counts[g.edge_count()] += 1
+        adj = graphs._inversion_adj(np.array(list(itertools.permutations((1, 2, 3)))))
     else:
-        for m in combinat.iter_matchings(3):
-            counts[graphs.circle_graph(m).edge_count()] += 1
+        adj = graphs._circle_adj(combinat._matching_partners(3))
+    counts = np.bincount(adj.sum(axis=(1, 2)) // 2, minlength=4)
     return counts / counts.sum()
 
 
@@ -539,14 +536,16 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
             counterexamples[label] = witness
 
     # Each family is enumerated once per size, as arrays, and every section
-    # reuses it; the per-seed predicates under test still see every seed in
-    # order, and indecomposability is checked by its stacked rule.
+    # reuses it; is_simple still sees every seed in order, and modular
+    # primality, split primality and indecomposability are checked by their
+    # stacked rules.
     sizes = range(1, n_max + 1)
     perm_rows = {n: np.array(list(itertools.permutations(range(1, n + 1)))) for n in sizes}
     perms = {n: [Permutation(tuple(r)) for r in rows.tolist()] for n, rows in perm_rows.items()}
     perm_adj = {n: graphs._inversion_adj(rows) for n, rows in perm_rows.items()}
     match_rows = {n: combinat._matching_partners(n) for n in sizes}
     circle_adj = {n: graphs._circle_adj(rows) for n, rows in match_rows.items()}
+    modular_prime = {n: graphs._modular_prime_flags(adj) for n, adj in perm_adj.items()}
     split_prime = {n: graphs._split_prime_flags(adj) for n, adj in circle_adj.items()}
     dyck = {n: list(combinat.iter_dyck_paths(n)) for n in sizes}
     irreducible = {n: list(combinat.iter_irreducible_dyck(n)) for n in sizes}
@@ -560,8 +559,8 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
     # --- simplicity <=> modular primality, and the size-4 classification
     bad = None
     for n in sizes:
-        for p, adj in zip(perms[n], perm_adj[n]):
-            if combinat.is_simple(p) != graphs.is_modular_prime(UGraph(adj)):
+        for p, prime in zip(perms[n], modular_prime[n]):
+            if combinat.is_simple(p) != prime:
                 bad = combinat.format_permutation(p)
                 break
         if bad:
@@ -580,7 +579,7 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
     for n in sizes:
         _, classes = _canonical_classes(perm_adj[n])
         for code, rows in classes.items():
-            if not graphs.is_modular_prime(UGraph(perm_adj[n][rows[0]])):
+            if not modular_prime[n][rows[0]]:
                 continue
             members = [perms[n][r] for r in rows]
             if not 1 <= len(members) <= 4 or not all(combinat.is_simple(p) for p in members):

@@ -1,6 +1,7 @@
 """The two limit graphons, graphon sampling, and exact clique densities.
 
-A latent point is a pair (a, b) in [0,1]^2, and one broadcasting rule,
+A graphon is named by its seed family, ``"perm"`` or ``"circle"``.  A
+latent point is a pair (a, b) in [0,1]^2, and one broadcasting rule,
 :func:`_adjacent`, gives both graphons.  perm: the pair is two independent
 uniform coordinates, and two points are adjacent iff (a1 - a2)(b1 - b2) < 0.
 circle: the pair is the endpoints of a chord at angles 2*pi*a, 2*pi*b, and
@@ -28,10 +29,7 @@ import numpy as np
 from .graphs import UGraph
 
 __all__ = [
-    "LimitGraphon",
     "StepGraphon",
-    "PERM_GRAPHON",
-    "CIRCLE_GRAPHON",
     "sample_graph",
     "clique_density",
     "step_graphon",
@@ -40,21 +38,6 @@ __all__ = [
 ]
 
 _FAMILIES = ("perm", "circle")
-
-
-@dataclass(frozen=True)
-class LimitGraphon:
-    """One of the two limit graphons, identified by its seed family."""
-
-    family: str
-
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"family must be one of {_FAMILIES}")
-
-
-PERM_GRAPHON = LimitGraphon("perm")
-CIRCLE_GRAPHON = LimitGraphon("circle")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,12 +75,14 @@ def _adjacent(family: str, a1, b1, a2, b2):
     return ((lo1 < lo2) & (lo2 < hi1) & (hi1 < hi2)) | ((lo2 < lo1) & (lo1 < hi2) & (hi2 < hi1))
 
 
-def sample_graph(w: LimitGraphon, k: int, rng: np.random.Generator) -> UGraph:
-    """Graph on k vertices drawn from the graphon with uniform latent points."""
+def sample_graph(family: str, k: int, rng: np.random.Generator) -> UGraph:
+    """Graph on k vertices drawn from the family's graphon with uniform latent points."""
+    if family not in _FAMILIES:
+        raise ValueError(f"family must be one of {_FAMILIES}")
     if k < 1:
         raise ValueError("k must be >= 1")
     a, b = rng.random((k, 2)).T
-    return UGraph(_adjacent(w.family, a[:, None], b[:, None], a[None, :], b[None, :]))
+    return UGraph(_adjacent(family, a[:, None], b[:, None], a[None, :], b[None, :]))
 
 
 def clique_density(family: str, k: int) -> Fraction:

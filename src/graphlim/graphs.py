@@ -34,7 +34,6 @@ from .combinat import (
 
 __all__ = [
     "UGraph",
-    "CanonicalForm",
     "inversion_graph",
     "circle_graph",
     "unit_interval_graph",
@@ -47,7 +46,6 @@ __all__ = [
     "is_modular_prime",
     "is_split_prime",
     "canonical_form",
-    "connected_components",
     "parse_graph",
     "format_graph",
     "write_adjacency_csv",
@@ -88,11 +86,6 @@ class UGraph:
     def degrees(self) -> np.ndarray:
         return self.adj.sum(axis=1).astype(np.int64)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        _check_vertex(self, u)
-        _check_vertex(self, v)
-        return bool(self.adj[u - 1, v - 1])
-
     @classmethod
     def complete(cls, n: int) -> "UGraph":
         adj = np.ones((n, n), dtype=bool)
@@ -128,23 +121,6 @@ class UGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"UGraph(n={self.n}, edges={self.edge_count()})"
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Lexicographically minimal upper-triangle bit string over relabelings.
-
-    Two graphs on the same vertex count are isomorphic iff their codes are
-    equal.  The code has length n(n-1)/2, rows of the upper triangle
-    concatenated.
-    """
-
-    code: str
-
-
-def _check_vertex(g: UGraph, v: int) -> None:
-    if not (1 <= v <= g.n):
-        raise ValueError(f"vertex {v} out of range 1..{g.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +452,35 @@ def clique_count_circle(m: Matching, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 _SUBSET_SCAN_LIMIT = 16
+_SCAN_CHUNK = 1 << 20  # cells (graph x subset x vertex or vertex pair) per block of a subset scan
 
 
-def _neighborhood_masks(g: UGraph) -> list[int]:
-    return [int.from_bytes(np.packbits(g.adj[u], bitorder="little").tobytes(), "little") for u in range(g.n)]
+def _subset_masks(n: int, lo: int, hi: int) -> np.ndarray:
+    """Boolean (C, n) masks of the subsets of n vertices with lo..hi members,
+    in increasing order of their bit patterns (vertex t + 1 is bit t)."""
+    masks = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1
+    size = masks.sum(axis=1)
+    return masks[(size >= lo) & (size <= hi)]
+
+
+def _modular_prime_flags(adj: np.ndarray) -> np.ndarray:
+    """Modular primality of every graph in a (B, n, n) stack (subset scan).
+
+    A set M of 2..n-1 vertices is a module iff every vertex outside M sees
+    none of M or all of it.  One integer product, in blocks of graphs, counts
+    each vertex's neighbours in every M.
+    """
+    n = adj.shape[-1]
+    blocks = _subset_masks(n, 2, n - 1).T
+    members = blocks.astype(np.int32)
+    size = members.sum(axis=0)
+    out = np.empty(adj.shape[0], dtype=bool)
+    step = max(1, _SCAN_CHUNK // max(members.size, 1))
+    for lo in range(0, adj.shape[0], step):
+        seen = adj[lo : lo + step].astype(np.int32) @ members
+        mixed = (seen > 0) & (seen < size) & ~blocks
+        out[lo : lo + step] = mixed.any(axis=1).all(axis=1)
+    return out
 
 
 def is_modular_prime(g: UGraph) -> bool:
@@ -487,29 +488,7 @@ def is_modular_prime(g: UGraph) -> bool:
     n = g.n
     if n > _SUBSET_SCAN_LIMIT:
         raise ValueError(f"modular-primality scan is limited to n <= {_SUBSET_SCAN_LIMIT} (got n={n})")
-    nb = _neighborhood_masks(g)
-    full = (1 << n) - 1
-    for mask in range(3, full):
-        pc = mask.bit_count()
-        if pc < 2 or pc > n - 1:
-            continue
-        outside = full ^ mask
-        ok = True
-        mm = outside
-        while mm:
-            low = mm & -mm
-            u = low.bit_length() - 1
-            mm ^= low
-            t = nb[u] & mask
-            if t and t != mask:
-                ok = False
-                break
-        if ok:
-            return False
-    return True
-
-
-_SPLIT_CHUNK = 1 << 20  # graph x cut x vertex-pair cells per block of the cut scan
+    return bool(_modular_prime_flags(g.adj[None])[0])
 
 
 def _split_flags(adj: np.ndarray, sides: np.ndarray) -> np.ndarray:
@@ -522,7 +501,7 @@ def _split_flags(adj: np.ndarray, sides: np.ndarray) -> np.ndarray:
     """
     cut = sides[:, :, None] & ~sides[:, None, :]
     out = np.empty((adj.shape[0], sides.shape[0]), dtype=bool)
-    step = max(1, _SPLIT_CHUNK // max(cut.size, 1))
+    step = max(1, _SCAN_CHUNK // max(cut.size, 1))
     for lo in range(0, adj.shape[0], step):
         cross = adj[lo : lo + step, None] & cut
         edges = cross.sum(axis=(2, 3))
@@ -534,16 +513,12 @@ def _split_flags(adj: np.ndarray, sides: np.ndarray) -> np.ndarray:
 def _split_prime_flags(adj: np.ndarray) -> np.ndarray:
     """Split primality of every graph in a (B, n, n) stack (cut scan).
 
-    Vertex 1 stays on side 1 so each cut is visited once; cuts with a side
-    of fewer than 2 vertices are trivial and skipped.
+    Cuts with a side of fewer than 2 vertices are trivial and skipped.  The
+    sides of 2..n-2 vertices pair off with their complements, row i with
+    row C-1-i, so the first half (vertex n on side 2) visits each cut once.
     """
-    n = adj.shape[-1]
-    rest = np.arange(1 << max(n - 1, 0))
-    sides = np.ones((rest.size, n), dtype=bool)
-    sides[:, 1:] = (rest[:, None] >> np.arange(n - 1)) & 1 == 1
-    size = sides.sum(axis=1)
-    sides = sides[(size >= 2) & (size <= n - 2)]
-    return ~_split_flags(adj, sides).any(axis=1)
+    sides = _subset_masks(adj.shape[-1], 2, adj.shape[-1] - 2)
+    return ~_split_flags(adj, sides[: sides.shape[0] // 2]).any(axis=1)
 
 
 def is_split_prime(g: UGraph) -> bool:
@@ -551,8 +526,6 @@ def is_split_prime(g: UGraph) -> bool:
     n = g.n
     if n > _SUBSET_SCAN_LIMIT:
         raise ValueError(f"split-primality scan is limited to n <= {_SUBSET_SCAN_LIMIT} (got n={n})")
-    if n < 4:
-        return True
     return bool(_split_prime_flags(g.adj[None])[0])
 
 
@@ -600,31 +573,17 @@ def _code_text(code: int, n: int) -> str:
     return format(code, f"0{length}b") if length else ""
 
 
-def canonical_form(g: UGraph) -> CanonicalForm:
+def canonical_form(g: UGraph) -> str:
     """Lexicographically minimal upper-triangle code over all relabelings.
 
-    Factorial-time scan, n <= 8.
+    The code is n(n-1)/2 characters, the rows of the upper triangle
+    concatenated; two graphs on n vertices are isomorphic iff their codes
+    are equal.  Factorial-time scan, n <= 8.
     """
     n = g.n
     if n > _CANONICAL_LIMIT:
         raise ValueError(f"canonical_form is limited to n <= {_CANONICAL_LIMIT} (got n={n})")
-    return CanonicalForm(_code_text(int(_canonical_codes(g.adj[None])[0]), n))
-
-
-# ---------------------------------------------------------------------------
-# Components
-# ---------------------------------------------------------------------------
-
-
-def connected_components(g: UGraph) -> list[list[int]]:
-    """Vertex sets of the connected components, each sorted, ordered by minimum vertex."""
-    if g.n == 0:
-        return []
-    reach = np.isfinite(all_pairs_distances(g))
-    # the first finite column of a row is the least vertex of its component,
-    # so the least vertices are the rows whose first finite column is their own
-    least = np.flatnonzero(reach.argmax(axis=1) == np.arange(g.n))
-    return [(np.flatnonzero(reach[v]) + 1).tolist() for v in least]
+    return _code_text(int(_canonical_codes(g.adj[None])[0]), n)
 
 
 # ---------------------------------------------------------------------------

@@ -32,17 +32,9 @@ __all__ = [
 ]
 
 _TRIANGLE_TOL = 1e-9
-_WEIGHT_TOL = 1e-12
 _FULL_TRIANGLE_LIMIT = 200
 _SPOT_CHECK_TRIPLES = 2000
 _BOX_BLOCK_ROWS = 256
-
-
-def _check_weights(w: np.ndarray) -> None:
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
-    if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
-        raise ValueError("weights must be a probability vector")
 
 
 def _check_triangle(pair: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int) -> None:
@@ -245,7 +237,6 @@ def gp_box_estimate_unit(
         raise ValueError("excursion cumulative decreases along the grid")
 
     k = xs.size
-    _check_weights(np.full(k, 1.0 / k))
     _check_triangle(
         lambda i, j: np.count_nonzero(table[np.minimum(i, j)] < verts[np.maximum(i, j), None], axis=-1)
         / math.sqrt(n),

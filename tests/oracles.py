@@ -444,12 +444,15 @@ def brute_canonical_code(n: int, edges: set[frozenset[int]]) -> str:
     return best if best is not None else ""
 
 
-def connected_component_count(n: int, edges: set[frozenset[int]]) -> int:
+def components(n: int, edges: set[frozenset[int]]) -> list[list[int]]:
+    """Vertex sets of the connected components (1-based), each sorted,
+    ordered by least vertex."""
     dist = brute_bfs_all(n, edges)
-    reps = set()
+    groups: dict[int, list[int]] = {}
     for v in range(n):
-        reps.add(min(u for u in range(n) if dist[v][u] != float("inf")))
-    return len(reps)
+        least = min(u for u in range(n) if dist[v][u] != float("inf"))
+        groups.setdefault(least, []).append(v + 1)
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,45 @@ def test_matching_validation():
         C.Matching((2, 1, 4, 4))
 
 
+def _first_matching_fault(p):
+    # the point-by-point scan: the first bad point, and at it out of range
+    # before fixed point before not an involution
+    for i, j in enumerate(p, start=1):
+        if not 1 <= j <= len(p):
+            return f"point {i}: partner {j} out of range 1..{len(p)}"
+        if j == i:
+            return f"point {i} is a fixed point"
+        if p[j - 1] != i:
+            return f"not an involution at point {i}"
+    return None
+
+
+def test_matching_validation_reports_first_bad_point():
+    # rows with several faults: the first bad point wins, whatever its fault
+    for partner, message in (
+        ((2, 1, 3, 9, 6, 5), "point 3 is a fixed point"),
+        ((3, 1, 2, 0), "not an involution at point 1"),
+        ((2, 1, 7, 3, 6, 5), "point 3: partner 7 out of range 1..6"),
+        ((2, 1, 4, 4, 0, 6), "not an involution at point 3"),
+        ((-1, 2, 1, 3), "point 1: partner -1 out of range 1..4"),
+    ):
+        assert _first_matching_fault(partner) == message
+        with pytest.raises(ValueError) as exc:
+            C.Matching(partner)
+        assert str(exc.value) == message
+    rng = np.random.default_rng(70)
+    for _ in range(500):
+        size = 2 * int(rng.integers(1, 5))
+        partner = tuple(int(v) for v in rng.integers(-1, size + 2, size=size))
+        expected = _first_matching_fault(partner)
+        if expected is None:
+            assert C.Matching(partner).partner == partner
+            continue
+        with pytest.raises(ValueError) as exc:
+            C.Matching(partner)
+        assert str(exc.value) == expected
+
+
 def test_iter_matchings_matches_oracle():
     for n in range(1, 5):
         ours = sorted(m.partner for m in C.iter_matchings(n))

@@ -226,7 +226,7 @@ def test_sample_uig_components_are_consecutive_blocks():
         n = int(rng.integers(2, 30))
         g = X.sample_unit_interval_graph(n, rng)
         assert g.n == n
-        comps = G.connected_components(g)
+        comps = oracles.components(n, {frozenset(e) for e in g.edges()})
         assert sum(len(c) for c in comps) == n
         for comp in comps:
             vs = sorted(comp)
@@ -756,7 +756,7 @@ def test_exact_enumeration_suite_pinned(n_max):
 def test_exact_enumeration_suite_pinned_with_small_blocks(monkeypatch):
     # block boundaries of the stacked passes must not change any result
     monkeypatch.setattr(G, "_CODE_CHUNK", 1000)
-    monkeypatch.setattr(G, "_SPLIT_CHUNK", 5000)
+    monkeypatch.setattr(G, "_SCAN_CHUNK", 5000)
     monkeypatch.setattr(X, "_CUT_SCAN_CHUNK", 7000)
     _assert_exact_suite_pinned(X.exact_enumeration_suite(5).to_json(), 5)
 

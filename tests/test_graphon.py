@@ -28,37 +28,37 @@ def test_edge_rule_matches_scalar_reference():
     grid = np.array(list(itertools.product(vals, repeat=4)))
     rows = np.concatenate([grid, np.random.default_rng(4).random((2000, 4))])
     a1, b1, a2, b2 = rows.T
-    for w in (W.PERM_GRAPHON, W.CIRCLE_GRAPHON):
-        expected = [graphon_value(w.family, (r[0], r[1]), (r[2], r[3])) for r in rows.tolist()]
-        assert expected == [graphon_value(w.family, (r[2], r[3]), (r[0], r[1])) for r in rows.tolist()]
-        assert W._adjacent(w.family, a1, b1, a2, b2).astype(int).tolist() == expected
-        assert W._adjacent(w.family, a2, b2, a1, b1).astype(int).tolist() == expected
+    for family in ("perm", "circle"):
+        expected = [graphon_value(family, (r[0], r[1]), (r[2], r[3])) for r in rows.tolist()]
+        assert expected == [graphon_value(family, (r[2], r[3]), (r[0], r[1])) for r in rows.tolist()]
+        assert W._adjacent(family, a1, b1, a2, b2).astype(int).tolist() == expected
+        assert W._adjacent(family, a2, b2, a1, b1).astype(int).tolist() == expected
 
 
-def _edge(w, p, q):
+def _edge(family, p, q):
     # the edge rule at one pair of latent chords, checked both ways round
     # and against the scalar oracle
-    edge = int(W._adjacent(w.family, *p, *q))
-    assert int(W._adjacent(w.family, *q, *p)) == edge
-    assert graphon_value(w.family, p, q) == edge
+    edge = int(W._adjacent(family, *p, *q))
+    assert int(W._adjacent(family, *q, *p)) == edge
+    assert graphon_value(family, p, q) == edge
     return edge
 
 
 def test_eval_perm_graphon():
     p, q = (0.1, 0.9), (0.2, 0.3)
-    assert _edge(W.PERM_GRAPHON, p, q) == 1
-    assert _edge(W.PERM_GRAPHON, p, p) == 0
-    assert _edge(W.PERM_GRAPHON, p, (0.2, 0.95)) == 0  # concordant pair
+    assert _edge("perm", p, q) == 1
+    assert _edge("perm", p, p) == 0
+    assert _edge("perm", p, (0.2, 0.95)) == 0  # concordant pair
 
 
 def test_eval_circle_graphon():
     a = (0.0, 0.5)
-    assert _edge(W.CIRCLE_GRAPHON, a, (0.25, 0.75)) == 1
-    assert _edge(W.CIRCLE_GRAPHON, a, (0.1, 0.2)) == 0  # nested chords
-    assert _edge(W.CIRCLE_GRAPHON, (0.9, 0.2), (0.1, 0.5)) == 1  # wrap-around arc
-    assert _edge(W.CIRCLE_GRAPHON, a, (0.5, 0.9)) == 0  # shared endpoint
+    assert _edge("circle", a, (0.25, 0.75)) == 1
+    assert _edge("circle", a, (0.1, 0.2)) == 0  # nested chords
+    assert _edge("circle", (0.9, 0.2), (0.1, 0.5)) == 1  # wrap-around arc
+    assert _edge("circle", a, (0.5, 0.9)) == 0  # shared endpoint
     # an inside-XOR rule without the tie check would join these two chords
-    assert _edge(W.CIRCLE_GRAPHON, a, (0.0, 0.25)) == 0
+    assert _edge("circle", a, (0.0, 0.25)) == 0
 
 
 def test_clique_density_exact():
@@ -75,18 +75,20 @@ def test_clique_density_exact():
 
 def test_sample_graph_shape_and_symmetry():
     rng = np.random.default_rng(0)
-    g = W.sample_graph(W.PERM_GRAPHON, 6, rng)
+    g = W.sample_graph("perm", 6, rng)
     assert g.n == 6
-    g1 = W.sample_graph(W.CIRCLE_GRAPHON, 1, rng)
+    g1 = W.sample_graph("circle", 1, rng)
     assert g1.n == 1 and g1.edge_count() == 0
+    with pytest.raises(ValueError, match="family"):
+        W.sample_graph("other", 3, rng)
 
 
 def test_sample_graph_edge_probability():
     rng = np.random.default_rng(1)
     reps = 20000
-    perm_edges = sum(W.sample_graph(W.PERM_GRAPHON, 2, rng).edge_count() for _ in range(reps))
+    perm_edges = sum(W.sample_graph("perm", 2, rng).edge_count() for _ in range(reps))
     assert abs(perm_edges / reps - 0.5) < 0.02
-    circ_edges = sum(W.sample_graph(W.CIRCLE_GRAPHON, 2, rng).edge_count() for _ in range(reps))
+    circ_edges = sum(W.sample_graph("circle", 2, rng).edge_count() for _ in range(reps))
     assert abs(circ_edges / reps - 1 / 3) < 0.02
 
 
@@ -103,10 +105,9 @@ def test_sample_graph_triangle_law_matches_exhaustive():
         for g in seeds:
             expected[g.edge_count()] += 1
         expected = expected / expected.sum() * reps
-        w = W.PERM_GRAPHON if family == "perm" else W.CIRCLE_GRAPHON
         observed = np.zeros(4)
         for _ in range(reps):
-            observed[W.sample_graph(w, 3, rng).edge_count()] += 1
+            observed[W.sample_graph(family, 3, rng).edge_count()] += 1
         _, p = scipy.stats.chisquare(observed, expected)
         assert p > 1e-3, (family, observed, expected)
 

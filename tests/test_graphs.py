@@ -476,7 +476,7 @@ def test_canonical_form_matches_brute():
     for _ in range(40):
         n = int(rng.integers(1, 6))
         g = _random_graph(n, 0.5, rng)
-        assert G.canonical_form(g).code == oracles.brute_canonical_code(n, _edges(g))
+        assert G.canonical_form(g) == oracles.brute_canonical_code(n, _edges(g))
 
 
 def _seed_graph_stacks(n):
@@ -501,13 +501,15 @@ def _edge_set(adj):
 def test_stacked_rules_match_oracles_on_every_seed(n, monkeypatch):
     # small blocks, so that block boundaries fall inside every stack
     monkeypatch.setattr(G, "_CODE_CHUNK", 700)
-    monkeypatch.setattr(G, "_SPLIT_CHUNK", 3000)
+    monkeypatch.setattr(G, "_SCAN_CHUNK", 3000)
     for adj, edge_sets in _seed_graph_stacks(n):
         assert [_edge_set(a) for a in adj] == edge_sets
         codes = [G._code_text(int(c), n) for c in G._canonical_codes(adj)]
         assert codes == [oracles.brute_canonical_code(n, e) for e in edge_sets]
         primes = G._split_prime_flags(adj).tolist()
         assert primes == [oracles.brute_split_prime(n, e) for e in edge_sets]
+        primes = G._modular_prime_flags(adj).tolist()
+        assert primes == [oracles.brute_modular_prime(n, e) for e in edge_sets]
 
 
 def test_stacked_rules_match_oracles_on_random_graphs():
@@ -522,6 +524,7 @@ def test_stacked_rules_match_oracles_on_random_graphs():
                 oracles.brute_canonical_code(n, edge_sets[i]) for i in picked
             ]
         assert G._split_prime_flags(stack).tolist() == [oracles.brute_split_prime(n, e) for e in edge_sets]
+        assert G._modular_prime_flags(stack).tolist() == [oracles.brute_modular_prime(n, e) for e in edge_sets]
 
 
 def test_canonical_form_is_isomorphism_invariant():
@@ -546,24 +549,8 @@ def test_canonical_form_guard():
 
 
 # ---------------------------------------------------------------------------
-# components and text formats
+# text formats
 # ---------------------------------------------------------------------------
-
-
-def test_connected_components_matches_oracle():
-    rng = np.random.default_rng(15)
-    for _ in range(30):
-        n = int(rng.integers(1, 10))
-        g = _random_graph(n, 0.25, rng)
-        comps = G.connected_components(g)
-        assert sorted(v for comp in comps for v in comp) == list(range(1, n + 1))
-        assert len(comps) == oracles.connected_component_count(n, _edges(g))
-        # every component is internally connected and externally disconnected
-        dist = G.all_pairs_distances(g)
-        for comp in comps:
-            for a in comp:
-                for b in comp:
-                    assert not math.isinf(dist[a - 1, b - 1])
 
 
 def test_graph_text_roundtrip():
@@ -594,4 +581,4 @@ def test_unit_interval_graph_is_interval_like(n, seed):
     g = G.unit_interval_graph(w)
     for i, j in g.edges():
         for mid in range(i + 1, j):
-            assert g.has_edge(i, mid)
+            assert g.adj[i - 1, mid - 1]

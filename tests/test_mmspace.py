@@ -27,14 +27,6 @@ def _const_excursion(value: float, m: int) -> M.ExcursionGrid:
 # ---------------------------------------------------------------------------
 
 
-def test_finite_mmspace_validation():
-    M._check_weights(np.full(3, 1 / 3))
-    with pytest.raises(ValueError, match="probability vector"):
-        M._check_weights(np.array([0.7, 0.2]))  # does not sum to 1
-    with pytest.raises(ValueError, match="probability vector"):
-        M._check_weights(np.array([1.5, -0.5]))
-
-
 def test_finite_mmspace_triangle_violation():
     dist = np.array(
         [
@@ -68,12 +60,6 @@ def test_check_triangle_rejects_nan_slack():
     )
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="triangle inequality violated"):
         M._check_triangle(lambda i, j: dist[i, j], 4)
-
-
-def test_finite_mmspace_rejects_non_finite():
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="weights must be finite"):
-            M._check_weights(np.array([bad, 0.5]))
 
 
 # ---------------------------------------------------------------------------
