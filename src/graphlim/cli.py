@@ -314,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds-per-n", type=int, default=20, help="[gp] repetitions per size")
     p.add_argument("--draws", type=int, default=10000, help="[gp] two-point sample size")
     p.add_argument(
-        "--n-values", type=_int_list, default=[1000, 4000, 16000], help="[gp] comma-separated sizes"
+        "--n-values", type=_int_list, default=[1000, 4000, 16000], help="[gp] comma-separated sizes, strictly increasing"
     )
     p.add_argument("--two-point-n", type=int, default=None, help="[gp] size for the two-point law")
     p.add_argument("--cutoff", type=int, default=10, help="[components] deficiency threshold")

@@ -27,6 +27,7 @@ import json
 import math
 import operator
 import statistics
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -131,16 +132,50 @@ def _child_rngs(master: int, count: int) -> list[np.random.Generator]:
 
 def _map_reps(
     fn: Callable[[int, np.random.Generator], object],
-    master: int,
-    reps: int,
+    master: int | tuple[int, ...],
+    reps: int | tuple[int, ...],
     threads: int,
 ) -> list:
-    """fn(rep_index, child_rng) for each rep; order of results is by index."""
-    rngs = _child_rngs(master, reps)
-    if threads <= 1:
-        return [fn(i, rngs[i]) for i in range(reps)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(reps), rngs))
+    """fn(rep_index, child_rng) for each rep; order of results is by index.
+
+    ``master`` and ``reps`` are ints, or equal-length tuples of segments that
+    share one pool: segment j holds ``reps[j]`` reps drawn from
+    ``SeedSequence(master[j]).spawn(reps[j])``, indexed after segment j - 1.
+    ``min(threads, total reps)`` workers take the next index from a shared
+    counter (one worker runs inline).  After a failure no worker takes a new
+    index, and the failure with the lowest index is raised, as a serial run
+    would raise it: every lower index was taken before it and has run.
+    """
+    if not isinstance(reps, tuple):
+        master, reps = (master,), (reps,)
+    rngs = [g for m, count in zip(master, reps, strict=True) for g in _child_rngs(m, count)]
+    workers = min(threads, len(rngs))
+    if workers <= 1:
+        return [fn(i, g) for i, g in enumerate(rngs)]
+    out: list = [None] * len(rngs)
+    failures: dict[int, BaseException] = {}
+    indices = iter(range(len(rngs)))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if failures else next(indices, None)
+            if i is None:
+                return
+            try:
+                out[i] = fn(i, rngs[i])
+            except Exception as exc:
+                with lock:
+                    failures[i] = exc
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        running = [pool.submit(work) for _ in range(workers)]
+    for worker in running:
+        worker.result()
+    if failures:
+        raise failures[min(failures)]
+    return out
 
 
 def _ks_statistic(a, b) -> float:
@@ -979,7 +1014,7 @@ def mc_unit_clique_scaling(
     ks_range = range(2, k_max + 1)
     _block_table(n, n)
 
-    def graph_side(_: int, child: np.random.Generator) -> list[float]:
+    def graph_side(child: np.random.Generator) -> list[float]:
         f_all = _heights_arrays(np.concatenate(_sample_uig_words(n, child)))[1].astype(np.float64)
         out = []
         for k in ks_range:
@@ -992,7 +1027,7 @@ def mc_unit_clique_scaling(
             out.append(total / n ** ((k + 1) / 2))
         return out
 
-    def excursion_side(_: int, child: np.random.Generator) -> list[float]:
+    def excursion_side(child: np.random.Generator) -> list[float]:
         e = mmspace.sample_excursion(m_grid, child)
         out = []
         for k in ks_range:
@@ -1000,8 +1035,12 @@ def mc_unit_clique_scaling(
             out.append(coeff * mmspace.excursion_integral(e, k - 1))
         return out
 
-    gvals = np.asarray(_map_reps(graph_side, master, reps, threads))
-    evals = np.asarray(_map_reps(excursion_side, master + 1, reps, threads))
+    def one(i: int, child: np.random.Generator) -> list[float]:
+        return graph_side(child) if i < reps else excursion_side(child)
+
+    # both sides in one pool: reps 0..reps-1 are graphs, the rest excursions
+    vals = np.asarray(_map_reps(one, (master, master + 1), (reps, reps), threads))
+    gvals, evals = vals[:reps], vals[reps:]
     estimates = []
     ok = True
     for col, k in enumerate(ks_range):
@@ -1158,7 +1197,8 @@ def verify_gp(
     entry of n_values) against the truncated excursion distance between two
     uniform points, compared by two-sample KS; (b) the coupled box-distance
     discrepancy of gp_box_estimate_unit, whose medians over seeds must all
-    be below 0.1 and nonincreasing along n_values.
+    be below 0.1 and nonincreasing in n; n_values must be strictly
+    increasing.
     """
     if not n_values:
         raise ValueError("n_values must be nonempty")
@@ -1166,26 +1206,33 @@ def verify_gp(
         raise ValueError("seeds_per_n and draws must be >= 1")
     if min(n_values) < 1 or (two_point_n is not None and two_point_n < 1):
         raise ValueError("n_values and two_point_n must be >= 1")
+    if any(b <= a for a, b in zip(n_values, n_values[1:])):
+        raise ValueError("n_values must be strictly increasing")
     mmspace._box_grid(delta, m_grid)  # a bad grid is a usage error before any draw
     master = _master_seed(rng)
     n_big = max(n_values) if two_point_n is None else two_point_n
+    sizes = len(n_values)
+    boxes = sizes * seeds_per_n
 
-    gdists = np.asarray(
-        _map_reps(lambda _, c: _two_point_graph_draw(n_big, c), master, draws, threads)
+    def one(i: int, child: np.random.Generator) -> float:
+        if i < boxes:
+            w = combinat.sample_irreducible_dyck(n_values[sizes - 1 - i // seeds_per_n], child)
+            return mmspace.gp_box_estimate_unit(w, True, delta, m_grid, child)[0]
+        if i < boxes + draws:
+            return _two_point_graph_draw(n_big, child)
+        return _two_point_excursion_draw(m_grid, child)
+
+    # one pool: the box seeds, largest n first (the longest reps start
+    # first), then the two-point graph draws, then the excursion draws; each
+    # segment keeps its own child seed sequence
+    vals = _map_reps(
+        one,
+        tuple(master + 2 + pos for pos in reversed(range(sizes))) + (master, master + 1),
+        (seeds_per_n,) * sizes + (draws, draws),
+        threads,
     )
-    edists = np.asarray(
-        _map_reps(lambda _, c: _two_point_excursion_draw(m_grid, c), master + 1, draws, threads)
-    )
-    ks = _ks_statistic(gdists, edists)
-
-    medians = []
-    for pos, n in enumerate(n_values):
-        def one(_: int, child: np.random.Generator) -> float:
-            w = combinat.sample_irreducible_dyck(n, child)
-            disc, _ = mmspace.gp_box_estimate_unit(w, True, delta, m_grid, child)
-            return disc
-
-        medians.append(statistics.median(_map_reps(one, master + 2 + pos, seeds_per_n, threads)))
+    ks = _ks_statistic(np.asarray(vals[boxes : boxes + draws]), np.asarray(vals[boxes + draws :]))
+    medians = [statistics.median(vals[j : j + seeds_per_n]) for j in range(0, boxes, seeds_per_n)][::-1]
 
     nonincreasing = all(b <= a + 1e-12 for a, b in zip(medians, medians[1:]))
     estimates = [EstimateRecord("two_point_ks", ks, None)]

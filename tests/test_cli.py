@@ -523,14 +523,19 @@ def test_empty_sample_or_bad_tolerance_exits_2(capsys, argv, message):
         (["--n-values", "50,0"], "n_values and two_point_n must be >= 1"),
         (["--n-values", "-5"], "n_values and two_point_n must be >= 1"),
         (["--two-point-n", "0"], "n_values and two_point_n must be >= 1"),
+        # the medians are judged in list order, so a falling or repeated
+        # size is a usage error, not a failed criterion
+        (["--n-values", "4000,1000"], "n_values must be strictly increasing"),
+        (["--n-values", "1000,1000"], "n_values must be strictly increasing"),
     ],
 )
 def test_verify_gp_bad_grid_exits_2_before_any_draw(capsys, monkeypatch, argv, message):
-    # the grid and the sizes are checked before the default 10,000
-    # two-point draws
+    # the grid and the sizes are checked before the master seed is drawn,
+    # so before any box estimate or two-point draw
     def no_draw(*args):
-        raise AssertionError("two-point draw made before the grid was checked")
+        raise AssertionError("draw made before the arguments were checked")
 
+    monkeypatch.setattr(experiments, "_master_seed", no_draw)
     monkeypatch.setattr(experiments, "_two_point_graph_draw", no_draw)
     code, out, err = run_cli(["verify", "gp", *argv, "--seed", "3"], capsys)
     assert code == 2

@@ -10,7 +10,9 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -449,7 +451,7 @@ _PINNED_BLOCK_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
 def test_block_draw_reports_pinned(threads):
     reports = {
         n: X.largest_component_stats(n, 200, np.random.default_rng(n), threads=threads)
@@ -474,7 +476,7 @@ _PINNED_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
 def test_unit_interval_metric_reports_pinned(threads):
     reports = {
         "verify_gp": X.verify_gp(
@@ -597,6 +599,123 @@ def test_reports_deterministic_across_threads():
     assert r3.to_json() == r4.to_json()
     r5 = X.mc_clique_density("circle", 30, 2, 24, np.random.default_rng(11))
     assert r5.to_json() != r3.to_json()  # fresh seed, fresh draws
+
+
+class _PoolRecorder:
+    """Stands in for ThreadPoolExecutor: records the worker count asked for
+    and runs each submitted worker to the end on the calling thread."""
+
+    def __init__(self, made: list, max_workers: int) -> None:
+        self.max_workers = max_workers
+        self.submitted = 0
+        made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def submit(self, fn, *args) -> Future:
+        self.submitted += 1
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+def _record_pools(monkeypatch) -> list[_PoolRecorder]:
+    made: list[_PoolRecorder] = []
+    monkeypatch.setattr(X, "ThreadPoolExecutor", lambda max_workers: _PoolRecorder(made, max_workers))
+    return made
+
+
+def _draw(i: int, rng: np.random.Generator) -> tuple[int, int]:
+    return i, int(rng.integers(2**62))
+
+
+@pytest.mark.parametrize("threads, reps", [(1, 5), (2, 1), (2, 5), (4, 3), (3, 0)])
+def test_map_reps_asks_for_at_most_one_worker_per_rep(monkeypatch, threads, reps):
+    # one worker, or one rep, runs inline: no pool is made
+    pools = _record_pools(monkeypatch)
+    out = X._map_reps(_draw, 9, reps, threads)
+    assert out == [_draw(i, g) for i, g in enumerate(X._child_rngs(9, reps))]
+    workers = min(threads, reps)
+    assert [p.max_workers for p in pools] == ([workers] if workers > 1 else [])
+    assert all(p.submitted == p.max_workers for p in pools)
+    pools.clear()
+    X.mc_indecomposable_rate(50, 1, np.random.default_rng(3), threads=threads)
+    assert pools == []
+
+
+def test_drivers_use_one_pool_per_call(monkeypatch):
+    pools = _record_pools(monkeypatch)
+    X.verify_gp([50, 100], 0.05, 64, 3, 40, np.random.default_rng(7), threads=3, two_point_n=300)
+    assert [(p.max_workers, p.submitted) for p in pools] == [(3, 3)]
+    pools.clear()
+    X.mc_unit_clique_scaling(200, 3, 20, 256, np.random.default_rng(13), threads=2)
+    assert [(p.max_workers, p.submitted) for p in pools] == [(2, 2)]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_map_reps_segments_keep_their_child_streams(threads):
+    # segment j draws from SeedSequence(master[j]).spawn(reps[j]), indexed
+    # after segment j - 1; an empty segment takes no index
+    rngs = X._child_rngs(5, 2) + X._child_rngs(9, 0) + X._child_rngs(6, 3)
+    assert X._map_reps(_draw, (5, 9, 6), (2, 0, 3), threads) == [_draw(i, g) for i, g in enumerate(rngs)]
+    with pytest.raises(ValueError):
+        X._map_reps(_draw, (5, 9), (2, 0, 3), threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_map_reps_raises_the_lowest_failing_rep(threads):
+    # rep 3 fails after rep 7 when they run at once; the error is rep 3's at
+    # every thread count
+    def fn(i: int, rng: np.random.Generator) -> int:
+        if i == 3:
+            time.sleep(0.05)
+        if i in (3, 7):
+            raise RuntimeError(f"rep {i} failed")
+        return i
+
+    with pytest.raises(RuntimeError, match=r"^rep 3 failed$"):
+        X._map_reps(fn, 11, 40, threads)
+
+
+def test_map_reps_runs_every_rep_once_under_contention():
+    # more workers than cores, switching threads as often as the interpreter
+    # allows: a lost or repeated index would show in the run log
+    ran = []
+
+    def fn(i: int, rng: np.random.Generator) -> int:
+        ran.append(i)
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            ran.clear()
+            assert X._map_reps(fn, (4, 5), (300, 200), 8) == [i * i for i in range(500)]
+            assert sorted(ran) == list(range(500))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_map_reps_takes_no_rep_after_a_failure(monkeypatch):
+    # the recorder runs the first worker to its end before the second starts
+    pools = _record_pools(monkeypatch)
+    ran = []
+
+    def fn(i: int, rng: np.random.Generator) -> int:
+        ran.append(i)
+        if i in (3, 7):
+            raise RuntimeError(f"rep {i} failed")
+        return i
+
+    with pytest.raises(RuntimeError, match=r"^rep 3 failed$"):
+        X._map_reps(fn, 11, 40, 2)
+    assert ran == [0, 1, 2, 3]
+    assert [p.submitted for p in pools] == [2]
 
 
 def test_seed_recorded_and_reused():
