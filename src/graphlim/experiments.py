@@ -1075,24 +1075,32 @@ def mc_unit_clique_scaling(
 def heatmap_experiment(
     family: str, n: int, reps: int, rng: np.random.Generator, threads: int = 1
 ) -> graphon.StepGraphon:
-    """Average of degree-descending step graphons of uniform-seed graphs."""
+    """Average of degree-descending step graphons of uniform-seed graphs.
+
+    Each rep draws its seed object as an array and returns the bool adjacency
+    with rows and columns in stable degree-descending order; the reps are
+    summed as integers and divided once, which gives the same floats as
+    averaging per-rep step graphons.
+    """
     if family not in ("perm", "circle"):
         raise ValueError("family must be 'perm' or 'circle'")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     master = _master_seed(rng)
 
     def one(_: int, child: np.random.Generator) -> np.ndarray:
         if family == "perm":
-            g = graphs.inversion_graph(combinat.sample_permutation(n, child))
+            adj = graphs._inversion_adj(child.permutation(n)[None])[0]
         else:
-            g = graphs.circle_graph(combinat.sample_matching(n, child))
-        order = np.argsort(-g.degrees(), kind="stable") + 1
-        return graphon.step_graphon(g, order).cells
+            adj = graphs._circle_adj(combinat._sample_matchings_batch(n, 1, child) + 1)[0]
+        order = np.argsort(-adj.sum(axis=1), kind="stable")
+        return adj.take(order, 0).take(order, 1)
 
-    acc = np.zeros((n, n))
-    for cells in _map_reps(one, master, reps, threads):
-        acc += cells
+    acc = np.zeros((n, n), dtype=np.int64)
+    for adj in _map_reps(one, master, reps, threads):
+        acc += adj
     return graphon.StepGraphon(acc / reps)
 
 

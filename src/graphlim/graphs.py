@@ -83,9 +83,6 @@ class UGraph:
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.adj)) // 2
 
-    def degrees(self) -> np.ndarray:
-        return self.adj.sum(axis=1).astype(np.int64)
-
     @classmethod
     def complete(cls, n: int) -> "UGraph":
         adj = np.ones((n, n), dtype=bool)
@@ -203,39 +200,62 @@ def unit_interval_graph(w: DyckPath) -> UGraph:
 # ---------------------------------------------------------------------------
 
 
+# uint64 words gathered per BFS level (1 MiB); a graph with more closed-
+# neighbourhood entries than this gathers one word per entry
+_BFS_GATHER_WORDS = 1 << 17
+
+
 def all_pairs_distances(g: UGraph) -> np.ndarray:
     """Matrix of BFS distances (float, np.inf for disconnected pairs).
 
     A bit-parallel BFS from all sources at once (Then et al., "The More the
-    Merrier", PVLDB 8(4), 2014), run on blocks of 128 sources.  Bit b of word
-    w in row v of ``reach`` says that v is within the current radius of
-    source lo + 64w + b; one level ORs the words of each closed neighbourhood
-    together, and a block ends at the first level that adds no bit.  A pair's
-    distance is the number of levels at which it was still apart.
+    Merrier", PVLDB 8(4), 2014), run on blocks of 64 x words sources.  Bit b
+    of word w in row v of ``reach`` says that v is within the current radius
+    of source lo + 64w + b; one level ORs the words of each closed
+    neighbourhood together, and a block ends at the first level that adds no
+    bit.  The bits a level adds are ORed into bit plane p for each bit p set
+    in the level number, so a pair's distance is read once per block from
+    its bits in the planes.  words is the gather budget over the number of
+    closed-neighbourhood entries, between 1 and ceil(n / 64): a random unit
+    interval graph of up to a few hundred vertices runs as one block, a dense
+    graph of a thousand gathers one word per entry.
 
     The work is levels x (n + 2m) x ceil(n/64) words, so this loses to a
     per-source search on sparse graphs of large diameter: a 1000-vertex path
-    takes about a second.  Dense graphs and graphs of diameter O(1) or about
-    sqrt(n) (random perm, circle and unit interval graphs) are its case.
+    takes about 0.2 s on a 2-core host.  Dense graphs and graphs of diameter
+    O(1) or about sqrt(n) (random perm, circle and unit interval graphs) are
+    its case.
     """
     n = g.n
-    rows, cols = np.nonzero(g.adj | np.eye(n, dtype=bool))
-    cols = cols.astype(np.int32)
-    starts = np.searchsorted(rows, np.arange(n))
+    flat = np.flatnonzero(g.adj | np.eye(n, dtype=bool))
+    cols = (flat % n).astype(np.int32)
+    starts = np.searchsorted(flat, np.arange(n) * n)
+    words = max(1, min(_BFS_GATHER_WORDS // max(flat.size, 1), -(-n // 64)))
     dist = np.empty((n, n))
-    for lo in range(0, n, 128):
-        k = min(128, n - lo)
+    for lo in range(0, n, 64 * words):
+        k = min(64 * words, n - lo)
         bit = np.arange(k)
-        reach = np.zeros((n, 2), dtype=np.uint64)
+        reach = np.zeros((n, words), dtype=np.uint64)
         reach[lo + bit, bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
-        apart = np.zeros((n, 128), dtype=np.int32)
+        planes: list[np.ndarray] = []
+        level = 0
         while True:
-            apart += _bits(~reach)
-            grown = np.bitwise_or.reduceat(reach.take(cols, axis=0), starts, axis=0)
-            if np.array_equal(grown, reach):
+            grown = np.bitwise_or.reduceat(reach.take(cols, 0), starts, 0)
+            new = grown ^ reach
+            if not new.any():
                 break
+            level += 1
+            if level & (level - 1) == 0:
+                planes.append(new)  # level 2^p opens plane p
+            else:
+                for p in range(len(planes)):
+                    if level >> p & 1:
+                        planes[p] |= new
             reach = grown
-        dist[lo : lo + k] = np.where(_bits(reach)[:, :k], apart[:, :k], np.inf).T
+        depth = np.zeros((n, 64 * words), dtype=np.int32)
+        for p, plane in enumerate(planes):
+            depth += np.left_shift(_bits(plane), p, dtype=np.int32)
+        dist[lo : lo + k] = np.where(_bits(reach)[:, :k], depth[:, :k], np.inf).T
     return dist
 
 

@@ -477,6 +477,10 @@ def test_threads_auto_counts_the_cpus_this_process_may_use(monkeypatch):
         (["verify", "poisson", "--n", "10", "--reps", "20", "--max-moment", "0"], "max_moment must be >= 1"),
         (["verify", "densities", "--n", "1", "--k", "2", "--reps", "3"], "k must be <= n"),
         (["verify", "densities", "--family", "circle", "--n", "3", "--k", "5", "--reps", "3"], "k must be <= n"),
+        (["export", "heatmap", "--n", "0", "--reps", "2"], "n must be >= 1"),
+        (["export", "heatmap", "--n", "-3", "--reps", "2"], "n must be >= 1"),
+        (["export", "heatmap", "--family", "circle", "--n", "0", "--reps", "2"], "n must be >= 1"),
+        (["export", "heatmap", "--family", "circle", "--n", "-3", "--reps", "2"], "n must be >= 1"),
     ],
 )
 def test_argument_below_range_exits_2(tmp_path, capsys, argv, message):

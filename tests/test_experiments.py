@@ -22,6 +22,7 @@ import scipy.stats
 from graphlim import combinat as C
 from graphlim import experiments as X
 from graphlim import graphs as G
+from graphlim import graphon
 
 import oracles
 from oracles import all_dyck_words, brute_irreducible, sequential_pairing
@@ -1071,6 +1072,56 @@ def test_heatmap_experiment_shape_and_range():
     assert hm.cells.shape == (12, 12)
     assert hm.cells.min() >= 0.0 and hm.cells.max() <= 1.0
     assert np.allclose(hm.cells, hm.cells.T)
+
+
+# SHA-256 of heatmap_experiment(family, 30, 7, default_rng(30)).cells bytes,
+# recorded with the per-rep path that built a Permutation or Matching, its
+# UGraph and a StepGraphon for every rep; the array path must reproduce every
+# byte at any thread count.
+_PINNED_HEATMAPS = {
+    "perm": "bb770d922d28f8b88b426cb09a4e1c6f3cc2bf5db2979af8138cf610a0c28a66",
+    "circle": "e535f2d4e20bee0f9509d704aeb4277311eba3a5be47f5271e2aa5d123330d9b",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_heatmap_cells_pinned(threads):
+    digests = {
+        family: hashlib.sha256(
+            X.heatmap_experiment(family, 30, 7, np.random.default_rng(30), threads=threads).cells.tobytes()
+        ).hexdigest()
+        for family in _PINNED_HEATMAPS
+    }
+    assert digests == _PINNED_HEATMAPS
+
+
+def _reference_heatmap(family: str, n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
+    # one seed object, graph and step graphon per rep, on heatmap_experiment's child streams
+    acc = np.zeros((n, n))
+    for child in X._child_rngs(X._master_seed(rng), reps):
+        if family == "perm":
+            g = G.inversion_graph(C.sample_permutation(n, child))
+        else:
+            g = G.circle_graph(C.sample_matching(n, child))
+        acc += graphon.step_graphon(g, np.argsort(-g.adj.sum(axis=1), kind="stable") + 1).cells
+    return acc / reps
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 17, 64])
+@pytest.mark.parametrize("family", ["perm", "circle"])
+def test_heatmap_equals_per_rep_step_graphons(family, n, threads):
+    got = X.heatmap_experiment(family, n, 5, np.random.default_rng(n), threads=threads).cells
+    want = _reference_heatmap(family, n, 5, np.random.default_rng(n))
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_heatmap_rejects_n_below_1_before_the_seed(monkeypatch, n):
+    monkeypatch.setattr(X, "_master_seed", lambda rng: pytest.fail("seed drawn"))
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        X.heatmap_experiment("perm", n, 3, np.random.default_rng(0))
 
 
 def test_verify_gp_structure_small():

@@ -124,10 +124,17 @@ def _scipy_distances(g: G.UGraph) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 300])
 def test_all_pairs_distances_bytes_equal_scipy_dijkstra(n):
-    # n crosses the 64-bit word and 128-source block edges of the bitset BFS
+    # n crosses the 64-bit word edges of the bitset BFS; the complete graph
+    # runs in 2 blocks at n = 255 and 256 and in 1-word blocks from n = 257
+    # under the gather budget, and the path at n = 300 fills 9 bit planes
     rng = np.random.default_rng(n)
     graphs = [G.UGraph(np.zeros((n, n), dtype=bool)), G.UGraph.complete(n)]
     graphs += [_random_graph(n, p, rng) for p in (0.002, 0.01, 0.05, 0.3)]
+    if n >= 3:
+        path = np.eye(n, k=1, dtype=bool)
+        graphs.append(G.UGraph(path | path.T))
+        cycle = path | np.eye(n, k=1 - n, dtype=bool)
+        graphs.append(G.UGraph(cycle | cycle.T))
     if n >= 2:
         # two random blocks with no edge between them
         a = _random_graph(n, 0.1, rng).adj
@@ -143,10 +150,11 @@ def test_all_pairs_distances_bytes_equal_scipy_dijkstra(n):
 
 
 def test_all_pairs_distances_memory_is_bounded():
-    # measured peaks at n = 1000: 22.4 MiB on this circle graph (336k
-    # adjacency entries) and 10.9 MiB on this unit interval graph, of which
+    # measured peaks at n = 1000: 16.9 MiB on this circle graph (336k
+    # adjacency entries) and 10.4 MiB on this unit interval graph, of which
     # 7.6 MiB is the float64 result; the per-level work is one gathered
-    # (nnz + n, 2) uint64 array and an (n, 128) int32 level count
+    # (nnz + n, words) uint64 array, words = 1 on the circle graph and 2 on
+    # the unit interval one, plus one (n, words) plane per bit of the depth
     rng = np.random.default_rng(23)
     circle = G.circle_graph(C.sample_matching(1000, rng))
     unit = G.unit_interval_graph(C.sample_irreducible_dyck(1000, rng))
