@@ -221,7 +221,7 @@ def sample_permutation(n: int, rng: np.random.Generator) -> Permutation:
     """Uniform permutation of {1..n} (Fisher-Yates via the generator)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Permutation(tuple(int(v) + 1 for v in rng.permutation(n)))
+    return Permutation(tuple((rng.permutation(n) + 1).tolist()))
 
 
 def _sample_matchings_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarray:

@@ -178,6 +178,16 @@ def _map_reps(
     return out
 
 
+# A rep that touches fewer array cells than this runs inline: there a second
+# worker costs more in thread switches and GIL hand-offs than it saves.
+_INLINE_CELLS = 1 << 18
+
+
+def _rep_threads(threads: int, cells: int) -> int:
+    """Workers for reps of `cells` cells each: `threads`, or 1 below _INLINE_CELLS."""
+    return threads if cells >= _INLINE_CELLS else 1
+
+
 def _ks_statistic(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov statistic, as the exact fraction h / lcm.
 
@@ -240,6 +250,9 @@ def mc_clique_density(
 
     Densities are count / binom(n, k); the pass flag compares the mean to
     the exact limit density within tol (default: three standard errors).
+    Perm reps only draw their permutations (n cells each, so inline), and
+    all reps are counted as one stack; a circle rep draws and counts its
+    matching (n^2 cells).
     """
     if family not in ("perm", "circle"):
         raise ValueError("family must be 'perm' or 'circle'")
@@ -258,14 +271,14 @@ def mc_clique_density(
     master = _master_seed(rng)
     total = math.comb(n, k)
 
-    def one(_: int, child: np.random.Generator) -> float:
-        if family == "perm":
-            count = graphs.clique_count_inversion(combinat.sample_permutation(n, child), k)
-        else:
-            count = graphs.clique_count_circle(combinat.sample_matching(n, child), k)
-        return count / total
-
-    dens = np.asarray(_map_reps(one, master, reps, threads))
+    if family == "perm":
+        draws = _map_reps(lambda _, child: combinat.sample_permutation(n, child).mapping, master, reps,
+                          _rep_threads(threads, n))
+        counts = graphs._inversion_clique_counts(np.array(draws), k)
+    else:
+        counts = _map_reps(lambda _, child: graphs.clique_count_circle(combinat.sample_matching(n, child), k),
+                           master, reps, _rep_threads(threads, n * n))
+    dens = np.asarray([count / total for count in counts])
     mean, se = _mean_se(dens)
     limit = float(graphon.clique_density(family, k))
     eff_tol = tol if tol is not None else 3.0 * max(se, 1e-15)
@@ -959,7 +972,8 @@ def largest_component_stats(
 ) -> Report:
     """Empirical law of n - L_n (vertices outside the largest component) for
     uniform unit interval graphs; the component sizes come straight from the
-    multiset decomposition."""
+    multiset decomposition.  The reps are Python-bound, so they run inline
+    at any ``threads``: a second worker only adds GIL hand-offs."""
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be >= 1")
     if deficiency_cutoff < 0:
@@ -971,7 +985,7 @@ def largest_component_stats(
         blocks = _sample_uig_blocks(n, child)
         return n - max(d for d, _ in blocks)
 
-    defc = np.asarray(_map_reps(one, master, reps, threads))
+    defc = np.asarray(_map_reps(one, master, reps, 1))
     hist = Counter(int(v) for v in defc)
     inside = (defc <= deficiency_cutoff).astype(np.float64)
     p, se = _mean_se(inside)
@@ -1079,8 +1093,9 @@ def heatmap_experiment(
 
     Each rep draws its seed object as an array and returns the bool adjacency
     with rows and columns in stable degree-descending order; the reps are
-    summed as integers and divided once, which gives the same floats as
-    averaging per-rep step graphons.
+    summed in the smallest integer type that holds reps and divided once,
+    which gives the same floats as averaging per-rep step graphons.  Reps
+    of n^2 cells run inline below _INLINE_CELLS.
     """
     if family not in ("perm", "circle"):
         raise ValueError("family must be 'perm' or 'circle'")
@@ -1096,10 +1111,10 @@ def heatmap_experiment(
         else:
             adj = graphs._circle_adj(combinat._sample_matchings_batch(n, 1, child) + 1)[0]
         order = np.argsort(-adj.sum(axis=1), kind="stable")
-        return adj.take(order, 0).take(order, 1)
+        return adj.take(order, 0)[:, order]
 
-    acc = np.zeros((n, n), dtype=np.int64)
-    for adj in _map_reps(one, master, reps, threads):
+    acc = np.zeros((n, n), dtype=graphs._int_type(reps))
+    for adj in _map_reps(one, master, reps, _rep_threads(threads, n * n)):
         acc += adj
     return graphon.StepGraphon(acc / reps)
 

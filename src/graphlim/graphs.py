@@ -125,14 +125,23 @@ class UGraph:
 # ---------------------------------------------------------------------------
 
 
+def _lanes(values: np.ndarray, n: int) -> np.ndarray:
+    """Seed-object entries of size n in the smallest signed integer type that
+    holds 2n + 1 (int16 up to n = 16383): n x n compares on narrow lanes."""
+    return values.astype(_int_type(2 * n + 1), copy=False)
+
+
 def _inversion_adj(images: np.ndarray) -> np.ndarray:
     """Inversion adjacency of a stack of one-line notations, (B, n) -> (B, n, n).
 
-    Edge {i, j} for i < j iff sigma(i) > sigma(j).
+    Edge {i, j} for i < j iff sigma(i) > sigma(j).  The values of a row are
+    distinct, so that is (i < j) != (sigma(i) < sigma(j)), on and off the
+    diagonal, with no transposed pass.
     """
-    idx = np.arange(images.shape[-1])
-    upper = (idx[:, None] < idx[None, :]) & (images[..., :, None] > images[..., None, :])
-    return upper | upper.swapaxes(-1, -2)
+    n = images.shape[-1]
+    s = _lanes(images, n)
+    idx = np.arange(n)
+    return (idx[:, None] < idx) ^ (s[..., :, None] < s[..., None, :])
 
 
 def inversion_graph(p: Permutation) -> UGraph:
@@ -146,11 +155,14 @@ def inversion_graph(p: Permutation) -> UGraph:
 def _chord_endpoints(partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left and right endpoints of the chords, sorted by left endpoint.
 
-    Takes 1-based partner arrays along the last axis, (..., 2n) -> two (..., n).
+    Takes 1-based partner arrays along the last axis, (..., 2n) -> two (..., n),
+    both in the lane type of ``_lanes``.
     """
-    is_left = partner > np.arange(1, partner.shape[-1] + 1)
-    left = np.nonzero(is_left)[-1].reshape(*partner.shape[:-1], partner.shape[-1] // 2) + 1
-    return left, np.take_along_axis(partner, left - 1, axis=-1)
+    two_n = partner.shape[-1]
+    partner = _lanes(partner, two_n // 2)
+    shape = (*partner.shape[:-1], two_n // 2)
+    flat = np.flatnonzero(partner > np.arange(1, two_n + 1, dtype=partner.dtype))
+    return (flat % two_n + 1).astype(partner.dtype).reshape(shape), partner.ravel()[flat].reshape(shape)
 
 
 def _circle_adj(partner: np.ndarray) -> np.ndarray:
@@ -385,38 +397,70 @@ def _checked_count(count, k: int) -> int:
     return int(count)
 
 
-def clique_count_inversion(p: Permutation, k: int) -> int:
-    """Cliques of size k in the inversion graph, counted as decreasing chains.
+# (row x position x merge level) entries per block of the stacked chain
+# count; its merge tables hold about 17 bytes per entry, about 2 MiB a block
+_CHAIN_CHUNK = 1 << 17
+
+
+def _inversion_clique_counts(images: np.ndarray, k: int) -> list[int]:
+    """Cliques of size k in the inversion graph of each row of a (B, n) stack
+    of one-line notations (permutations of 1..n), counted as decreasing chains.
 
     v_1 = 1, v_{j+1}(i) = sum of v_j(h) over h < i with sigma(h) > sigma(i),
     count = sum_i v_k(i).  Each of the k-1 dominance sums merges blocks of
     width 1, 2, 4, ...: in a block pair sorted by decreasing value, a running
-    sum of the left half's v serves the right half.  O(k n log n) time and
-    O(n log n) memory in exact integers; ValueError if the count is >= 2^63.
+    sum of the left half's v serves the right half.  A row's merge order at
+    one width is one argsort of its (block, -value) keys.  Rows share every
+    numpy call through flat row offsets, in blocks of _CHAIN_CHUNK entries:
+    each row is padded to whole block pairs with a slot whose v is 0, and the
+    right half gathers that slot too, so one cumsum per block pair gives the
+    running sums.  O(k n log n) time per row in exact integers; ValueError
+    if any row's count is >= 2^63.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = p.size
+    b, n = images.shape
     if k > n:
-        return 0
-    s = np.asarray(p.mapping, dtype=np.int64)
-    idx = np.arange(n)
-    levels = []  # per width: merge order, right-half mask, targets, run ends and block starts
-    for width in (1 << j for j in range((n - 1).bit_length())):
-        order = np.lexsort((-s, idx // (2 * width)))
-        right = order // width % 2 == 1
-        slots = np.flatnonzero(right)
-        levels.append((order, right, order[slots], slots + 1, slots // (2 * width) * (2 * width)))
+        return [0] * b
+    depth = (n - 1).bit_length()
     dtype = _int_type(math.comb(n, min(k, n // 2)))
-    v = np.ones(n, dtype=dtype)
-    run = np.zeros(n + 1, dtype=dtype)
-    for _ in range(k - 1):
-        nxt = np.zeros(n, dtype=dtype)
-        for order, right, targets, ends, starts in levels:
-            np.cumsum(np.where(right, 0, v[order]), out=run[1:])
-            nxt[targets] += run[ends] - run[starts]
-        v = nxt
-    return _checked_count(v.sum(dtype=dtype), k)
+    keys = _int_type(n * n)
+    pos = np.arange(n, dtype=keys)
+    counts: list[int] = []
+    step = max(1, _CHAIN_CHUNK // (n * max(depth, 1)))
+    for lo in range(0, b, step):
+        s = images[lo : lo + step].astype(keys)
+        rows = s.shape[0]
+        zero = rows * n  # the slot past the last row, where v stays 0
+        levels = []  # per width: padded gather, block pair length, targets, their padded slots
+        for width in (1 << j for j in range(depth)):
+            pair = 2 * width
+            length = -(-n // pair) * pair
+            order = np.argsort(pos // pair * n - s, axis=1)
+            right = (order & width) != 0
+            order += n * np.arange(rows)[:, None]
+            gather = np.full((rows, length), zero)
+            gather[:, :n] = np.where(right, zero, order)
+            slots = np.flatnonzero(right)
+            levels.append((gather, pair, order.ravel()[slots], slots + slots // n * (length - n)))
+        v = np.ones(zero + 1, dtype=dtype)
+        v[zero] = 0
+        for _ in range(k - 1):
+            nxt = np.zeros(zero + 1, dtype=dtype)
+            for gather, pair, targets, slots in levels:
+                run = np.cumsum(v[gather].reshape(-1, pair), axis=1, dtype=dtype)
+                nxt[targets] += run.ravel()[slots]
+            v = nxt
+        counts += [_checked_count(c, k) for c in v[:zero].reshape(rows, n).sum(axis=1, dtype=dtype)]
+    return counts
+
+
+def clique_count_inversion(p: Permutation, k: int) -> int:
+    """Cliques of size k in the inversion graph, counted as decreasing chains
+    (the one-row case of ``_inversion_clique_counts``): O(k n log n) time and
+    O(n log n) memory in exact integers; ValueError if the count is >= 2^63.
+    """
+    return _inversion_clique_counts(np.asarray(p.mapping, dtype=np.int64)[None], k)[0]
 
 
 def clique_count_circle(m: Matching, k: int) -> int:

@@ -655,6 +655,18 @@ def test_drivers_use_one_pool_per_call(monkeypatch):
     pools.clear()
     X.mc_unit_clique_scaling(200, 3, 20, 256, np.random.default_rng(13), threads=2)
     assert [(p.max_workers, p.submitted) for p in pools] == [(2, 2)]
+    pools.clear()
+    # reps of fewer than _INLINE_CELLS cells, and Python-bound reps, run inline
+    X.heatmap_experiment("circle", 200, 20, np.random.default_rng(3), threads=2)
+    X.heatmap_experiment("perm", 511, 2, np.random.default_rng(3), threads=2)
+    X.largest_component_stats(500, 200, np.random.default_rng(4), threads=2)
+    X.mc_clique_density("perm", 1000, 3, 4, np.random.default_rng(5), threads=2)
+    assert pools == []
+    X.heatmap_experiment("perm", 512, 2, np.random.default_rng(3), threads=2)
+    assert [(p.max_workers, p.submitted) for p in pools] == [(2, 2)]
+    pools.clear()
+    X.mc_clique_density("circle", 600, 3, 4, np.random.default_rng(6), threads=2)
+    assert [(p.max_workers, p.submitted) for p in pools] == [(2, 2)]
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])

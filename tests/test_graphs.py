@@ -84,6 +84,36 @@ def test_circle_graph_examples():
     assert empty.edge_count() == 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 64])
+def test_builders_equal_across_input_int_types(n):
+    # entries are compared on int8 lanes up to n = 63 and int16 lanes from 64
+    rng = np.random.default_rng(n)
+    images = np.array([rng.permutation(n) + 1 for _ in range(3)])
+    partners = C._sample_matchings_batch(n, 3, rng) + 1
+    inversion = [G._inversion_adj(images.astype(t)) for t in (np.int16, np.int32, np.int64)]
+    circle = [G._circle_adj(partners.astype(t)) for t in (np.int16, np.int32, np.int64)]
+    ends = [G._chord_endpoints(partners.astype(t)) for t in (np.int16, np.int32, np.int64)]
+    assert [_edge_set(a) for a in inversion[0]] == [oracles.inversion_edges(tuple(r)) for r in images.tolist()]
+    assert [_edge_set(a) for a in circle[0]] == [oracles.circle_edges(tuple(r)) for r in partners.tolist()]
+    for got in inversion[1:]:
+        assert np.array_equal(got, inversion[0])
+    for got in circle[1:]:
+        assert np.array_equal(got, circle[0])
+    for left, right in ends:
+        assert np.array_equal(left, ends[0][0]) and np.array_equal(right, ends[0][1])
+        assert np.array_equal(np.take_along_axis(partners, left - 1, axis=1), right)
+
+
+@pytest.mark.parametrize("n, lane", [(63, np.int8), (64, np.int16), (16383, np.int16), (16384, np.int32)])
+def test_chord_lanes_switch_where_2n_plus_1_stops_fitting(n, lane):
+    # chord i pairs i with i + n, so the right endpoints reach 2n
+    partner = np.concatenate([np.arange(n + 1, 2 * n + 1), np.arange(1, n + 1)])
+    left, right = G._chord_endpoints(partner[None])
+    assert left.dtype == right.dtype == lane
+    assert np.array_equal(left[0], np.arange(1, n + 1))
+    assert np.array_equal(right[0], np.arange(n + 1, 2 * n + 1))
+
+
 def test_unit_interval_graph_matches_oracle():
     rng = np.random.default_rng(2)
     for _ in range(60):
@@ -409,6 +439,50 @@ def test_clique_counts_with_k_near_n(k):
     assert G.clique_count_circle(_all_crossing(n, swap=True), k) == want
     assert G.clique_count_inversion(_decreasing(n), k) == math.comb(n, k)
     assert G.clique_count_circle(_all_crossing(n), k) == math.comb(n, k)
+
+
+_STACKS = st.integers(1, 12).flatmap(lambda n: st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_STACKS, st.integers(1, 6))
+def test_stacked_inversion_counts_match_dense_oracle(rows, k):
+    want = [oracles.dense_clique_count_inversion(tuple(r), k) for r in rows]
+    assert G._inversion_clique_counts(np.array(rows), k) == want
+
+
+@pytest.mark.parametrize("n, k", [(64, 20), (70, 52)])
+def test_stacked_inversion_counts_beside_a_decreasing_row(n, k):
+    # binom(64, 20) > 2^53 is counted in int64; at n = 70 the chain bound
+    # binom(70, 35) > 2^63 makes the whole stack count in Python ints
+    half = n // 2
+    rows = [
+        range(1, n + 1),  # increasing: no edge
+        _decreasing(n).mapping,
+        _decreasing(n, swap=True).mapping,
+        [*range(half, 0, -1), *range(n, half, -1)],  # two decreasing runs, the second above the first
+    ]
+    want = [0, math.comb(n, k), math.comb(n, k) - math.comb(n - 2, k - 2), 2 * math.comb(half, k)]
+    got = G._inversion_clique_counts(np.array([list(r) for r in rows]), k)
+    assert got == want
+    assert all(type(c) is int for c in got)
+
+
+def test_stacked_inversion_counts_raise_if_any_row_reaches_2_63():
+    rows = np.array([np.arange(1, 68), np.arange(67, 0, -1), np.arange(1, 68)])
+    assert math.comb(67, 33) >= 2**63
+    with pytest.raises(ValueError, match="2\\^63"):
+        G._inversion_clique_counts(rows, 33)
+
+
+@pytest.mark.parametrize("chunk", [1, 100, 1 << 17])
+def test_stacked_inversion_counts_in_blocks_of_rows(monkeypatch, chunk):
+    # one row per block, two rows per block (the last one short), one block
+    monkeypatch.setattr(G, "_CHAIN_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    rows = np.array([rng.permutation(9) + 1 for _ in range(11)])
+    want = [oracles.dense_clique_count_inversion(tuple(r), 3) for r in rows.tolist()]
+    assert G._inversion_clique_counts(rows, 3) == want
 
 
 def test_clique_counters_memory_is_bounded():
