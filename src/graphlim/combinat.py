@@ -273,10 +273,30 @@ def sample_matching(n: int, rng: np.random.Generator) -> Matching:
 
 def _dyck_steps(n: int, rng: np.random.Generator) -> np.ndarray:
     """A uniform Dyck word of size n >= 0 as int8 steps, +1 for U and -1 for D
-    (:func:`sample_dyck`); the first prefix-sum minimum is the D left out."""
-    word = rng.permutation(np.repeat(np.array([1, -1], dtype=np.int8), [n, n + 1]))
-    cut = int(np.argmin(np.cumsum(word, dtype=np.int32)))
-    return np.concatenate((word[cut + 1 :], word[:cut]))
+    (:func:`sample_dyck`).  n = 0 draws nothing.
+
+    2n + 1 fair bits from ``rng.bytes`` (1 is U) are made to hold n ups by
+    flipping |#ones - n| positions of the majority value, chosen uniformly
+    without replacement: the word stays exchangeable with a fixed count, so
+    it is uniform over the words of sum -1.  After the i-th D (0-based), at
+    position d_i, the prefix sum is d_i - 2i - 1, and a first prefix minimum
+    falls on a D, so the cut is read off the D positions with no cumulative
+    sum; the word is rotated to start just after it and that D is left out.
+    """
+    if n == 0:
+        return np.zeros(0, dtype=np.int8)
+    size = 2 * n + 1
+    bits = np.unpackbits(np.frombuffer(rng.bytes(-(-size // 8)), np.uint8), count=size)
+    excess = int(np.count_nonzero(bits)) - n
+    if excess:
+        side = np.flatnonzero(bits == (excess > 0))
+        bits[side[rng.choice(side.size, abs(excess), replace=False)]] ^= 1
+    down = np.flatnonzero(bits == 0)
+    cut = int(down[np.argmin(down - 2 * np.arange(down.size))])
+    word = np.concatenate((bits[cut + 1 :], bits[:cut])).view(np.int8)
+    word <<= 1  # bits 0 and 1 become steps -1 and +1
+    word -= 1
+    return word
 
 
 def _irreducible_dyck_steps(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -290,14 +310,15 @@ def _word_text(steps: np.ndarray) -> str:
 
 
 def sample_dyck(n: int, rng: np.random.Generator) -> DyckPath:
-    """Uniform Dyck path of size n via the cycle lemma.
+    """Uniform Dyck path of size n via the cycle lemma (Dvoretzky and
+    Motzkin, 1947).
 
-    Shuffle a word with n up steps and n+1 down steps (total sum -1) and
-    rotate it to begin just after the first position attaining the minimal
-    prefix sum; dropping the final down step leaves a Dyck word.  Every
-    Dyck word corresponds to exactly 2n+1 of the shuffled words (a word of
-    sum -1 has no cyclic symmetry), so the output is exactly uniform over
-    the Catalan(n) paths.
+    Draw a uniform word with n up steps and n+1 down steps (total sum -1)
+    from fair bits, and rotate it to begin just after the first position
+    attaining the minimal prefix sum; dropping the final down step leaves a
+    Dyck word.  Every Dyck word corresponds to exactly 2n+1 of the words of
+    sum -1 (such a word has no cyclic symmetry), so the output is exactly
+    uniform over the Catalan(n) paths.  See :func:`_dyck_steps` for the draw.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -422,18 +443,21 @@ def is_palindromic(w: DyckPath) -> bool:
 def _heights_arrays(steps: str | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(h, f) of a Dyck word given as text or as int8 steps; see :func:`heights`.
 
-    The i-th down step, at 0-based position pos, has pos - i + 1 up steps
-    before it, so f there is pos - 2i + 1.  Step arrays skip :class:`DyckPath`,
-    so the walk is checked here: nonnegative, and ending at 0.
+    The i-th up and down steps (1-based), at 0-based positions u_i and d_i,
+    give h_i = (2i - 1) - u_i and f_i = d_i - (2i - 1), and the walk after
+    the i-th D is f_i.  Step arrays skip :class:`DyckPath`, so the word is
+    checked here: as many U as D, and no f below 0.
     """
     if isinstance(steps, str):
-        steps = np.where(np.frombuffer(steps.encode("ascii"), dtype=np.uint8) == ord("U"), 1, -1)
-    ups = steps > 0
-    walk = np.cumsum(steps, dtype=np.int64)
-    if walk.size and (walk[-1] or walk.min() < 0):
+        ups = np.frombuffer(steps.encode("ascii"), dtype=np.uint8) == ord("U")
+    else:
+        ups = steps > 0
+    up, down = np.flatnonzero(ups), np.flatnonzero(~ups)
+    odd = np.arange(1, 2 * down.size, 2)
+    f = down - odd
+    if up.size != down.size or f.min(initial=0) < 0:
         raise ValueError("steps do not form a Dyck word")
-    down = (~ups).nonzero()[0]
-    return walk[ups], down - np.arange(1, 2 * down.size, 2)
+    return odd - up, f
 
 
 def heights(w: DyckPath) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -1031,12 +1031,12 @@ def mc_unit_clique_scaling(
     def graph_side(child: np.random.Generator) -> list[float]:
         f_all = _heights_arrays(np.concatenate(_sample_uig_words(n, child)))[1].astype(np.float64)
         out = []
+        num = np.ones_like(f_all)
         for k in ks_range:
-            # sum_i binom(f_i, k-1) via falling factorials; float64 is ample
-            # for a statistic that is immediately rescaled
-            num = np.ones_like(f_all)
-            for t in range(k - 1):
-                num = num * np.maximum(f_all - t, 0.0)
+            # sum_i binom(f_i, k-1) via falling factorials, one more factor
+            # per k; float64 is ample for a statistic that is immediately
+            # rescaled
+            num = num * np.maximum(f_all - (k - 2), 0.0)
             total = num.sum() / math.factorial(k - 1)
             out.append(total / n ** ((k + 1) / 2))
         return out
@@ -1134,9 +1134,8 @@ def verify_distance_formula(n_max: int, reps: int, rng: np.random.Generator) -> 
     pairs = 0
     for child in _child_rngs(master, reps):
         n = int(child.integers(2, n_max + 1))
-        w = combinat.sample_irreducible_dyck(n, child)
-        _, f = _heights_arrays(w.steps)
-        bfs = graphs.all_pairs_distances(graphs.unit_interval_graph(w))
+        _, f = _heights_arrays(combinat._irreducible_dyck_steps(n, child))
+        bfs = graphs.all_pairs_distances(UGraph(graphs._unit_interval_adj(f[None])[0]))
         verts = np.arange(1, n + 1)
         walk = graphs._table_distances(graphs._distances_from(f, verts), verts)
         pairs += n * (n - 1) // 2

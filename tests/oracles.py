@@ -257,16 +257,9 @@ def brute_irreducible(word: str) -> bool:
     return True
 
 
-def cycle_lemma_dyck_word(n: int, rng: np.random.Generator) -> str:
-    """Uniform Dyck word of size n >= 0 by the cycle lemma, on strings.
-
-    The generator shuffles n ones followed by n + 1 minus-ones as int8, so
-    the draw stream is the package's; the shuffle is read as U/D text,
-    rotated to start just after its first prefix-sum minimum, and the final
-    D is dropped.
-    """
-    shuffled = rng.permutation(np.array([1] * n + [-1] * (n + 1), dtype=np.int8))
-    word = "".join("U" if s > 0 else "D" for s in shuffled.tolist())
+def _cycle_lemma_cut(word: str) -> str:
+    """A U/D word of sum -1 rotated to start just after its first prefix-sum
+    minimum, with its final D dropped."""
     height, low, cut = 0, 1, 0
     for pos, c in enumerate(word):
         height += 1 if c == "U" else -1
@@ -275,9 +268,45 @@ def cycle_lemma_dyck_word(n: int, rng: np.random.Generator) -> str:
     return (word[cut:] + word[:cut])[:-1]
 
 
+def cycle_lemma_dyck_word(n: int, rng: np.random.Generator) -> str:
+    """Uniform Dyck word of size n >= 0 by the cycle lemma, on strings.
+
+    The generator shuffles n ones followed by n + 1 minus-ones as int8, the
+    package's draw stream before it drew words from fair bits; the shuffle
+    is read as U/D text and cut by the cycle lemma.  Reports pinned under
+    that stream stay reproducible with this rule patched in.
+    """
+    shuffled = rng.permutation(np.array([1] * n + [-1] * (n + 1), dtype=np.int8))
+    return _cycle_lemma_cut("".join("U" if s > 0 else "D" for s in shuffled.tolist()))
+
+
+def fair_bits_dyck_word(n: int, rng: np.random.Generator) -> str:
+    """Uniform Dyck word of size n >= 0 from fair bits, on strings.
+
+    n = 0 draws nothing.  Otherwise the 2n + 1 leading bits of
+    ceil((2n + 1) / 8) bytes, most significant bit first, are read as U for
+    1 and D for 0.  If the ups are not n, |#U - n| positions of the majority
+    letter, picked by ``rng.choice`` without replacement among that letter's
+    positions in order, are swapped to the other letter; the word is then
+    cut by the cycle lemma.
+    """
+    if n == 0:
+        return ""
+    size = 2 * n + 1
+    bits = "".join(f"{byte:08b}" for byte in rng.bytes((size + 7) // 8))[:size]
+    word = ["U" if b == "1" else "D" for b in bits]
+    excess = word.count("U") - n
+    if excess:
+        major, minor = ("U", "D") if excess > 0 else ("D", "U")
+        side = [pos for pos, c in enumerate(word) if c == major]
+        for pick in rng.choice(len(side), abs(excess), replace=False).tolist():
+            word[side[pick]] = minor
+    return _cycle_lemma_cut("".join(word))
+
+
 def irreducible_dyck_word(n: int, rng: np.random.Generator) -> str:
-    """U + (cycle-lemma word of size n-1) + D; "UD" draws nothing."""
-    return "UD" if n == 1 else "U" + cycle_lemma_dyck_word(n - 1, rng) + "D"
+    """U + (fair-bits word of size n-1) + D; "UD" draws nothing."""
+    return "UD" if n == 1 else "U" + fair_bits_dyck_word(n - 1, rng) + "D"
 
 
 def connected_uig_word(n: int, rng: np.random.Generator) -> str:

@@ -418,6 +418,108 @@ def test_sample_irreducible_dyck_uniform():
     assert all(C.DyckPath(w).is_irreducible() for w in counts)
 
 
+class _RecordingBytes:
+    """A generator whose ``bytes`` draws are kept, for reading the fair bits
+    :func:`C._dyck_steps` starts from."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng, self.drawn = rng, []
+
+    def bytes(self, length: int) -> bytes:
+        self.drawn.append(self.rng.bytes(length))
+        return self.drawn[-1]
+
+    def choice(self, *args, **kwargs):
+        return self.rng.choice(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n, draws_per_word", [(5, 200), (6, 100)])
+def test_sample_dyck_uniform_over_all_words(n, draws_per_word):
+    rng = _RecordingBytes(RNG(n))
+    words = [C._word_text(C._dyck_steps(n, rng)) for _ in range(C._catalan(n) * draws_per_word)]
+    counts = Counter(words)
+    assert set(counts) == {w.steps for w in C.iter_dyck_paths(n)}
+    _, p = scipy.stats.chisquare(list(counts.values()))
+    assert p > 1e-3
+    # the draws flipped ups, flipped downs and kept their bits as drawn
+    excess = Counter(
+        np.sign("".join(f"{byte:08b}" for byte in drawn)[: 2 * n + 1].count("1") - n) for drawn in rng.drawn
+    )
+    assert set(excess) == {-1, 0, 1}
+
+
+class _FixedBits:
+    """Hands out the bytes of one word of sum -1, packed most significant bit first."""
+
+    def __init__(self, word: np.ndarray) -> None:
+        self.packed = np.packbits(word > 0).tobytes()
+
+    def bytes(self, length: int) -> bytes:
+        assert length == len(self.packed)
+        return self.packed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.permutations([1] * n + [-1] * (n + 1))))
+def test_dyck_cut_is_the_first_prefix_minimum(word):
+    # n ups among the fair bits leave nothing to flip, so the word is cut as drawn
+    word = np.array(word, dtype=np.int8)
+    cut = int(np.argmin(np.cumsum(word)))
+    steps = C._dyck_steps(word.size // 2, _FixedBits(word))
+    assert steps.dtype == np.int8
+    assert np.array_equal(steps, np.concatenate((word[cut + 1 :], word[:cut])))
+
+
+def test_dyck_steps_of_size_zero_draw_nothing():
+    rng = RNG(5)
+    state = rng.bit_generator.state
+    assert C._dyck_steps(0, rng).size == 0
+    assert rng.bit_generator.state == state
+
+
+def _cumsum_heights(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(h, f) as the walk at the up steps and after the down steps, or None
+    if the walk goes below 0 or does not end at 0."""
+    walk = np.cumsum(steps, dtype=np.int64)
+    if walk.size and (walk[-1] or walk.min() < 0):
+        return None
+    return walk[steps > 0], walk[steps < 0]
+
+
+@st.composite
+def _step_arrays(draw) -> np.ndarray:
+    """±1 int8 arrays: Dyck words, Dyck words with one step flipped, dropped
+    or moved, and arbitrary words."""
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.sampled_from([1, -1]), max_size=30)), dtype=np.int8)
+    steps = C._dyck_steps(draw(st.integers(0, 30)), RNG(draw(st.integers(0, 2**32 - 1))))
+    if not steps.size:
+        return steps
+    pos = draw(st.integers(0, steps.size - 1))
+    corruption = draw(st.sampled_from(["none", "flip", "drop", "move"]))
+    if corruption == "flip":
+        steps[pos] = -steps[pos]
+    elif corruption == "drop":
+        steps = np.delete(steps, pos)
+    elif corruption == "move":
+        steps = np.insert(np.delete(steps, pos), draw(st.integers(0, steps.size - 1)), steps[pos])
+    return steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_arrays())
+def test_heights_arrays_equal_the_cumulative_walk(steps):
+    expected = _cumsum_heights(steps)
+    if expected is None:
+        with pytest.raises(ValueError, match="do not form a Dyck word"):
+            C._heights_arrays(steps)
+        return
+    for got in (C._heights_arrays(steps), C._heights_arrays(C._word_text(steps))):
+        for a, b in zip(got, expected):
+            assert a.dtype == np.int64
+            assert np.array_equal(a, b)
+
+
 def test_sample_irreducible_dyck_validates_once(monkeypatch):
     checks = []
     validate = C.DyckPath.__post_init__

@@ -177,10 +177,10 @@ def test_sample_connected_uig_is_canonical_word():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
 def test_dyck_draw_stream_matches_string_reference(n):
-    # the int8 step rule draws the words of the string rule and leaves the
-    # generator where the string rule leaves it
+    # the int8 step rule draws the words of the fair-bits string rule and
+    # leaves the generator where the string rule leaves it
     samplers = [
-        (C.sample_dyck, oracles.cycle_lemma_dyck_word),
+        (C.sample_dyck, oracles.fair_bits_dyck_word),
         (C.sample_irreducible_dyck, oracles.irreducible_dyck_word),
         (X.sample_connected_unit_interval_graph, oracles.connected_uig_word),
     ]
@@ -442,18 +442,19 @@ def test_counting_tables_thread_safe_from_cold():
 # recorded again when every block step moved to the log-space table (one
 # uniform per step, in place of big-integer weights up to n = 600); the 601
 # and 2000 reports draw their deficiency from the first step, which was
-# already a log-space draw, and kept their digests.
+# already a log-space draw, and kept their digests.  The clique-scaling
+# digest was recorded again when Dyck words came to be drawn from fair bits;
+# the component reports draw no Dyck word and kept theirs.
 _PINNED_BLOCK_REPORTS = {
     150: "573d8a47fd128f9c8e64af26d35f3ef6b1c1feb0315b5b244cb7b07071565a7a",
     600: "3c6af4dacc4a2264d217949e01f16f6364cb7e7e3135697ac37455f24e50e425",
     601: "1c2d6804e70acfc0a5adacf3f3e9afeb50be19e98950ea79eb1ce184dcd0457a",
     2000: "cb8b6919e414bb1e8666f5864b098f9c27c45d8bf0a5c15face9dcdb45e4d48c",
-    "mc_unit_clique_scaling_700": "da306154568ea2bde8cdc9568b2498eabb9d9f27e66d5084651ac63875699a70",
+    "mc_unit_clique_scaling_700": "64bc6f2b7fb20b970e12ac1d0b52e6cc83b6be85b5782661e40c53ebd2079f94",
 }
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3, 4])
-def test_block_draw_reports_pinned(threads):
+def _block_report_digests(threads: int) -> dict:
     reports = {
         n: X.largest_component_stats(n, 200, np.random.default_rng(n), threads=threads)
         for n in (150, 600, 601, 2000)
@@ -461,24 +462,30 @@ def test_block_draw_reports_pinned(threads):
     reports["mc_unit_clique_scaling_700"] = X.mc_unit_clique_scaling(
         700, 3, 20, 256, np.random.default_rng(700), threads=threads
     )
-    digests = {key: hashlib.sha256(rep.to_json().encode()).hexdigest() for key, rep in reports.items()}
-    assert digests == _PINNED_BLOCK_REPORTS
+    return {key: hashlib.sha256(rep.to_json().encode()).hexdigest() for key, rep in reports.items()}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+def test_block_draw_reports_pinned(threads):
+    assert _block_report_digests(threads) == _PINNED_BLOCK_REPORTS
 
 
 # SHA-256 of report JSON for small unit-interval metric runs, recorded with
 # the earlier one-source-at-a-time jump walk and character-loop Dyck words;
 # the vectorised code must reproduce every byte at any thread count.  The
 # clique-scaling digest was recorded again when every block step moved to the
-# log-space table; the other two draw no blocks.
+# log-space table; the other two draw no blocks.  The verify_gp and
+# clique-scaling digests were recorded again when Dyck words came to be drawn
+# from fair bits; the distance-formula report counts pairs and mismatches
+# only, and kept its digest.
 _PINNED_REPORTS = {
-    "verify_gp": "71d71170904682795e8048ee4f14ecb26ce88e8ce3ed5c1c8f47453f515cb6c0",
-    "mc_unit_clique_scaling": "5dce8f0571b189f28fc34481332c62411367454c8f770604765e8705bc77410e",
+    "verify_gp": "9b0c57255f376240cbea47ca56fe0279b05fe25fdae421f466169d1945bf5f6e",
+    "mc_unit_clique_scaling": "fddb681b7f7edf013d52cfc856ca7b92a74c0c49d031fcbdb1a25488c2aacb7a",
     "verify_distance_formula": "2f536802d09095b5b1d6bd209742ac1e44a335b95c19fb448bfe8075037f1668",
 }
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3, 4])
-def test_unit_interval_metric_reports_pinned(threads):
+def _metric_report_digests(threads: int) -> dict:
     reports = {
         "verify_gp": X.verify_gp(
             [50, 100, 200], 0.05, 64, 3, 40, np.random.default_rng(7), threads=threads, two_point_n=300
@@ -488,8 +495,38 @@ def test_unit_interval_metric_reports_pinned(threads):
         ),
         "verify_distance_formula": X.verify_distance_formula(30, 10, np.random.default_rng(11)),
     }
-    digests = {name: hashlib.sha256(rep.to_json().encode()).hexdigest() for name, rep in reports.items()}
-    assert digests == _PINNED_REPORTS
+    return {name: hashlib.sha256(rep.to_json().encode()).hexdigest() for name, rep in reports.items()}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+def test_unit_interval_metric_reports_pinned(threads):
+    assert _metric_report_digests(threads) == _PINNED_REPORTS
+
+
+# The same metric and block reports under the earlier Dyck sampler, which
+# shuffled n ups and n + 1 downs, as recorded before the draw stream changed.
+_SHUFFLE_DYCK_REPORTS = {
+    "verify_gp": "71d71170904682795e8048ee4f14ecb26ce88e8ce3ed5c1c8f47453f515cb6c0",
+    "mc_unit_clique_scaling": "5dce8f0571b189f28fc34481332c62411367454c8f770604765e8705bc77410e",
+    "verify_distance_formula": "2f536802d09095b5b1d6bd209742ac1e44a335b95c19fb448bfe8075037f1668",
+}
+_SHUFFLE_DYCK_BLOCK_REPORTS = {
+    **_PINNED_BLOCK_REPORTS,
+    "mc_unit_clique_scaling_700": "da306154568ea2bde8cdc9568b2498eabb9d9f27e66d5084651ac63875699a70",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_shuffle_dyck_reports_pinned(monkeypatch, threads):
+    # with the old Dyck rule patched in, everything downstream of the sampler
+    # must still reproduce the old reports byte for byte
+    monkeypatch.setattr(
+        C,
+        "_dyck_steps",
+        lambda n, rng: np.array([1 if c == "U" else -1 for c in oracles.cycle_lemma_dyck_word(n, rng)], np.int8),
+    )
+    assert _metric_report_digests(threads) == _SHUFFLE_DYCK_REPORTS
+    assert _block_report_digests(threads) == _SHUFFLE_DYCK_BLOCK_REPORTS
 
 
 # SHA-256 of mc_clique_density report JSON (n = 300, reps = 6, rng seed

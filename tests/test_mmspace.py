@@ -86,6 +86,25 @@ def test_sample_excursion_shape_and_positivity():
         assert e.values.max() > 0.0
 
 
+def _normal_rule_excursion(m: int, rng: np.random.Generator) -> np.ndarray:
+    """The Vervaat excursion with its increments drawn by ``rng.normal``."""
+    walk = np.cumsum(rng.normal(0.0, math.sqrt(1.0 / m), size=m))
+    bridge = np.concatenate(([0.0], walk)) - np.arange(m + 1) / m * walk[-1]
+    j = int(np.argmin(bridge[:m]))
+    exc = np.concatenate((bridge[j:m], bridge[: j + 1])) - bridge[j]
+    exc[0] = exc[-1] = 0.0
+    return np.maximum(exc, 0.0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 2048, 32768])
+def test_sample_excursion_equals_the_normal_rule_bit_for_bit(m):
+    for seed in range(5):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = M.sample_excursion(m, rng).values
+        assert np.array_equal(got.view(np.uint64), _normal_rule_excursion(m, ref).view(np.uint64))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_sample_excursion_mean_integral():
     rng = np.random.default_rng(1)
     vals = [M.excursion_integral(M.sample_excursion(1024, rng), 1) for _ in range(3000)]
@@ -245,6 +264,17 @@ def test_gp_box_estimate_unit_matches_dense_spaces(n, m, delta, e_from_w):
         disc, defect = M.gp_box_estimate_unit(w, e_from_w, delta, m, np.random.default_rng(seed))
         assert defect == 2.0 * delta
         assert disc == _dense_box_estimate(w, e_from_w, delta, m, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("n", [10, 17, 31, 300])
+def test_box_rank_lookup_equals_searchsorted(n):
+    xs = M._box_grid(1 / 32, 64)
+    verts = np.minimum(1 + np.floor(xs * n).astype(np.int64), n)
+    table = G._distances_from(C._heights_arrays(C._irreducible_dyck_steps(n, np.random.default_rng(n)))[1], verts)
+    if n < 32:  # the edge values 1 and n both start and end walks
+        assert table.min() == 1 and table.max() == n
+    rank = np.searchsorted(verts, np.arange(n + 1), side="right")
+    assert np.array_equal(rank[table], np.searchsorted(verts, table, side="right"))
 
 
 def test_gp_box_estimate_unit_memory():
