@@ -148,7 +148,7 @@ def _build_one(kind: str, line: str):
         return graphs.inversion_graph(combinat.parse_permutation(line))
     if kind == "circle":
         return graphs.circle_graph(combinat.parse_matching(line))
-    return graphs.unit_interval_graph(combinat.DyckPath(line.strip()))
+    return graphs.unit_interval_graph(combinat.parse_dyck(line))
 
 
 def _cmd_build(args: argparse.Namespace, config: RunConfig) -> int:

@@ -48,11 +48,6 @@ __all__ = [
     "count_irreducible_dyck",
     "count_palindromic_irreducible",
     "count_symmetric_matchings",
-    "mirror",
-    "is_palindromic",
-    "shift",
-    "reversal",
-    "heights",
     "has_nontrivial_symmetry",
     "iter_matchings",
     "iter_dyck_paths",
@@ -81,10 +76,6 @@ class Permutation:
     @property
     def size(self) -> int:
         return len(self.mapping)
-
-    def of(self, i: int) -> int:
-        """sigma(i), 1-based."""
-        return self.mapping[i - 1]
 
 
 @dataclass(frozen=True)
@@ -117,10 +108,6 @@ class Matching:
     def size(self) -> int:
         return len(self.partner) // 2
 
-    def of(self, i: int) -> int:
-        """m(i), 1-based."""
-        return self.partner[i - 1]
-
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Chords as (smaller, larger) pairs, sorted by smaller endpoint."""
         return tuple(
@@ -132,6 +119,8 @@ class Matching:
         pairs = list(pairs)
         partner = [0] * (2 * len(pairs))
         for a, b in pairs:
+            if not (1 <= a <= len(partner) and 1 <= b <= len(partner)):
+                raise ValueError(f"pair {a}-{b}: endpoint out of range 1..{len(partner)}")
             partner[a - 1] = b
             partner[b - 1] = a
         return cls(tuple(partner))
@@ -380,16 +369,6 @@ def _reverse_partners(partner: np.ndarray) -> np.ndarray:
     return (partner.shape[-1] + 1 - partner)[..., ::-1]
 
 
-def shift(m: Matching) -> Matching:
-    """Rotate the circular picture: chord (i, j) becomes (i+1, j+1) mod 2n."""
-    return Matching(tuple(_rotate_partners(np.asarray(m.partner), 1).tolist()))
-
-
-def reversal(m: Matching) -> Matching:
-    """Reflect the circular picture: chord (i, j) becomes (2n+1-i, 2n+1-j)."""
-    return Matching(tuple(_reverse_partners(np.asarray(m.partner)).tolist()))
-
-
 def _xyz_batch(partner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, y, z) as int64 for each row of int32 (2n < 2^31) or int64 0-based partners.
 
@@ -428,20 +407,11 @@ def xyz_stats(m: Matching) -> tuple[int, int, int]:
     return int(x[0]), int(y[0]), int(z[0])
 
 
-_SWAP_UD = str.maketrans("UD", "DU")
-
-
-def mirror(w: DyckPath) -> DyckPath:
-    """Read the word right to left and swap U <-> D."""
-    return DyckPath(w.steps[::-1].translate(_SWAP_UD))
-
-
-def is_palindromic(w: DyckPath) -> bool:
-    return w == mirror(w)
-
-
 def _heights_arrays(steps: str | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(h, f) of a Dyck word given as text or as int8 steps; see :func:`heights`.
+    """The height and forward-degree sequences (h, f) of a Dyck word given as
+    text or as int8 steps: h[i-1] is the arrival height of the i-th up step,
+    and f[i-1] the number of up steps strictly between the i-th up step and
+    the i-th down step.
 
     The i-th up and down steps (1-based), at 0-based positions u_i and d_i,
     give h_i = (2i - 1) - u_i and f_i = d_i - (2i - 1), and the walk after
@@ -458,19 +428,6 @@ def _heights_arrays(steps: str | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if up.size != down.size or f.min(initial=0) < 0:
         raise ValueError("steps do not form a Dyck word")
     return odd - up, f
-
-
-def heights(w: DyckPath) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The height and forward-degree sequences (h, f) of a Dyck path.
-
-    h[i-1] is the arrival height of the i-th up step; f[i-1] is the number
-    of up steps strictly between the i-th up step and the i-th down step.
-
-    >>> heights(parse_dyck("UUDUDD"))
-    ((1, 2, 2), (1, 1, 0))
-    """
-    h, f = _heights_arrays(w.steps)
-    return tuple(int(v) for v in h), tuple(int(v) for v in f)
 
 
 def has_nontrivial_symmetry(m: Matching) -> bool:
@@ -607,34 +564,45 @@ def iter_matchings(n: int) -> Iterator[Matching]:
         yield Matching(tuple(row.tolist()))
 
 
+def _dyck_rows(n: int) -> np.ndarray:
+    """All Catalan(n) Dyck words of size n >= 0 as int8 steps (+1 for U, -1
+    for D), one per row, lexicographic (D < U).
+
+    Each prefix row is extended by D and then by U where the word can still
+    close, so the rows stay in order; n = 0 gives one empty row.
+    """
+    rows = np.zeros((1, 0), dtype=np.int8)
+    height = np.zeros(1, dtype=np.int64)
+    for left in range(2 * n, 0, -1):  # steps still to place
+        fits = np.stack((height > 0, height < left - 1), axis=1).reshape(-1)
+        step = np.tile(np.array([-1, 1], dtype=np.int8), height.size)[fits]
+        rows = np.concatenate((np.repeat(rows, 2, axis=0)[fits], step[:, None]), axis=1)
+        height = np.repeat(height, 2)[fits] + step
+    return rows
+
+
+def _irreducible_dyck_rows(n: int) -> np.ndarray:
+    """All Catalan(n-1) irreducible Dyck words of size n >= 1 as int8 rows:
+    U + (a row of :func:`_dyck_rows` of size n-1) + D, in that order."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return np.pad(_dyck_rows(n - 1), ((0, 0), (1, 1)), constant_values=((0, 0), (1, -1)))
+
+
 def iter_dyck_paths(n: int) -> Iterator[DyckPath]:
     """All Catalan(n) Dyck paths of semilength n, lexicographic (D < U).
 
     >>> [w.steps for w in iter_dyck_paths(2)]
     ['UDUD', 'UUDD']
     """
-
-    def rec(ups_left: int, downs_left: int) -> Iterator[str]:
-        if ups_left == 0:
-            yield "D" * downs_left
-            return
-        if downs_left > ups_left:
-            for tail in rec(ups_left, downs_left - 1):
-                yield "D" + tail
-        for tail in rec(ups_left - 1, downs_left):
-            yield "U" + tail
-
-    for word in rec(n, n):
-        yield DyckPath(word)
+    for row in _dyck_rows(n):
+        yield DyckPath(_word_text(row))
 
 
 def iter_irreducible_dyck(n: int) -> Iterator[DyckPath]:
     """All Catalan(n-1) irreducible Dyck paths of semilength n."""
-    if n == 1:
-        yield DyckPath("UD")
-        return
-    for inner in iter_dyck_paths(n - 1):
-        yield DyckPath("U" + inner.steps + "D")
+    for row in _irreducible_dyck_rows(n):
+        yield DyckPath(_word_text(row))
 
 
 # ---------------------------------------------------------------------------

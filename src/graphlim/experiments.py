@@ -611,14 +611,14 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
     circle_adj = {n: graphs._circle_adj(rows) for n, rows in match_rows.items()}
     modular_prime = {n: graphs._modular_prime_flags(adj) for n, adj in perm_adj.items()}
     split_prime = {n: graphs._split_prime_flags(adj) for n, adj in circle_adj.items()}
-    dyck = {n: list(combinat.iter_dyck_paths(n)) for n in sizes}
-    irreducible = {n: list(combinat.iter_irreducible_dyck(n)) for n in sizes}
+    dyck = {n: combinat._dyck_rows(n) for n in sizes}
+    irreducible = {n: combinat._irreducible_dyck_rows(n) for n in sizes}
 
     def matching_text(n: int, row: int) -> str:
         return combinat.format_matching(combinat.Matching(tuple(match_rows[n][row].tolist())))
 
-    def uig_adj(words: list[DyckPath]) -> np.ndarray:
-        return graphs._unit_interval_adj(np.array([_heights_arrays(w.steps)[1] for w in words]))
+    def uig_adj(words: np.ndarray) -> np.ndarray:
+        return graphs._unit_interval_adj(np.array([_heights_arrays(w)[1] for w in words]))
 
     # --- simplicity <=> modular primality, and the size-4 classification
     bad = None
@@ -726,12 +726,11 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
     for n in sizes:
         _, classes = _canonical_classes(uig_adj(irreducible[n]))
         for code, rows in classes.items():
-            words = [irreducible[n][r] for r in rows]
-            if len(words) == 1 and combinat.is_palindromic(words[0]):
+            words = irreducible[n][rows]
+            # one palindromic word or two mirror words; a row's mirror is -row[::-1]
+            if len(words) in (1, 2) and np.array_equal(-words[0][::-1], words[-1]):
                 continue
-            if len(words) == 2 and combinat.mirror(words[0]) == words[1]:
-                continue
-            bad = f"n={n} class {code}: {[w.steps for w in words]}"
+            bad = f"n={n} class {code}: {[combinat._word_text(w) for w in words]}"
             break
         if bad:
             break
@@ -757,10 +756,10 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
         if rows_n.shape[0] != combinat.count_matchings(n):
             bad = f"m_{n}"
             break
-        if len(dyck[n]) != combinat.count_irreducible_dyck(n + 1):
+        if dyck[n].shape[0] != combinat.count_irreducible_dyck(n + 1):
             bad = f"catalan_{n}"
             break
-        pal = sum(1 for w in irreducible[n] if combinat.is_palindromic(w))
+        pal = int((irreducible[n] == -irreducible[n][:, ::-1]).all(axis=1).sum())
         if pal != combinat.count_palindromic_irreducible(n):
             bad = f"palindromic_{n}"
             break

@@ -1,4 +1,4 @@
-"""The two limit graphons, graphon sampling, and exact clique densities.
+"""The two limit graphons, their edge rule, and exact clique densities.
 
 A graphon is named by its seed family, ``"perm"`` or ``"circle"``.  A
 latent point is a pair (a, b) in [0,1]^2, and one broadcasting rule,
@@ -30,7 +30,6 @@ from .graphs import UGraph
 
 __all__ = [
     "StepGraphon",
-    "sample_graph",
     "clique_density",
     "step_graphon",
     "write_pgm",
@@ -73,16 +72,6 @@ def _adjacent(family: str, a1, b1, a2, b2):
     lo1, hi1 = np.minimum(a1, b1), np.maximum(a1, b1)
     lo2, hi2 = np.minimum(a2, b2), np.maximum(a2, b2)
     return ((lo1 < lo2) & (lo2 < hi1) & (hi1 < hi2)) | ((lo2 < lo1) & (lo1 < hi2) & (hi2 < hi1))
-
-
-def sample_graph(family: str, k: int, rng: np.random.Generator) -> UGraph:
-    """Graph on k vertices drawn from the family's graphon with uniform latent points."""
-    if family not in _FAMILIES:
-        raise ValueError(f"family must be one of {_FAMILIES}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    a, b = rng.random((k, 2)).T
-    return UGraph(_adjacent(family, a[:, None], b[:, None], a[None, :], b[None, :]))
 
 
 def clique_density(family: str, k: int) -> Fraction:

@@ -43,7 +43,6 @@ __all__ = [
     "count_cliques_unit",
     "clique_count_inversion",
     "clique_count_circle",
-    "is_modular_prime",
     "is_split_prime",
     "canonical_form",
     "parse_graph",
@@ -545,14 +544,6 @@ def _modular_prime_flags(adj: np.ndarray) -> np.ndarray:
         mixed = (seen > 0) & (seen < size) & ~blocks
         out[lo : lo + step] = mixed.any(axis=1).all(axis=1)
     return out
-
-
-def is_modular_prime(g: UGraph) -> bool:
-    """No module M with 2 <= |M| <= n-1 exists (subset scan, n <= 16)."""
-    n = g.n
-    if n > _SUBSET_SCAN_LIMIT:
-        raise ValueError(f"modular-primality scan is limited to n <= {_SUBSET_SCAN_LIMIT} (got n={n})")
-    return bool(_modular_prime_flags(g.adj[None])[0])
 
 
 def _split_flags(adj: np.ndarray, sides: np.ndarray) -> np.ndarray:

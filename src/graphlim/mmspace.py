@@ -7,9 +7,12 @@ over [x, y] diverges at the endpoints, so every evaluation carries a
 mandatory truncation level delta and requests touching [0, delta) or
 (1-delta, 1] are rejected.
 
-Quadrature is trapezoidal with linear interpolation inside partial cells:
-O(1/m) accuracy, exact for constant integrands, and exactly additive in the
-integration bounds.
+One quadrature, :func:`_grid_cumulative`, serves the two-point distance
+and the box estimate: trapezoids of the linear interpolant of 1/e, summed
+from t_1, so O(1/m) accurate, exact for constant integrands and additive in
+the integration bounds.  It needs e > 0 at every interior grid point (an
+interior zero raises ValueError); a point in a boundary cell, where 1/e is
+interpolated from the divergent end value, has distance inf.
 """
 
 from __future__ import annotations
@@ -92,29 +95,15 @@ def sample_excursion(m: int, rng: np.random.Generator) -> ExcursionGrid:
     return ExcursionGrid(exc)
 
 
-def _interp_integrand(values: np.ndarray, x: float) -> float:
-    """Linear interpolation of 1/e at x (may be inf next to the endpoints)."""
-    m = values.size - 1
-    pos = x * m
-    i = min(int(math.floor(pos)), m - 1)
-    theta = pos - i
-    with np.errstate(divide="ignore"):
-        g0 = np.divide(1.0, values[i]) if values[i] else math.inf
-        g1 = np.divide(1.0, values[i + 1]) if values[i + 1] else math.inf
-    if theta == 0.0:
-        return float(g0)
-    if theta == 1.0:
-        return float(g1)
-    return float((1.0 - theta) * g0 + theta * g1)
-
-
 def excursion_distance(e: ExcursionGrid, x: float, y: float, delta: float) -> float:
     """Truncated excursion metric: integral of 1/e over [x, y].
 
     Requires 0 < delta <= x <= y <= 1 - delta; the integrand diverges at the
-    endpoints of the excursion, so untruncated requests are rejected.
-    Trapezoidal quadrature with interpolated partial cells — exactly
-    additive: d(x, z) = d(x, y) + d(y, z).
+    endpoints of the excursion, so untruncated requests are rejected.  The
+    quadrature is :func:`_grid_cumulative`'s, additive up to rounding:
+    d(x, z) = d(x, y) + d(y, z).  A point in a boundary cell (x < 1/m or
+    y > 1 - 1/m) gives inf, and an excursion that vanishes at an interior
+    grid point raises ValueError.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -122,24 +111,11 @@ def excursion_distance(e: ExcursionGrid, x: float, y: float, delta: float) -> fl
         raise ValueError("need delta <= x <= y <= 1 - delta")
     if x == y:
         return 0.0
-    v = e.values
     m = e.m
-    with np.errstate(divide="ignore"):
-        g = np.where(v > 0.0, 1.0 / np.where(v > 0.0, v, 1.0), math.inf)
-    i0 = int(math.ceil(x * m - 1e-12))
-    i1 = int(math.floor(y * m + 1e-12))
-    if i1 < i0:  # both ends inside one cell
-        return 0.5 * (y - x) * (_interp_integrand(v, x) + _interp_integrand(v, y))
-    total = 0.0
-    lead = i0 / m - x
-    if lead > 0.0:
-        total += 0.5 * lead * (_interp_integrand(v, x) + float(g[i0]))
-    if i1 > i0:
-        total += float(np.sum(0.5 * (g[i0 : i1] + g[i0 + 1 : i1 + 1]))) / m
-    tail = y - i1 / m
-    if tail > 0.0:
-        total += 0.5 * tail * (float(g[i1]) + _interp_integrand(v, y))
-    return total
+    if x * m < 1.0 or y * m > m - 1.0:
+        return math.inf
+    c = _grid_cumulative(e.values, np.array([x, y]))
+    return float(c[1] - c[0])
 
 
 def excursion_integral(e: ExcursionGrid, k: int) -> float:

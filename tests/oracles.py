@@ -493,3 +493,16 @@ def box_discrepancy(d1: np.ndarray, d2: np.ndarray, relation: list[tuple[int, in
     """Largest |d1[i, i'] - d2[j, j']| over pairs (i, j), (i', j') of the relation."""
     i, j = np.array(relation).T
     return float(np.abs(d1[np.ix_(i, i)] - d2[np.ix_(j, j)]).max())
+
+
+def excursion_distance(values: np.ndarray, x: float, y: float) -> float:
+    """Integral of 1/e over [x, y], 1/m <= x <= y <= 1 - 1/m, for e given on
+    the grid t_i = i/m: trapezoids on the nodes x, every grid point strictly
+    inside (x, y), and y, with 1/e interpolated linearly between the
+    interior grid points (which must be positive)."""
+    m = len(values) - 1
+    grid = np.arange(1, m) / m
+    inv = 1.0 / np.asarray(values[1:m], dtype=np.float64)
+    nodes = np.concatenate(([x], grid[(grid > x) & (grid < y)], [y]))
+    g = np.interp(nodes, grid, inv)
+    return float(np.sum(np.diff(nodes) * (g[1:] + g[:-1])) / 2.0)

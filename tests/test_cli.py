@@ -184,6 +184,21 @@ def test_build_malformed_seed_object_exits_2(monkeypatch, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1-4", "pair 1-4: endpoint out of range 1..2"),
+        ("1-2 3-9", "pair 3-9: endpoint out of range 1..4"),
+        ("0-1", "pair 0-1: endpoint out of range 1..2"),  # would wrap to the last point
+    ],
+)
+def test_build_matching_endpoint_out_of_range_exits_2(monkeypatch, capsys, text, message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text + "\n"))
+    code, _, err = run_cli(["build", "circle", "--seed", "1"], capsys)
+    assert code == 2
+    assert f"error: {message}" in err and "internal error" not in err
+
+
 def test_build_empty_input_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("\n\n"))
     code, _, err = run_cli(["build", "inversion", "--seed", "1"], capsys)

@@ -128,13 +128,13 @@ def test_count_matchings_double_factorial():
 
 
 def test_shift_reversal_group_relations():
-    # shift has order 2n; reversal is an involution; both preserve xyz-zero
-    for m in C.iter_matchings(3):
-        cur = m
-        for _ in range(6):
-            cur = C.shift(cur)
-        assert cur == m
-        assert C.reversal(C.reversal(m)) == m
+    # the one-point turn has order 2n and the reflection is an involution
+    rows = C._matching_partners(3)
+    cur = rows
+    for _ in range(6):
+        cur = C._rotate_partners(cur, 1)
+    assert np.array_equal(cur, rows)
+    assert np.array_equal(C._reverse_partners(C._reverse_partners(rows)), rows)
 
 
 def test_matching_text_roundtrip():
@@ -215,8 +215,13 @@ def test_dyck_validation_and_enumeration():
     with pytest.raises(ValueError):
         C.DyckPath("DU")
     for n in range(1, 6):
-        ours = sorted(w.steps for w in C.iter_dyck_paths(n))
+        ours = [w.steps for w in C.iter_dyck_paths(n)]
         assert ours == sorted(oracles.all_dyck_words(n))
+    # the stack holds every word once, in lexicographic order (D < U)
+    for n in range(0, 11):
+        rows = C._dyck_rows(n)
+        assert rows.dtype == np.int8 and rows.shape == (C._catalan(n), 2 * n)
+        assert [C._word_text(r) for r in rows] == sorted(oracles.all_dyck_words(n))
 
 
 @pytest.mark.parametrize(
@@ -238,28 +243,25 @@ def test_dyck_error_messages(word, message):
 
 
 def test_irreducible_enumeration_and_counts():
-    for n in range(1, 7):
-        words = [w.steps for w in C.iter_irreducible_dyck(n)]
+    for n in range(1, 11):
+        rows = C._irreducible_dyck_rows(n)
+        words = [C._word_text(r) for r in rows]
         brute = [w for w in oracles.all_dyck_words(n) if oracles.brute_irreducible(w)]
-        assert sorted(words) == sorted(brute)
-        assert len(words) == C.count_irreducible_dyck(n)
-        pal = [w for w in words if C.is_palindromic(C.DyckPath(w))]
-        assert len(pal) == C.count_palindromic_irreducible(n)
+        assert words == sorted(brute)
+        assert [w.steps for w in C.iter_irreducible_dyck(n)] == words
+        assert rows.shape[0] == C.count_irreducible_dyck(n)
+        pal = (rows == -rows[:, ::-1]).all(axis=1)
+        assert int(pal.sum()) == C.count_palindromic_irreducible(n)
+        swap = str.maketrans("UD", "DU")
+        assert [w for w, p in zip(words, pal) if p] == [w for w in words if w == w[::-1].translate(swap)]
+    with pytest.raises(ValueError):
+        C._irreducible_dyck_rows(0)
 
 
 def test_heights_example():
-    h, f = C.heights(C.DyckPath("UUDUDD"))
-    assert h == (1, 2, 2)
-    assert f == (1, 1, 0)
-
-
-def test_mirror_involution_and_palindromes():
-    w = C.DyckPath("UUDUDD")
-    assert C.mirror(C.mirror(w)) == w
-    assert C.is_palindromic(C.DyckPath("UUDD"))
-    assert not C.is_palindromic(C.DyckPath("UUDUDD")) or C.mirror(
-        C.DyckPath("UUDUDD")
-    ) == C.DyckPath("UUDUDD")
+    h, f = C._heights_arrays(C.DyckPath("UUDUDD").steps)
+    assert tuple(h.tolist()) == (1, 2, 2)
+    assert tuple(f.tolist()) == (1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +540,8 @@ def test_sample_irreducible_dyck_validates_once(monkeypatch):
 def test_heights_arrays_rejects_corrupted_steps():
     steps = C._irreducible_dyck_steps(40, RNG(1))
     h, f = C._heights_arrays(steps)
-    assert (tuple(h.tolist()), tuple(f.tolist())) == C.heights(C.DyckPath(C._word_text(steps)))
+    text_h, text_f = C._heights_arrays(C.DyckPath(C._word_text(steps)).steps)
+    assert np.array_equal(h, text_h) and np.array_equal(f, text_f)
     # first step flipped (negative prefix), last step dropped (unbalanced),
     # word reversed (starts with D)
     for bad in (np.concatenate((-steps[:1], steps[1:])), steps[:-1], steps[::-1]):
@@ -624,7 +627,7 @@ def _planted_xyz_zero(count, rng):
         n = int(rng.integers(10, 201))
         k = int(rng.integers(3, n - 2))
         big, small = part(n - k + 1), part(k + 1)
-        marks = [i for i in range(2, 2 * big.size + 1) if big.of(i) != 1]
+        marks = [i for i in range(2, 2 * big.size + 1) if big.partner[i - 1] != 1]
         partner, parts = oracles.phi_inverse(big.partner, marks[int(rng.integers(len(marks)))], small.partner)
         m = C.Matching(partner)
         assert oracles.closed_side_k(partner, set(parts[1] + parts[3])) == k

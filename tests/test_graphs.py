@@ -236,7 +236,7 @@ def test_unit_distance_formula_integer_hop_counting():
     # with float round-up (0.2 * 5 > 1 in binary); the integer recursion
     # must return 1
     w = C.DyckPath("U" * 6 + "DU" * 5 + "D" * 6)
-    h, f = C.heights(w)
+    h, f = C._heights_arrays(w.steps)
     assert f[0] == 5
     assert G.unit_distance_formula(w, 1, 6) == 1
     g = G.unit_interval_graph(w)
@@ -511,14 +511,14 @@ def test_is_modular_prime_matches_oracle():
     for _ in range(30):
         n = int(rng.integers(1, 8))
         g = _random_graph(n, 0.5, rng)
-        assert G.is_modular_prime(g) == oracles.brute_modular_prime(n, _edges(g))
+        assert G._modular_prime_flags(g.adj[None])[0] == oracles.brute_modular_prime(n, _edges(g))
 
 
 def test_simple_iff_prime_small():
     for n in range(1, 6):
         for mp in itertools.permutations(range(1, n + 1)):
             p = C.Permutation(mp)
-            assert C.is_simple(p) == G.is_modular_prime(G.inversion_graph(p))
+            assert C.is_simple(p) == G._modular_prime_flags(G.inversion_graph(p).adj[None])[0]
 
 
 def test_is_split_matches_oracle():

@@ -145,12 +145,32 @@ def test_excursion_distance_validation():
         M.excursion_distance(e, 0.3, 0.5, 0.0)  # delta must be positive
 
 
-def test_excursion_distance_interior_zero_gives_inf():
+def test_excursion_distance_interior_zero_raises():
     vals = np.zeros(17)
     vals[1:8] = 1.0
     vals[9:16] = 1.0  # vals[8] = 0 interior
     e = M.ExcursionGrid(vals)
-    assert math.isinf(M.excursion_distance(e, 0.25, 0.75, 0.1))
+    with pytest.raises(ValueError, match="vanishes"):
+        M.excursion_distance(e, 0.25, 0.75, 0.1)
+
+
+def test_excursion_distance_boundary_cell_gives_inf():
+    # delta < 1/m lets a point into a boundary cell, where 1/e is
+    # interpolated from the divergent end value
+    e = _const_excursion(1.0, 16)
+    assert math.isinf(M.excursion_distance(e, 0.05, 0.5, 0.05))
+    assert math.isinf(M.excursion_distance(e, 0.5, 0.96, 0.04))
+    assert M.excursion_distance(e, 1 / 16, 15 / 16, 0.05) == pytest.approx(7 / 8, rel=1e-12)
+
+
+def test_excursion_distance_matches_quadrature_oracle():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        m = int(rng.integers(4, 3000))
+        e = M.sample_excursion(m, rng)
+        x, y = np.sort(rng.uniform(2 / m, 1 - 2 / m, 2))
+        got = M.excursion_distance(e, float(x), float(y), 2 / m)
+        assert got == pytest.approx(oracles.excursion_distance(e.values, float(x), float(y)), rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
