@@ -206,14 +206,49 @@ def parse_dyck(text: str) -> DyckPath:
 # ---------------------------------------------------------------------------
 
 
+def _sample_permutations_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarray:
+    """One-line notations of `batch` uniform permutations of {1..n}, an int64
+    array of shape (batch, n).
+
+    ``rng.permuted`` shuffles each row of a tiled 1..n in place with the
+    generator's Fisher-Yates rule, row after row, so row i is the (i+1)-th
+    ``rng.permutation(n) + 1`` and the generator ends in the same state.
+    """
+    rows = np.tile(np.arange(1, n + 1), (batch, 1))
+    return rng.permuted(rows, axis=1, out=rows)
+
+
 def sample_permutation(n: int, rng: np.random.Generator) -> Permutation:
-    """Uniform permutation of {1..n} (Fisher-Yates via the generator)."""
+    """Uniform permutation of {1..n}: the one-row case of the batch sampler.
+
+    It draws the same permutation as row 0 of ``_sample_permutations_batch(n,
+    1, rng)``, which is ``rng.permutation(n) + 1``, and leaves the generator in
+    the same state.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Permutation(tuple((rng.permutation(n) + 1).tolist()))
+    return Permutation(tuple(_sample_permutations_batch(n, 1, rng)[0].tolist()))
 
 
-def _sample_matchings_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarray:
+def _matching_buffers(n: int, batch: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Uniforms, keys, order and partners for :func:`_sample_matchings_batch`:
+    (batch, 2n) arrays of float64, int64, int32 and int32.
+
+    A caller that draws many blocks passes the same buffers to each, so a
+    block's few megabytes stay with the process: freed, they may go back to
+    the OS and be faulted in again by the next block, and how often the
+    allocator does so varies from process to process.
+    """
+    shape = (batch, 2 * n)
+    return np.empty(shape), np.empty(shape, np.int64), np.empty(shape, np.int32), np.empty(shape, np.int32)
+
+
+def _sample_matchings_batch(
+    n: int,
+    batch: int,
+    rng: np.random.Generator,
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """0-based int32 partner arrays of `batch` uniform matchings, shape (batch, 2n).
 
     Consecutive positions of a uniform shuffle are paired; every matching
@@ -226,26 +261,29 @@ def _sample_matchings_batch(n: int, batch: int, rng: np.random.Generator) -> np.
     so every row and the generator's final state equal the argsort rule's,
     tie-breaking included.  Rows are int32 (2n < 2^31), written by two half
     scatters, each position of a pair receiving the other.
+
+    With `buffers` from :func:`_matching_buffers` of at least `batch` rows
+    the rows are written into its leading rows, and the returned array is a
+    view of its partner buffer, valid until the buffers are used again.
     """
     two_n = 2 * n
     b = (two_n - 1).bit_length()
-    u = rng.random((batch, two_n))
-    key = np.empty((batch, two_n), dtype=np.int64)
+    u, key, order, partner = (a[:batch] for a in buffers or _matching_buffers(n, batch))
+    rng.random(out=u)
     np.multiply(u, 2.0 ** (63 - b), out=key, casting="unsafe")
     key <<= b
     key |= np.arange(two_n)
     key.sort(axis=1)
-    order = np.empty((batch, two_n), dtype=np.int32)
     np.bitwise_and(key, (1 << b) - 1, out=order, casting="unsafe")
-    tied = np.flatnonzero(((key[:, 1:] ^ key[:, :-1]) < (1 << b)).any(axis=1))
+    key >>= b  # the truncated floats, sorted
+    tied = np.flatnonzero((key[:, 1:] == key[:, :-1]).any(axis=1))
     if tied.size:
         order[tied] = np.argsort(u[tied], axis=1)
-    del key, u
-    flat = order + np.arange(0, batch * two_n, two_n)[:, None]
-    partner = np.empty(batch * two_n, dtype=np.int32)
-    partner[flat[:, 0::2]] = order[:, 1::2]
-    partner[flat[:, 1::2]] = order[:, 0::2]
-    return partner.reshape(batch, two_n)
+    flat = np.add(order, np.arange(0, batch * two_n, two_n)[:, None], out=key)
+    scatter = partner.reshape(-1)
+    scatter[flat[:, 0::2]] = order[:, 1::2]
+    scatter[flat[:, 1::2]] = order[:, 0::2]
+    return partner
 
 
 def sample_matching(n: int, rng: np.random.Generator) -> Matching:
@@ -369,24 +407,27 @@ def _reverse_partners(partner: np.ndarray) -> np.ndarray:
     return (partner.shape[-1] + 1 - partner)[..., ::-1]
 
 
-def _xyz_batch(partner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _xyz_batch(partner: np.ndarray, scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, y, z) as int64 for each row of int32 (2n < 2^31) or int64 0-based partners.
 
     With d = partner - index, x counts d in {1, 1-2n} and y counts d in {2, 2-2n}
     (wrapped values fit only the last two columns).  z's only candidates are the
     ~2 per row where consecutive partners differ by +-1 (mod 2n): k, k+1 -> ell,
     ell+1 counts if 1 < ell - k (ell - k = 2n-1 arises only at n = 1, and a flat
-    pair across a row end has k = 2n-1, so neither counts).
+    pair across a row end has k = 2n-1, so neither counts).  A `scratch`
+    array of partner's shape and dtype holds the two full-size differences
+    in turn.
     """
     rows, two_n = partner.shape
-    d = partner - np.arange(two_n, dtype=partner.dtype)
+    d = np.subtract(partner, np.arange(two_n, dtype=partner.dtype), out=scratch)
     pos = np.flatnonzero((d == 1) | (d == 2))
     row, is_x = pos // two_n, d.reshape(-1)[pos] == 1
     x = np.bincount(row[is_x], minlength=rows) + (d[:, -1] == 1 - two_n)
     y = np.bincount(row[~is_x], minlength=rows) + (d[:, -2] == 2 - two_n) + (d[:, -1] == 2 - two_n)
     del d
     flat = partner.reshape(-1)
-    step = np.abs(flat[1:] - flat[:-1])
+    step = np.subtract(flat[1:], flat[:-1], out=None if scratch is None else scratch.reshape(-1)[1:])
+    np.abs(step, out=step)
     pos = np.flatnonzero((step == 1) | (step == two_n - 1))
     del step
     a, b = flat[pos], flat[pos + 1]

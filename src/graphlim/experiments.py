@@ -36,7 +36,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import combinat, graphon, graphs, mmspace
-from .combinat import DyckPath, Permutation, _heights_arrays, _sample_matchings_batch, _xyz_batch
+from .combinat import (
+    DyckPath,
+    Permutation,
+    _heights_arrays,
+    _matching_buffers,
+    _sample_matchings_batch,
+    _xyz_batch,
+)
 from .graphs import UGraph
 
 __all__ = [
@@ -334,7 +341,11 @@ def mc_poisson_xyz(n: int, reps: int, max_moment: int, rng: np.random.Generator,
     are not part of the draw stream.  A block's keys, floats and partners stay
     in cache: on a 2-core host a 1,000-row chunk at n = 2000 takes about
     110 ms at one thread, against 180 ms as one stack, and the traced peak
-    is a few blocks (under 4 MiB) rather than a chunk (61 MiB).
+    is a few blocks (under 4 MiB) rather than a chunk (61 MiB).  A chunk's
+    blocks share one set of buffers: fresh arrays per block are faulted in
+    again whenever the allocator hands freed pages back to the OS, which it
+    does in some processes and not in others, and at n = 2000 those faults
+    (about 40,000 a call) took a call from about 0.14 s to 0.20 s.
     """
     if n < 4:
         raise ValueError("n must be >= 4")
@@ -349,10 +360,12 @@ def mc_poisson_xyz(n: int, reps: int, max_moment: int, rng: np.random.Generator,
 
     def one(i: int, child: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         rows = min(chunk_rows, reps - i * chunk_rows)
-        return [
-            _xyz_batch(_sample_matchings_batch(n, min(block_rows, rows - lo), child))
-            for lo in range(0, rows, block_rows)
-        ]
+        buffers = _matching_buffers(n, min(block_rows, rows))
+        blocks = []
+        for lo in range(0, rows, block_rows):
+            partner = _sample_matchings_batch(n, min(block_rows, rows - lo), child, buffers)
+            blocks.append(_xyz_batch(partner, scratch=buffers[2][: partner.shape[0]]))
+        return blocks
 
     blocks = itertools.chain.from_iterable(_map_reps(one, master, n_chunks, threads))
     x, y, z = map(np.concatenate, zip(*blocks))
@@ -1106,11 +1119,14 @@ def heatmap_experiment(
 ) -> graphon.StepGraphon:
     """Average of degree-descending step graphons of uniform-seed graphs.
 
-    Each rep draws its seed object as an array and returns the bool adjacency
-    with rows and columns in stable degree-descending order; the reps are
-    summed in the smallest integer type that holds reps and divided once,
-    which gives the same floats as averaging per-rep step graphons.  Reps
-    of n^2 cells run inline below _INLINE_CELLS.
+    Reps are drawn in chunks of as many reps as stay below _INLINE_CELLS
+    cells (6 at n = 200, 1 from n = 512 on), one child generator per chunk,
+    so the chunk size is part of the draw stream, as in mc_poisson_xyz; a
+    chunk runs inline iff n < 512.  A chunk is one batch-sampler call and one
+    stacked bool adjacency; each rep's rows and columns are put in stable
+    degree-descending order, and the reps are summed in the smallest integer
+    type that holds reps and divided once, which gives the same floats as
+    averaging per-rep step graphons.
     """
     if family not in ("perm", "circle"):
         raise ValueError("family must be 'perm' or 'circle'")
@@ -1119,18 +1135,29 @@ def heatmap_experiment(
     if reps < 1:
         raise ValueError("reps must be >= 1")
     master = _master_seed(rng)
+    chunk_rows = max(1, (_INLINE_CELLS - 1) // (n * n))
 
-    def one(_: int, child: np.random.Generator) -> np.ndarray:
+    def one(i: int, child: np.random.Generator) -> np.ndarray:
+        rows = min(chunk_rows, reps - i * chunk_rows)
         if family == "perm":
-            adj = graphs._inversion_adj(child.permutation(n)[None])[0]
+            adj = graphs._inversion_adj(combinat._sample_permutations_batch(n, rows, child))
         else:
-            adj = graphs._circle_adj(combinat._sample_matchings_batch(n, 1, child) + 1)[0]
-        order = np.argsort(-adj.sum(axis=1), kind="stable")
-        return adj.take(order, 0)[:, order]
+            adj = graphs._circle_adj(combinat._sample_matchings_batch(n, rows, child) + 1)
+        order = np.argsort(-adj.view(np.int8).sum(axis=2, dtype=np.int32), axis=1, kind="stable")
+        flat = (order + np.arange(0, rows * n, n)[:, None]).ravel()
+
+        def take_rows(stack: np.ndarray) -> np.ndarray:
+            return stack.reshape(rows * n, n).take(flat, 0).reshape(rows, n, n)
+
+        # adj[o][:, o] is symmetric, so it equals adj[o].T[o]: both reorders
+        # are row takes over the whole chunk
+        return take_rows(take_rows(adj).transpose(0, 2, 1))
 
     acc = np.zeros((n, n), dtype=graphs._int_type(reps))
-    for adj in _map_reps(one, master, reps, _rep_threads(threads, n * n)):
-        acc += adj
+    n_chunks = -(-reps // chunk_rows)
+    for stack in _map_reps(one, master, n_chunks, _rep_threads(threads, chunk_rows * n * n)):
+        for adj in stack:
+            acc += adj.view(np.int8)
     return graphon.StepGraphon(acc / reps)
 
 

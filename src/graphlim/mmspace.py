@@ -153,19 +153,21 @@ def _grid_cumulative(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
     pass, so that d_e(x_r, x_c) = |c_r - c_c|.
 
     Requires every grid point to lie at least one cell away from the ends,
-    where 1/e diverges (:func:`_box_grid` checks this).
+    where 1/e diverges (:func:`_box_grid` checks this).  Every interior value
+    is checked, but 1/e and the prefix are formed only up to the last cell
+    read; the running sum is sequential, so each prefix is the full one's.
     """
     m = values.size - 1
     pos = xs * m
     cell = np.clip(np.floor(pos + 1e-12).astype(np.int64), 0, m - 1)
-    interior = values[1:m]
-    if interior.min() <= 0.0:
+    if values[1:m].min() <= 0.0:
         raise ValueError("excursion vanishes inside the truncated window")
-    g = np.zeros(m + 1)
-    g[1:m] = 1.0 / interior
-    prefix = np.zeros(m)  # prefix[i] = integral from t_1 to t_i, 1 <= i <= m-1
-    prefix[2:m] = np.cumsum(0.5 * (g[1 : m - 1] + g[2:m])) / m
-    prefix[1] = 0.0
+    top = int(cell.max()) + 1  # g is read at cell + 1 <= top <= m
+    end = min(top + 1, m)  # g[m] stays 0
+    g = np.zeros(top + 1)
+    g[1:end] = 1.0 / values[1:end]
+    prefix = np.zeros(top)  # prefix[i] = integral from t_1 to t_i, 1 <= i < top
+    prefix[2:top] = np.cumsum(0.5 * (g[1 : top - 1] + g[2:top])) / m
     theta = pos - cell
     g_at = (1.0 - theta) * g[cell] + theta * g[cell + 1]
     return prefix[cell] + 0.5 * theta / m * (g[cell] + g_at)

@@ -366,6 +366,19 @@ def test_export_heatmap_csv(tmp_path, capsys):
     assert cells.min() >= 0.0 and cells.max() <= 1.0
 
 
+@pytest.mark.parametrize("n", [200, 520])
+def test_export_heatmap_bytes_do_not_depend_on_threads(tmp_path, capsys, n):
+    # at n = 200 the chunks run inline; at n = 520 each rep is a chunk on the pool
+    written = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / threads
+        argv = ["export", "heatmap", "--family", "circle", "--format", "csv", "--seed", "5", "--n", str(n),
+                "--threads", threads, "--out-dir", str(out_dir)]
+        assert run_cli(argv, capsys)[0] == 0
+        written.append((out_dir / f"heatmap_circle_n{n}.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_export_excursion_csv(tmp_path, capsys):
     code, _, _ = run_cli(
         [

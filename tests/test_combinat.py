@@ -336,6 +336,20 @@ def test_sample_permutation_uniform():
     assert p > 1e-3
 
 
+@pytest.mark.parametrize("batch", [1, 3, 20])
+@pytest.mark.parametrize("n", [1, 2, 1000])
+def test_permutation_batch_rows_are_successive_draws(n, batch):
+    # row i is the (i+1)-th rng.permutation(n) + 1, the generator ends in the
+    # same state, and sample_permutation is row 0
+    for s in range(3):
+        rng_batch, rng_ref, rng_one = RNG(s), RNG(s), RNG(s)
+        rows = C._sample_permutations_batch(n, batch, rng_batch)
+        assert rows.dtype == np.int64 and rows.shape == (batch, n)
+        assert np.array_equal(rows, [rng_ref.permutation(n) + 1 for _ in range(batch)])
+        assert rng_batch.random() == rng_ref.random()
+        assert C.sample_permutation(n, rng_one).mapping == tuple(rows[0].tolist())
+
+
 def test_sample_matching_uniform():
     rng = RNG(2)
     counts = Counter(C.sample_matching(3, rng).partner for _ in range(15000))
@@ -374,14 +388,15 @@ def test_batch_sampler_rows_are_int32_argsort_pairings():
 
 
 class _FixedUniforms:
-    """A stand-in generator whose ``random`` returns the given rows."""
+    """A stand-in generator whose ``random`` fills ``out`` with the given rows."""
 
     def __init__(self, u):
         self.u = u
 
-    def random(self, size):
-        assert size == self.u.shape
-        return self.u.copy()
+    def random(self, out):
+        assert out.shape == self.u.shape
+        out[...] = self.u
+        return out
 
 
 @pytest.mark.parametrize("n", [2, 2000])
@@ -389,18 +404,36 @@ def test_batch_sampler_tied_keys_follow_argsort(n):
     # rows whose sort keys tie above the position bits: exact duplicates, and
     # float neighbours that share a key once it keeps fewer than 53 bits
     # (2n > 2048), the larger one at the earlier position so that key order
-    # and float order disagree; the last row keeps its distinct uniforms
+    # and float order disagree; the last row keeps its distinct uniforms;
+    # buffers with more rows than the batch are written in their leading rows
     u = np.random.default_rng(40).random((4, 2 * n))
     u[0, 0] = u[0, 1] = 0.5
     u[1, 0], u[1, -1] = np.nextafter(0.75, 1.0), 0.75
     u[2, :] = 0.25
     u[2, 1::2] = np.nextafter(0.25, 0.0)
-    rows = C._sample_matchings_batch(n, 4, _FixedUniforms(u))
     order = np.argsort(u, axis=1)
     ref = np.empty((4, 2 * n), dtype=np.int64)
     np.put_along_axis(ref, order[:, 0::2], order[:, 1::2], axis=1)
     np.put_along_axis(ref, order[:, 1::2], order[:, 0::2], axis=1)
-    assert np.array_equal(rows, ref)
+    for buffers in (None, C._matching_buffers(n, 6)):
+        assert np.array_equal(C._sample_matchings_batch(n, 4, _FixedUniforms(u), buffers), ref)
+
+
+def test_batch_sampler_reused_buffers_draw_the_same_rows():
+    # blocks drawn into one reused set of buffers, the last block short, are
+    # the rows of one unbuffered draw and leave the generator in its state;
+    # x, y, z counted through the order buffer as scratch are unchanged
+    for n, total, block in [(1, 5, 2), (7, 10, 3), (2000, 70, 32)]:
+        rng_buf, rng_ref = RNG(n), RNG(n)
+        ref = C._sample_matchings_batch(n, total, rng_ref)
+        buffers = C._matching_buffers(n, block)
+        for lo in range(0, total, block):
+            rows = C._sample_matchings_batch(n, min(block, total - lo), rng_buf, buffers)
+            assert rows.dtype == np.int32 and np.array_equal(rows, ref[lo : lo + block])
+            got = C._xyz_batch(rows, scratch=buffers[2][: rows.shape[0]])
+            for a, b in zip(got, C._xyz_batch(ref[lo : lo + block]), strict=True):
+                assert np.array_equal(a, b)
+        assert rng_buf.random() == rng_ref.random()
 
 
 def test_sample_dyck_uniform():

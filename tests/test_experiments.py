@@ -702,6 +702,9 @@ def test_drivers_use_one_pool_per_call(monkeypatch):
     X.heatmap_experiment("perm", 512, 2, np.random.default_rng(3), threads=2)
     assert [(p.max_workers, p.submitted) for p in pools] == [(2, 2)]
     pools.clear()
+    X.heatmap_experiment("circle", 600, 3, np.random.default_rng(3), threads=2)
+    assert [(p.max_workers, p.submitted) for p in pools] == [(2, 2)]
+    pools.clear()
     X.mc_clique_density("circle", 600, 3, 4, np.random.default_rng(6), threads=2)
     assert [(p.max_workers, p.submitted) for p in pools] == [(2, 2)]
 
@@ -1138,12 +1141,13 @@ def test_heatmap_experiment_shape_and_range():
 
 
 # SHA-256 of heatmap_experiment(family, 30, 7, default_rng(30)).cells bytes,
-# recorded with the per-rep path that built a Permutation or Matching, its
-# UGraph and a StepGraphon for every rep; the array path must reproduce every
-# byte at any thread count.
+# recorded again when the reps were drawn in chunks, one child generator per
+# chunk (all 7 reps in one chunk at n = 30), which changed the draw stream;
+# the per-rep stream had given perm bb770d92...0c28a66 and circle
+# e535f2d4...3330d9b.  Every byte must hold at any thread count.
 _PINNED_HEATMAPS = {
-    "perm": "bb770d922d28f8b88b426cb09a4e1c6f3cc2bf5db2979af8138cf610a0c28a66",
-    "circle": "e535f2d4e20bee0f9509d704aeb4277311eba3a5be47f5271e2aa5d123330d9b",
+    "perm": "86fdb1d378343057a8b94c2b9810f05b134a5900dca339cba63837071bfed1c8",
+    "circle": "54fb3ebda9bfbb31e40475906bdaa78cd04bbc2acd6a95c6a74860dbb7f14766",
 }
 
 
@@ -1159,25 +1163,41 @@ def test_heatmap_cells_pinned(threads):
 
 
 def _reference_heatmap(family: str, n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
-    # one seed object, graph and step graphon per rep, on heatmap_experiment's child streams
+    # one seed object, graph and step graphon per rep, drawn in order from
+    # heatmap_experiment's chunk streams: one child per chunk of as many reps
+    # as stay below _INLINE_CELLS cells
+    chunk = max(1, (X._INLINE_CELLS - 1) // (n * n))
     acc = np.zeros((n, n))
-    for child in X._child_rngs(X._master_seed(rng), reps):
-        if family == "perm":
-            g = G.inversion_graph(C.sample_permutation(n, child))
-        else:
-            g = G.circle_graph(C.sample_matching(n, child))
-        acc += graphon.step_graphon(g, np.argsort(-g.adj.sum(axis=1), kind="stable") + 1).cells
+    for i, child in enumerate(X._child_rngs(X._master_seed(rng), -(-reps // chunk))):
+        for _ in range(min(chunk, reps - i * chunk)):
+            if family == "perm":
+                g = G.inversion_graph(C.sample_permutation(n, child))
+            else:
+                g = G.circle_graph(C.sample_matching(n, child))
+            acc += graphon.step_graphon(g, np.argsort(-g.adj.sum(axis=1), kind="stable") + 1).cells
     return acc / reps
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-@pytest.mark.parametrize("n", [1, 2, 17, 64])
+@pytest.mark.parametrize("n", [1, 2, 17, 64, 200, 511, 512, 600])
 @pytest.mark.parametrize("family", ["perm", "circle"])
 def test_heatmap_equals_per_rep_step_graphons(family, n, threads):
-    got = X.heatmap_experiment(family, n, 5, np.random.default_rng(n), threads=threads).cells
-    want = _reference_heatmap(family, n, 5, np.random.default_rng(n))
-    assert (got.dtype, got.shape) == (want.dtype, want.shape)
-    assert got.tobytes() == want.tobytes()
+    # reps 7 and 13 leave a short last chunk at n = 200 (chunks of 6); from
+    # n = 512 on every rep is a chunk of its own and runs on the pool
+    for reps in (1, 5, 7, 13):
+        got = X.heatmap_experiment(family, n, reps, np.random.default_rng(n), threads=threads).cells
+        want = _reference_heatmap(family, n, reps, np.random.default_rng(n))
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes(), reps
+
+
+def test_heatmap_memory_is_bounded():
+    # a chunk stays below _INLINE_CELLS cells; the traced peaks are 1.43 and
+    # 6.18 MiB (the perm peak is the float cells and their StepGraphon copy),
+    # against 2.41 and 6.87 MiB when every rep is drawn and built in one stack
+    X.heatmap_experiment("circle", 20, 2, np.random.default_rng(0))  # lazy set-up outside the window
+    assert _peak_mib(lambda: X.heatmap_experiment("circle", 200, 20, np.random.default_rng(1))) <= 1.75
+    assert _peak_mib(lambda: X.heatmap_experiment("perm", 600, 3, np.random.default_rng(2))) <= 6.5
 
 
 @pytest.mark.parametrize("n", [0, -3])

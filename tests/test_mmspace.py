@@ -154,6 +154,40 @@ def test_excursion_distance_interior_zero_raises():
         M.excursion_distance(e, 0.25, 0.75, 0.1)
 
 
+def _full_prefix_cumulative(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    # 1/e and the trapezoid prefix over all m cells, then read at each point
+    m = values.size - 1
+    pos = xs * m
+    cell = np.clip(np.floor(pos + 1e-12).astype(np.int64), 0, m - 1)
+    g = np.zeros(m + 1)
+    g[1:m] = 1.0 / values[1:m]
+    prefix = np.zeros(m)
+    prefix[2:m] = np.cumsum(0.5 * (g[1 : m - 1] + g[2:m])) / m
+    theta = pos - cell
+    g_at = (1.0 - theta) * g[cell] + theta * g[cell + 1]
+    return prefix[cell] + 0.5 * theta / m * (g[cell] + g_at)
+
+
+@pytest.mark.parametrize("m", [3, 64, 2048])
+def test_grid_cumulative_equals_the_full_prefix_bit_for_bit(m):
+    # the prefix stops at the last cell read; points in the first and last
+    # interior cells, on grid points, and x == y
+    rng = np.random.default_rng(m)
+    e = M.sample_excursion(m, rng)
+    first = (1 + rng.random(3)) / m
+    last = (m - 2 + rng.random(3)) / m
+    grid = np.array([1.0, m - 2.0]) / m
+    for xs in (first, last, grid, np.concatenate([first, last]), np.array([first[0], first[0]]),
+               np.array([last[1], last[1]]), np.array([first[2], last[0]])):
+        got = M._grid_cumulative(e.values, xs)
+        assert np.array_equal(got.view(np.uint64), _full_prefix_cumulative(e.values, xs).view(np.uint64))
+    # an interior zero at t_(m-1), past the cells read once m > 3, still raises
+    vals = e.values.copy()
+    vals[m - 1] = 0.0
+    with pytest.raises(ValueError, match="vanishes"):
+        M._grid_cumulative(vals, first)
+
+
 def test_excursion_distance_boundary_cell_gives_inf():
     # delta < 1/m lets a point into a boundary cell, where 1/e is
     # interpolated from the divergent end value
