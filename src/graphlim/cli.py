@@ -93,17 +93,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _open_out(args: argparse.Namespace, config: RunConfig, binary: bool = False):
-    if args.out is None:
-        if binary:
-            raise ValueError("binary output needs --out")
-        return sys.stdout
-    path = config.out_dir / args.out
-    return open(path, "wb" if binary else "w")
-
-
 def _emit_lines(lines, args, config) -> None:
-    sink = _open_out(args, config)
+    sink = sys.stdout if args.out is None else open(config.out_dir / args.out, "w")
     try:
         for line in lines:
             sink.write(line + "\n")
@@ -214,12 +205,7 @@ def _run_suite(args: argparse.Namespace, config: RunConfig) -> experiments.Repor
 
 def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     report = _run_suite(args, config)
-    sink = _open_out(args, config)
-    try:
-        sink.write(report.to_json() + "\n")
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    _emit_lines([report.to_json()], args, config)
     return 0 if report.passed else 1
 
 

@@ -364,6 +364,22 @@ def sample_irreducible_dyck(n: int, rng: np.random.Generator) -> DyckPath:
 # ---------------------------------------------------------------------------
 
 
+def _simple_flags(rows: np.ndarray) -> np.ndarray:
+    """Simplicity of each row of a (B, n) stack of one-line notations.
+
+    A row is not simple when some interval of width 2..n-1 has a contiguous
+    image, max - min = width - 1.  One pass per start position keeps the
+    running maxima and minima of every row's suffix.
+    """
+    n = rows.shape[1]
+    simple = np.ones(rows.shape[0], dtype=bool)
+    for i in range(n - 1):
+        tail = rows[:, i:]
+        span = np.maximum.accumulate(tail, axis=1) - np.minimum.accumulate(tail, axis=1)
+        simple &= ~(span == np.arange(n - i))[:, 1 : n - 1].any(axis=1)
+    return simple
+
+
 def is_simple(p: Permutation) -> bool:
     """True iff p has no interval I with 2 <= |I| <= n-1 and contiguous image.
 
@@ -372,19 +388,7 @@ def is_simple(p: Permutation) -> bool:
     >>> is_simple(parse_permutation("7 1 4 6 5 2 3"))
     False
     """
-    m = p.mapping
-    n = len(m)
-    for i in range(n - 1):
-        lo = hi = m[i]
-        for j in range(i + 1, n):
-            v = m[j]
-            if v < lo:
-                lo = v
-            elif v > hi:
-                hi = v
-            if hi - lo == j - i and j - i + 1 < n:
-                return False
-    return True
+    return bool(_simple_flags(np.array([p.mapping]))[0])
 
 
 # ---------------------------------------------------------------------------

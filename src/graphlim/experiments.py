@@ -4,9 +4,12 @@ connected and general unit interval graphs.
 
 Every experiment is a pure function of its parameters and the state of the
 supplied generator: the first action is to draw a 63-bit master seed, which
-is recorded in the report and drives per-repetition child streams
-(``SeedSequence(master).spawn``).  Aggregation is order-independent, so
-results are bit-identical for any thread count.
+is recorded in the report and drives the child streams.  Most drivers draw
+one child per repetition (``SeedSequence(master).spawn``);
+``mc_poisson_xyz`` and ``heatmap_experiment`` draw one child per chunk of
+repetitions, and the exact suite draws from ``default_rng(master)``.
+Aggregation is order-independent, so results are bit-identical for any
+thread count.
 
 Large-n caveat, stated once: uniform permutation graphs and circle graphs
 are not sampled directly (counting them is open); Monte Carlo experiments
@@ -38,7 +41,6 @@ import numpy as np
 from . import combinat, graphon, graphs, mmspace
 from .combinat import (
     DyckPath,
-    Permutation,
     _heights_arrays,
     _matching_buffers,
     _sample_matchings_batch,
@@ -595,6 +597,12 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
     connected unit interval graphs having 1 or 2 mirror-paired irreducible
     words; Euler-transform counts of unit interval graphs; and the
     closed-form counting formulas against direct enumeration.
+
+    Each family is enumerated once per size, as arrays, and every predicate
+    (simplicity, modular and split primality, indecomposability) and the
+    decomposition cut scan run once per size on the whole stack.  Each check
+    returns its first witness in enumeration order, or None; a seed object
+    is built only to format a witness.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -604,28 +612,21 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
         rng = np.random.default_rng(0xA11CE)
     master = _master_seed(rng)
     child = np.random.default_rng(master)
-    results: dict[str, bool] = {}
-    counterexamples: dict[str, str] = {}
 
-    def record(label: str, ok: bool, witness: str | None = None) -> None:
-        results[label] = bool(ok)
-        if not ok and witness:
-            counterexamples[label] = witness
-
-    # Each family is enumerated once per size, as arrays, and every section
-    # reuses it; is_simple still sees every seed in order, and modular
-    # primality, split primality and indecomposability are checked by their
-    # stacked rules.
     sizes = range(1, n_max + 1)
     perm_rows = {n: np.array(list(itertools.permutations(range(1, n + 1)))) for n in sizes}
-    perms = {n: [Permutation(tuple(r)) for r in rows.tolist()] for n, rows in perm_rows.items()}
+    simple = {n: combinat._simple_flags(rows) for n, rows in perm_rows.items()}
     perm_adj = {n: graphs._inversion_adj(rows) for n, rows in perm_rows.items()}
     match_rows = {n: combinat._matching_partners(n) for n in sizes}
     circle_adj = {n: graphs._circle_adj(rows) for n, rows in match_rows.items()}
     modular_prime = {n: graphs._modular_prime_flags(adj) for n, adj in perm_adj.items()}
     split_prime = {n: graphs._split_prime_flags(adj) for n, adj in circle_adj.items()}
+    cut_scans = {n: _matching_cut_scan(match_rows[n]) for n in sizes[1:]}
     dyck = {n: combinat._dyck_rows(n) for n in sizes}
     irreducible = {n: combinat._irreducible_dyck_rows(n) for n in sizes}
+
+    def perm_text(n: int, row: int) -> str:
+        return combinat.format_permutation(combinat.Permutation(tuple(perm_rows[n][row].tolist())))
 
     def matching_text(n: int, row: int) -> str:
         return combinat.format_matching(combinat.Matching(tuple(match_rows[n][row].tolist())))
@@ -633,168 +634,142 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
     def uig_adj(words: np.ndarray) -> np.ndarray:
         return graphs._unit_interval_adj(np.array([_heights_arrays(w)[1] for w in words]))
 
-    # --- simplicity <=> modular primality, and the size-4 classification
-    bad = None
-    for n in sizes:
-        for p, prime in zip(perms[n], modular_prime[n]):
-            if combinat.is_simple(p) != prime:
-                bad = combinat.format_permutation(p)
-                break
-        if bad:
-            break
-    record("simple_iff_modular_prime", bad is None, bad)
-    if n_max >= 4:
-        simples = {
-            "".join(map(str, mp))
-            for mp in itertools.permutations((1, 2, 3, 4))
-            if combinat.is_simple(Permutation(mp))
-        }
-        record("simple_size4_classification", simples == {"2413", "3142"}, str(sorted(simples)))
+    def simple_iff_modular_prime():
+        for n in sizes:
+            wrong = np.flatnonzero(simple[n] != modular_prime[n])
+            if wrong.size:
+                return perm_text(n, wrong[0])
 
-    # --- permutation realizer bounds over S_n
-    bad = None
-    for n in sizes:
-        _, classes = _canonical_classes(perm_adj[n])
-        for code, rows in classes.items():
-            if not modular_prime[n][rows[0]]:
-                continue
-            members = [perms[n][r] for r in rows]
-            if not 1 <= len(members) <= 4 or not all(combinat.is_simple(p) for p in members):
-                bad = f"n={n} class {code}: {[combinat.format_permutation(p) for p in members]}"
-                break
-        if bad:
-            break
-    record("perm_realizer_bounds", bad is None, bad)
+    def simple_size4_classification():
+        simples = {"".join(map(str, row)) for row in perm_rows[4][simple[4]].tolist()}
+        return None if simples == {"2413", "3142"} else str(sorted(simples))
 
-    # --- circle realizer bounds over M_n (n >= 5 is where the bound bites):
-    #     a class is closed iff each member's shift and reversal share its class
-    bad = None
-    for n in sizes[1:]:
-        rows_n = match_rows[n]
-        labels, classes = _canonical_classes(circle_adj[n])
-        shifted = labels[_row_index(rows_n, combinat._rotate_partners(rows_n, 1))]
-        reflected = labels[_row_index(rows_n, combinat._reverse_partners(rows_n))]
-        stays = (shifted == labels) & (reflected == labels)
-        for code, rows in classes.items():
-            if not split_prime[n][rows[0]]:
-                continue
-            closed = bool(stays[rows].all())
-            if not 1 <= len(rows) <= 4 * n or not closed:
-                bad = f"n={n} class {code}: {len(rows)} realizers, closed={closed}"
-                break
-        if bad:
-            break
-    record("circle_realizer_bounds", bad is None, bad)
+    def perm_realizer_bounds():
+        for n in sizes:
+            _, classes = _canonical_classes(perm_adj[n])
+            for code, rows in classes.items():
+                if modular_prime[n][rows[0]] and not (len(rows) <= 4 and simple[n][rows].all()):
+                    return f"n={n} class {code}: {[perm_text(n, r) for r in rows]}"
 
-    # --- split primality <=> indecomposability
-    bad = None
-    for n in sizes:
-        wrong = np.flatnonzero(split_prime[n] != combinat._indecomposable_rows(match_rows[n]))
-        if wrong.size:
-            bad = matching_text(n, int(wrong[0]))
-            break
-    record("split_prime_iff_indecomposable", bad is None, bad)
+    def circle_realizer_bounds():
+        # n >= 5 is where the bound bites; a class is closed iff each
+        # member's shift and reversal share its class
+        for n in sizes[1:]:
+            rows_n = match_rows[n]
+            labels, classes = _canonical_classes(circle_adj[n])
+            shifted = labels[_row_index(rows_n, combinat._rotate_partners(rows_n, 1))]
+            reflected = labels[_row_index(rows_n, combinat._reverse_partners(rows_n))]
+            stays = (shifted == labels) & (reflected == labels)
+            for code, rows in classes.items():
+                if not split_prime[n][rows[0]]:
+                    continue
+                closed = bool(stays[rows].all())
+                if not (len(rows) <= 4 * n and closed):
+                    return f"n={n} class {code}: {len(rows)} realizers, closed={closed}"
 
-    # --- from one cut scan's (matching, cut set) pairs: the decomposed-count
-    #     formula d_n^k = (n-k) m_{k+1} m_{n-k+1}; xyz = 0 iff neither 2- nor
-    #     (n-2)-decomposable; and phi one-to-one onto its product set
-    bad = None
-    xyz_bad = None
-    phi_bad = None
-    for n in sizes[1:]:
-        row, cuts, ks = _matching_cut_scan(match_rows[n])
-        found = np.bincount(ks, minlength=n - 1)
-        if xyz_bad is None and n >= 4:
+    def split_prime_iff_indecomposable():
+        for n in sizes:
+            wrong = np.flatnonzero(split_prime[n] != combinat._indecomposable_rows(match_rows[n]))
+            if wrong.size:
+                return matching_text(n, wrong[0])
+
+    # the next three read the cut scan's (matching, cut set) pairs: the
+    # decomposed-count formula d_n^k = (n-k) m_{k+1} m_{n-k+1}; xyz = 0 iff
+    # neither 2- nor (n-2)-decomposable; and phi one-to-one onto its product set
+    def decomposed_count_formula():
+        for n, (_, _, ks) in cut_scans.items():
+            found = np.bincount(ks, minlength=n - 1)
+            for k in range(2, n - 1):
+                formula = combinat.count_decomposed(n, k)
+                if found[k] != formula:
+                    return f"n={n} k={k}: scan {found[k]} vs formula {formula}"
+
+    def xyz_zero_iff_not_extreme_decomposable():
+        for n in sizes[3:]:
+            row, _, ks = cut_scans[n]
             extreme = np.zeros(match_rows[n].shape[0], dtype=bool)
             extreme[row[(ks == 2) | (ks == n - 2)]] = True
             x, y, z = _xyz_batch(match_rows[n] - 1)
             wrong = np.flatnonzero(((x == 0) & (y == 0) & (z == 0)) == extreme)
             if wrong.size:
-                xyz_bad = f"n={n}: {matching_text(n, int(wrong[0]))}"
-        rows8 = match_rows[n].astype(np.int8)
-        for k in range(2, n - 1):
-            if phi_bad is None:
+                return f"n={n}: {matching_text(n, wrong[0])}"
+
+    def phi_bijection():
+        for n, (row, cuts, ks) in cut_scans.items():
+            rows8 = match_rows[n].astype(np.int8)
+            for k in range(2, n - 1):
                 witness = _phi_failure(rows8[row[ks == k]], cuts[ks == k], match_rows)
-                phi_bad = None if witness is None else f"n={n} k={k}: {witness}"
-            if found[k] != combinat.count_decomposed(n, k):
-                bad = f"n={n} k={k}: scan {found[k]} vs formula {combinat.count_decomposed(n, k)}"
-                break
-        if bad:
-            break
-    record("decomposed_count_formula", bad is None, bad)
-    if n_max >= 4:
-        record("xyz_zero_iff_not_extreme_decomposable", xyz_bad is None, xyz_bad)
-        record("phi_bijection", phi_bad is None, phi_bad)
+                if witness is not None:
+                    return f"n={n} k={k}: {witness}"
 
-    # --- graphon sample laws at size 3
-    laws = verify_sample_laws(100_000, child)
-    record(
-        "sample_law_identities",
-        bool(laws.passed),
-        "; ".join(f"{e.label}={e.value:.2e}" for e in laws.estimates),
-    )
+    def sample_law_identities():
+        laws = verify_sample_laws(100_000, child)
+        return None if laws.passed else "; ".join(f"{e.label}={e.value:.2e}" for e in laws.estimates)
 
-    # --- connected unit interval graphs: 1 or 2 irreducible words, mirrors
-    bad = None
-    for n in sizes:
-        _, classes = _canonical_classes(uig_adj(irreducible[n]))
-        for code, rows in classes.items():
-            words = irreducible[n][rows]
-            # one palindromic word or two mirror words; a row's mirror is -row[::-1]
-            if len(words) in (1, 2) and np.array_equal(-words[0][::-1], words[-1]):
-                continue
-            bad = f"n={n} class {code}: {[combinat._word_text(w) for w in words]}"
-            break
-        if bad:
-            break
-        if len(classes) != count_connected_unit_interval_graphs(n):
-            bad = f"n={n}: {len(classes)} classes vs count {count_connected_unit_interval_graphs(n)}"
-            break
-    record("unit_interval_representation", bad is None, bad)
+    def unit_interval_representation():
+        # 1 or 2 irreducible words per connected class: one palindromic word
+        # or two mirror words, a row's mirror being -row[::-1]
+        for n in sizes:
+            _, classes = _canonical_classes(uig_adj(irreducible[n]))
+            for code, rows in classes.items():
+                words = irreducible[n][rows]
+                if len(words) not in (1, 2) or not np.array_equal(-words[0][::-1], words[-1]):
+                    return f"n={n} class {code}: {[combinat._word_text(w) for w in words]}"
+            if len(classes) != count_connected_unit_interval_graphs(n):
+                return f"n={n}: {len(classes)} classes vs count {count_connected_unit_interval_graphs(n)}"
 
-    # --- Euler-transform counts vs exhaustive canonical enumeration
-    bad = None
-    for n in sizes:
-        codes = np.sort(graphs._canonical_codes(uig_adj(dyck[n])))
-        n_classes = 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))  # plain np.unique loads numpy.ma
-        if n_classes != count_unit_interval_graphs(n):
-            bad = f"n={n}: {n_classes} classes vs U_n {count_unit_interval_graphs(n)}"
-            break
-    record("uig_euler_counts", bad is None, bad)
+    def uig_euler_counts():
+        # Euler-transform counts vs exhaustive canonical enumeration
+        for n in sizes:
+            codes = np.sort(graphs._canonical_codes(uig_adj(dyck[n])))
+            n_classes = 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))  # plain np.unique loads numpy.ma
+            if n_classes != count_unit_interval_graphs(n):
+                return f"n={n}: {n_classes} classes vs U_n {count_unit_interval_graphs(n)}"
 
-    # --- closed-form counts vs direct enumeration
-    bad = None
-    for n in sizes:
-        rows_n = match_rows[n]
-        if rows_n.shape[0] != combinat.count_matchings(n):
-            bad = f"m_{n}"
-            break
-        if dyck[n].shape[0] != combinat.count_irreducible_dyck(n + 1):
-            bad = f"catalan_{n}"
-            break
-        pal = int((irreducible[n] == -irreducible[n][:, ::-1]).all(axis=1).sum())
-        if pal != combinat.count_palindromic_irreducible(n):
-            bad = f"palindromic_{n}"
-            break
-        two_n = 2 * n
-        for d in range(2, two_n + 1):
-            if two_n % d:
-                continue
-            fixed = int((combinat._rotate_partners(rows_n, two_n // d) == rows_n).all(axis=1).sum())
-            if fixed != combinat.count_symmetric_matchings(n, d):
-                bad = f"symmetric n={n} d={d}: scan {fixed} vs formula"
-                break
-        if bad:
-            break
-    record("counting_formulas", bad is None, bad)
+    def counting_formulas():
+        # closed-form counts vs direct enumeration
+        for n in sizes:
+            rows_n = match_rows[n]
+            if rows_n.shape[0] != combinat.count_matchings(n):
+                return f"m_{n}"
+            if dyck[n].shape[0] != combinat.count_irreducible_dyck(n + 1):
+                return f"catalan_{n}"
+            pal = int((irreducible[n] == -irreducible[n][:, ::-1]).all(axis=1).sum())
+            if pal != combinat.count_palindromic_irreducible(n):
+                return f"palindromic_{n}"
+            two_n = 2 * n
+            for d in range(2, two_n + 1):
+                if two_n % d:
+                    continue
+                fixed = int((combinat._rotate_partners(rows_n, two_n // d) == rows_n).all(axis=1).sum())
+                if fixed != combinat.count_symmetric_matchings(n, d):
+                    return f"symmetric n={n} d={d}: scan {fixed} vs formula"
 
-    estimates = [EstimateRecord(label, 1.0 if ok else 0.0, None) for label, ok in results.items()]
+    checks = [
+        simple_iff_modular_prime,
+        simple_size4_classification,
+        perm_realizer_bounds,
+        circle_realizer_bounds,
+        split_prime_iff_indecomposable,
+        decomposed_count_formula,
+        xyz_zero_iff_not_extreme_decomposable,
+        phi_bijection,
+        sample_law_identities,
+        unit_interval_representation,
+        uig_euler_counts,
+        counting_formulas,
+    ]
+    if n_max < 4:
+        skipped = (simple_size4_classification, xyz_zero_iff_not_extreme_decomposable, phi_bijection)
+        checks = [check for check in checks if check not in skipped]
+    witnesses = {check.__name__: check() for check in checks}
+    counterexamples = {label: w for label, w in witnesses.items() if w is not None}
     return Report(
         name="exact_enumeration_suite",
         params={"n_max": n_max},
         seed=master,
-        estimates=estimates,
-        passed=all(results.values()),
+        estimates=[EstimateRecord(label, 1.0 if w is None else 0.0, None) for label, w in witnesses.items()],
+        passed=not counterexamples,
         threshold="all exhaustive checks exact",
         details={"counterexamples": counterexamples} if counterexamples else {},
     )

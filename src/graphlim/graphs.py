@@ -275,11 +275,6 @@ def _bits(words: np.ndarray) -> np.ndarray:
     return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little")
 
 
-def _require_irreducible(w: DyckPath) -> None:
-    if not w.is_irreducible():
-        raise ValueError("Dyck path must be irreducible (graph connected)")
-
-
 def unit_distance_formula(w: DyckPath, i: int, j: int) -> int:
     """Graph distance in the unit interval graph of w, by the jump recursion.
 
@@ -293,7 +288,8 @@ def unit_distance_formula(w: DyckPath, i: int, j: int) -> int:
 
     Arguments may be given in either order; i == j gives 0.
     """
-    _require_irreducible(w)
+    if not w.is_irreducible():
+        raise ValueError("Dyck path must be irreducible (graph connected)")
     n = w.size
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"vertex out of range 1..{n}")

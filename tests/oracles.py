@@ -22,16 +22,18 @@ import numpy as np
 
 
 def brute_is_simple(mapping: tuple[int, ...]) -> bool:
-    """No interval of length 2..n-1 maps onto an interval."""
+    """No interval of length 2..n-1 maps onto an interval.
+
+    The values are distinct, so a window's image is an interval iff its
+    largest and smallest values differ by the window's length - 1; each
+    window's extremes extend those of the window one shorter.
+    """
     n = len(mapping)
-    if n <= 2:
-        return True
     for start in range(n):
-        for length in range(2, n):
-            if start + length > n:
-                break
-            image = sorted(mapping[start : start + length])
-            if image[-1] - image[0] == length - 1:
+        lo = hi = mapping[start]
+        for end in range(start + 1, n):
+            lo, hi = min(lo, mapping[end]), max(hi, mapping[end])
+            if hi - lo == end - start and end - start < n - 1:
                 return False
     return True
 

@@ -47,6 +47,27 @@ def test_simple_matches_oracle_to_n6():
             assert C.is_simple(C.Permutation(mp)) == oracles.brute_is_simple(mp), mp
 
 
+def test_simple_flags_match_oracle():
+    # every permutation up to n = 7, one stack per size, then random rows
+    rng = np.random.default_rng(30)
+    stacks = [np.array(list(itertools.permutations(range(1, n + 1)))) for n in range(1, 8)]
+    stacks += [np.array([rng.permutation(n) + 1 for _ in range(reps)]) for n, reps in ((50, 200), (1000, 8))]
+    for rows in stacks:
+        expected = [oracles.brute_is_simple(tuple(r)) for r in rows.tolist()]
+        assert C._simple_flags(rows).tolist() == expected
+        assert [C.is_simple(C.Permutation(tuple(r))) for r in rows.tolist()] == expected
+    assert 0 < sum(expected) < 8  # the n = 1000 rows hold both kinds
+
+
+def test_simple_permutation_counts():
+    # OEIS A111111
+    counts = [
+        int(C._simple_flags(np.array(list(itertools.permutations(range(1, n + 1))))).sum())
+        for n in range(1, 9)
+    ]
+    assert counts == [1, 2, 0, 2, 6, 46, 338, 2926]
+
+
 def test_simple_size4_is_2413_and_3142():
     simple = [
         mp for mp in itertools.permutations((1, 2, 3, 4)) if C.is_simple(C.Permutation(mp))

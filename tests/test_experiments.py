@@ -951,8 +951,8 @@ _FAULT_MATCHING = "1-4 2-6 3-8 5-9 7-10"
 _FAULT_PERM = (2, 4, 1, 5, 3)
 
 
-def _flip_fault_row(f):
-    fault = np.array(C.parse_matching(_FAULT_MATCHING).partner)
+def _flip_fault_row(f, fault=C.parse_matching(_FAULT_MATCHING).partner):
+    fault = np.array(fault)
 
     def flipped(rows):
         out = f(rows)
@@ -981,7 +981,7 @@ _FAULTS = {
         {"split_prime_iff_indecomposable": "1-4 2-6 3-8 5-9 7-10"},
     ),
     "is_simple": (
-        lambda f: lambda p: (not f(p)) if p.mapping == _FAULT_PERM else f(p),
+        lambda f: _flip_fault_row(f, _FAULT_PERM),
         {
             "simple_iff_modular_prime": "2 4 1 5 3",
             "perm_realizer_bounds": "n=5 class 0001010110: ['2 4 1 5 3', '3 1 5 2 4']",
@@ -1002,22 +1002,56 @@ _FAULTS = {
 }
 
 
+# simplicity is decided by its stacked rule, so its fault goes there
+_FAULT_TARGETS = {"is_simple": "_simple_flags"}
+
+
 @pytest.mark.parametrize("name", sorted(_FAULTS))
 def test_exact_enumeration_suite_reports_injected_fault(monkeypatch, name):
     wrap, witnesses = _FAULTS[name]
-    monkeypatch.setattr(C, name, wrap(getattr(C, name)))
+    target = _FAULT_TARGETS.get(name, name)
+    monkeypatch.setattr(C, target, wrap(getattr(C, target)))
     rep = X.exact_enumeration_suite(5)
     assert [e.label for e in rep.estimates if e.value != 1.0] == list(witnesses)
     assert rep.details["counterexamples"] == witnesses
     assert rep.passed is False
 
 
+def test_exact_enumeration_suite_records_report_their_own_witnesses(monkeypatch):
+    # two faults on the cut scan's records: each record reports its own
+    # first witness, so the decomposed-count failure at n = 4 does not keep
+    # the phi record from reaching its witness at n = 5
+    count = C.count_decomposed
+    monkeypatch.setattr(C, "count_decomposed", lambda n, k: count(n, k) + ((n, k) == (4, 2)))
+    monkeypatch.setattr(C, "_phi_rows", _shared_phi_image(C._phi_rows))
+    rep = X.exact_enumeration_suite(5)
+    assert rep.details["counterexamples"] == {
+        "decomposed_count_formula": "n=4 k=2: scan 450 vs formula 451",
+        "phi_bijection": _FAULTS["_phi_rows"][1]["phi_bijection"],
+    }
+    assert rep.passed is False
+
+
+def test_exact_enumeration_suite_builds_no_seed_object(monkeypatch):
+    built = {"Permutation": 0, "Matching": 0}
+    for cls in (C.Permutation, C.Matching):
+        def counting(self, init=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    C.Permutation((2, 1))  # the counter sees a construction
+    assert built == {"Permutation": 1, "Matching": 0}
+    assert X.exact_enumeration_suite(5).passed
+    assert built == {"Permutation": 1, "Matching": 0}
+
+
 def test_exact_enumeration_suite_consults_predicates_per_seed(monkeypatch):
-    # the per-seed predicates under test and the closed forms are called
-    # exactly as often as by the one-graph-at-a-time suite: every seed, in
-    # order; indecomposability is asked once per size, of every matching row
+    # simplicity is asked once per size, of the whole stack, and so is
+    # indecomposability, of every matching row in order; the closed forms
+    # are called exactly as often as by the one-graph-at-a-time suite
     expected = {
-        "is_simple": 188,
+        "_simple_flags": 5,
         "count_decomposed": 3,
         "count_matchings": 11,
         "count_irreducible_dyck": 5,
