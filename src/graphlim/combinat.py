@@ -369,14 +369,20 @@ def _simple_flags(rows: np.ndarray) -> np.ndarray:
 
     A row is not simple when some interval of width 2..n-1 has a contiguous
     image, max - min = width - 1.  One pass per start position keeps the
-    running maxima and minima of every row's suffix.
+    running maxima and minima of each undecided row's suffix; a row found
+    not simple leaves the stack before the next pass.  Two adjacent values
+    side by side, the most common witness, are looked for first, in one
+    pass over the whole stack.
     """
     n = rows.shape[1]
-    simple = np.ones(rows.shape[0], dtype=bool)
+    simple = (np.abs(np.diff(rows, axis=1)) != 1).all(axis=1) if n > 2 else np.ones(rows.shape[0], dtype=bool)
+    live = np.flatnonzero(simple)
     for i in range(n - 1):
-        tail = rows[:, i:]
+        tail = rows[live, i:]
         span = np.maximum.accumulate(tail, axis=1) - np.minimum.accumulate(tail, axis=1)
-        simple &= ~(span == np.arange(n - i))[:, 1 : n - 1].any(axis=1)
+        found = (span == np.arange(n - i))[:, 1 : n - 1].any(axis=1)
+        simple[live[found]] = False
+        live = live[~found]
     return simple
 
 

@@ -534,25 +534,44 @@ def _phi_failure(partner: np.ndarray, cuts: np.ndarray, match_rows: dict[int, np
 
 
 def _edge_count_law_exhaustive(family: str) -> np.ndarray:
-    """Exact law of the edge count of the size-3 graph of a uniform seed."""
+    """Edge-count histogram of the size-3 graphs of all the family's seeds of
+    size 3 (6 permutations, 15 matchings): the exact law of a uniform seed."""
     if family == "perm":
         adj = graphs._inversion_adj(np.array(list(itertools.permutations((1, 2, 3)))))
     else:
         adj = graphs._circle_adj(combinat._matching_partners(3))
-    counts = np.bincount(adj.sum(axis=(1, 2)) // 2, minlength=4)
-    return counts / counts.sum()
+    return np.bincount(adj.sum(axis=(1, 2)) // 2, minlength=4)
+
+
+def _edge_counts(family: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Edge-count histogram of size-3 graphon samples, one per row of the
+    (draws, 3) latent coordinates a and b."""
+    total = np.zeros(a.shape[0], dtype=np.int64)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        total += graphon._adjacent(family, a[:, i], b[:, i], a[:, j], b[:, j])
+    return np.bincount(total, minlength=4)
+
+
+def _edge_count_law_order_types(family: str) -> np.ndarray:
+    """Edge-count histogram of G(3, W) over every order type of the latent
+    coordinates, as integer ranks (no ties): 3! x 3! for perm (a's and b's
+    apart), 6! for circle.  The edge rule reads only that order, and every
+    order type is equally likely, so this is the exact law of the size-3
+    sample (Lovasz, Large Networks and Graph Limits, 2012)."""
+    if family == "perm":
+        a, b = np.array(list(itertools.product(itertools.permutations(range(3)), repeat=2))).swapaxes(0, 1)
+    else:
+        a, b = np.moveaxis(np.array(list(itertools.permutations(range(6)))).reshape(-1, 3, 2), -1, 0)
+    return _edge_counts(family, a, b)
 
 
 def _edge_counts_mc(family: str, draws: int, rng: np.random.Generator) -> np.ndarray:
-    """Edge-count histogram of size-3 graphon samples, vectorized."""
+    """Edge-count histogram of `draws` size-3 graphon samples."""
     if family == "perm":
         a, b = rng.random((2, draws, 3))
     else:
         a, b = np.moveaxis(rng.random((draws, 3, 2)), -1, 0)
-    total = np.zeros(draws, dtype=np.int64)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        total += graphon._adjacent(family, a[:, i], b[:, i], a[:, j], b[:, j])
-    return np.bincount(total, minlength=4).astype(np.float64)
+    return _edge_counts(family, a, b)
 
 
 def verify_sample_laws(draws: int, rng: np.random.Generator) -> Report:
@@ -566,7 +585,8 @@ def verify_sample_laws(draws: int, rng: np.random.Generator) -> Report:
     estimates = []
     ok = True
     for family in ("perm", "circle"):
-        expected = _edge_count_law_exhaustive(family) * draws
+        seeds = _edge_count_law_exhaustive(family)
+        expected = seeds / seeds.sum() * draws
         observed = _edge_counts_mc(family, draws, child)
         keep = expected > 0
         pval = _chisquare_p(observed[keep], expected[keep])
@@ -593,7 +613,9 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
     decomposed-matching count formula; the xyz zero <=> not 2/(n-2)-
     decomposable equivalence; the splitting bijection phi, one-to-one from
     the k-decomposed matchings onto the marked (n-k+1)-matchings times the
-    (k+1)-matchings, for every n and k; size-3 graphon sample laws;
+    (k+1)-matchings, for every n and k; the size-3 graphon sample laws,
+    over every order type of the latent coordinates, against the uniform
+    seeds' laws;
     connected unit interval graphs having 1 or 2 mirror-paired irreducible
     words; Euler-transform counts of unit interval graphs; and the
     closed-form counting formulas against direct enumeration.
@@ -610,8 +632,7 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
         raise ValueError("n_max above 6 is not tractable for the exhaustive scans")
     if rng is None:
         rng = np.random.default_rng(0xA11CE)
-    master = _master_seed(rng)
-    child = np.random.default_rng(master)
+    master = _master_seed(rng)  # recorded only: every check is exhaustive
 
     sizes = range(1, n_max + 1)
     perm_rows = {n: np.array(list(itertools.permutations(range(1, n + 1)))) for n in sizes}
@@ -703,8 +724,15 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
                     return f"n={n} k={k}: {witness}"
 
     def sample_law_identities():
-        laws = verify_sample_laws(100_000, child)
-        return None if laws.passed else "; ".join(f"{e.label}={e.value:.2e}" for e in laws.estimates)
+        # the size-3 graphon law over order types against the uniform seeds'
+        # law, compared by integer cross-multiplication
+        for family in ("perm", "circle"):
+            types, seeds = _edge_count_law_order_types(family), _edge_count_law_exhaustive(family)
+            if (types * seeds.sum() != seeds * types.sum()).any():
+                return (
+                    f"{family}: order types {'/'.join(map(str, types))} of {types.sum()}"
+                    f" vs seeds {'/'.join(map(str, seeds))} of {seeds.sum()}"
+                )
 
     def unit_interval_representation():
         # 1 or 2 irreducible words per connected class: one palindromic word

@@ -168,13 +168,21 @@ def _circle_adj(partner: np.ndarray) -> np.ndarray:
     """Circle-graph adjacency of a stack of partner arrays, (B, 2n) -> (B, n, n).
 
     Two chords are adjacent iff exactly one endpoint of one lies between the
-    endpoints of the other.
+    endpoints of the other.  With chords ranked by left endpoint, chords i
+    and j cross iff their spans overlap, l_j < r_i and l_i < r_j, and neither
+    nests in the other: r_i < r_j when i < j, so (i < j) ^ (r_j < r_i).  The
+    diagonal fails the last test.  Six passes over the (B, n, n) bools.
     """
     left, right = _chord_endpoints(partner)
-    lo, hi = left[..., :, None], right[..., :, None]
-    l_in = (lo < left[..., None, :]) & (left[..., None, :] < hi)
-    r_in = (lo < right[..., None, :]) & (right[..., None, :] < hi)
-    return l_in ^ r_in
+    l_i, r_i = left[..., :, None], right[..., :, None]
+    l_j, r_j = left[..., None, :], right[..., None, :]
+    idx = np.arange(left.shape[-1], dtype=left.dtype)
+    adj = l_j < r_i
+    adj &= l_i < r_j
+    unnested = r_j < r_i
+    unnested ^= idx[:, None] < idx
+    adj &= unnested
+    return adj
 
 
 def circle_graph(m: Matching) -> UGraph:
@@ -458,17 +466,49 @@ def clique_count_inversion(p: Permutation, k: int) -> int:
     return _inversion_clique_counts(np.asarray(p.mapping, dtype=np.int64)[None], k)[0]
 
 
+# rows per block of a running sum, and rows of E^p per chunk of the circle
+# count's reduction (its gathers hold at most _ROW_CHUNK x n entries)
+_RUN_BLOCK = 32
+_ROW_CHUNK = 256
+
+
+def _running_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.cumsum(rows, axis=0)`` written into `out`, in out's dtype.
+
+    Vectorised adds over blocks of _RUN_BLOCK rows: each row of a block adds
+    the row before it, for all blocks at once, and then each block adds the
+    last row of the block before.  That is about 2 sqrt(R) numpy calls on
+    contiguous rows, where numpy's cumsum along axis 0 walks one column at a
+    time (about 6x slower on a 1000 x 1000 bool table cast to int16).
+    """
+    out[...] = rows
+    whole = out.shape[0] // _RUN_BLOCK * _RUN_BLOCK
+    blocks = out[:whole].reshape(whole // _RUN_BLOCK, _RUN_BLOCK, *out.shape[1:])
+    for j in range(1, _RUN_BLOCK):
+        blocks[:, j] += blocks[:, j - 1]
+    for t in range(whole + 1, out.shape[0]):
+        out[t] += out[t - 1]
+    for b in range(1, blocks.shape[0]):
+        blocks[b] += blocks[b - 1, -1]
+    if 0 < whole < out.shape[0]:
+        out[whole:] += out[whole - 1]
+    return out
+
+
 def clique_count_circle(m: Matching, k: int) -> int:
     """Cliques of size k in the circle graph, counted as dominance chains.
 
     Chords sorted by left endpoint, pi the rank of the right one: a k-clique is
     a chain a < ... < z with pi increasing and z < tau(a) = #{left < right(a)}.
     With E the dominance mask (a < c, pi(a) < pi(c)), k-1 = p+q, q = (k-1)//2:
-    count = sum_{a,c} E^p[a, c] C_q[c, tau(a)], C_q[c, t] = sum_{z<t} E^q[c, z]
-    (one cumsum of (E^q)^T, then a row gather at tau).  E^2 counts points in a
-    rectangle of the 2-D prefix table of pi, so k <= 5 takes O(n^2) time and
-    memory in int16/int32/int64 arrays; larger k multiplies exact integer
-    matrices.  Raises ValueError if the count is >= 2^63.
+    count = sum_{a,c} E^p[a, c] C_q[tau(a), c], C_q[t, c] = sum_{z<t} E^q[c, z]
+    (a running sum of the rows of (E^q)^T, built from the transposed compare,
+    then a row gather at tau).  E^2 counts points in a rectangle of the 2-D
+    prefix table of pi, so k <= 5 takes O(n^2) time and memory in int16/int32/
+    int64 arrays; larger k multiplies exact integer matrices.  The sum runs
+    over chunks of _ROW_CHUNK rows of E^p, so no n x n gather is held: at
+    k = 3 the peak is the (n+1) x n table (about 2 MiB at n = 1000).  Raises
+    ValueError if the count is >= 2^63.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -482,19 +522,25 @@ def clique_count_circle(m: Matching, k: int) -> int:
     tau = np.searchsorted(left, right)
     idx = np.arange(n, dtype=pi.dtype)
     dtype = _int_type(math.comb(n, min(k, n // 2)))
-    e = (idx[:, None] < idx) & (pi[:, None] < pi)
     q = (k - 1) // 2
     p = k - 1 - q
 
-    def prefix(table: np.ndarray, bound: int) -> np.ndarray:  # out[t, c] = sum_{z<t} table[c, z]
+    def dominance(rows: slice, compare) -> np.ndarray:  # np.less: rows of E; np.greater: of E^T
+        out = compare(idx[rows, None], idx)
+        out &= compare(pi[rows, None], pi)
+        return out
+
+    def prefix(table_t: np.ndarray, bound: int) -> np.ndarray:  # out[t, c] = sum_{z<t} table_t[z, c]
         out = np.zeros((n + 1, n), dtype=_int_type(bound))
-        np.cumsum(table.T, axis=0, dtype=out.dtype, out=out[1:])
+        _running_sum(table_t, out[1:])
         return out
 
     if p >= 2:  # below[b, c] = #{b' < b : pi(b') < pi(c)}; E^2 by inclusion-exclusion
-        below = prefix(pi[:, None] > pi, n)
+        e = dominance(slice(None), np.less)
+        below = prefix(pi[:, None] < pi, n)
         diag = below[idx, idx].astype(_int_type(2 * n))
         e2 = np.where(e, diag + diag[:, None] - below[1:] - below[:n].T, 0)
+        del below  # not held through the sum
 
     def power(j: int) -> np.ndarray:
         if j < 3:
@@ -502,8 +548,19 @@ def clique_count_circle(m: Matching, k: int) -> int:
         half = np.linalg.matrix_power(e2.astype(dtype), j // 2)
         return half @ e.astype(dtype) if j % 2 else half
 
-    gathered = idx < tau[:, None] if q == 0 else prefix(power(q), math.comb(n - 1, q))[tau]
-    return _checked_count(np.einsum("ij,ij->", power(p), gathered, dtype=dtype), k)
+    if q == 1:
+        table = prefix(dominance(slice(None), np.greater), n - 1)
+    elif q >= 2:
+        table = prefix(power(q).T, math.comb(n - 1, q))
+    lhs = power(p) if p >= 2 else None
+
+    def chunk_sum(rows: slice) -> int:  # a chunk's arrays go before the next one's
+        gathered = idx < tau[rows, None] if q == 0 else table[tau[rows]]
+        if p == 1:  # rows of E are 0/1, so the product keeps the gather's type
+            return int(np.multiply(gathered, dominance(rows, np.less), out=gathered).sum(dtype=dtype))
+        return int(np.einsum("ij,ij->", lhs[rows], gathered, dtype=dtype))
+
+    return _checked_count(sum(chunk_sum(slice(lo, lo + _ROW_CHUNK)) for lo in range(0, n, _ROW_CHUNK)), k)
 
 
 # ---------------------------------------------------------------------------

@@ -412,9 +412,12 @@ def dense_clique_count_inversion(mapping: tuple[int, ...], k: int) -> int:
 def dense_clique_count_circle(partner: tuple[int, ...], k: int) -> int:
     """k-cliques of the circle graph: dominance chains of chords (left and
     right endpoints both increasing) from the (k-1)-th power of the dominance
-    matrix, kept where the last left endpoint precedes the first right one."""
+    matrix, kept where the last left endpoint precedes the first right one.
+    Entries of the j-th power, j < k, count chains on j + 1 chords, so they
+    and their partial sums are at most binom(n, min(k, n // 2)): int64 is
+    exact for n <= 62, and wherever that bound is below 2^63."""
     n = len(partner) // 2
-    assert n <= 62
+    assert n <= 62 or math.comb(n, min(k, n // 2)) < 2**63
     if k == 1:
         return n
     lr = np.asarray(chords(partner), dtype=np.int64).reshape(n, 2)

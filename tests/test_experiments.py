@@ -831,6 +831,15 @@ def test_mc_indecomposable_rate_small():
     assert rep.get("indecomposable_rate").stderr < 0.02
 
 
+def test_order_type_laws_equal_exhaustive_laws():
+    # every order type of the latent ranks: 3! x 3! (perm), 6! (circle)
+    perm, circle = (X._edge_count_law_order_types(f).tolist() for f in ("perm", "circle"))
+    assert perm == [6, 12, 12, 6]
+    assert circle == [240, 288, 144, 48]
+    assert X._edge_count_law_exhaustive("perm").tolist() == [1, 2, 2, 1]
+    assert X._edge_count_law_exhaustive("circle").tolist() == [5, 6, 3, 1]
+
+
 def test_verify_sample_laws():
     rep = X.verify_sample_laws(4000, np.random.default_rng(18))
     assert rep.passed
@@ -973,8 +982,19 @@ def _shared_phi_image(f):
     return faulty
 
 
-# One predicate or formula made wrong on one size-5 seed, and the labels and
-# witnesses the suite reported for it with the one-graph-at-a-time suite.
+def _flip_circle_order_type(f):
+    # the circle edge rule made wrong on one order type of its four
+    # coordinates: two disjoint chords a1 < b1 < a2 < b2 become adjacent
+    def flipped(family, a1, b1, a2, b2):
+        out = f(family, a1, b1, a2, b2)
+        return out ^ ((a1 < b1) & (b1 < a2) & (a2 < b2)) if family == "circle" else out
+
+    return flipped
+
+
+# One predicate, formula or edge rule made wrong, and the labels and
+# witnesses the suite reports for it; all but the edge rule's were recorded
+# with the one-graph-at-a-time suite, on one size-5 seed.
 _FAULTS = {
     "_indecomposable_rows": (
         _flip_fault_row,
@@ -999,18 +1019,23 @@ _FAULTS = {
         _shared_phi_image,
         {"phi_bijection": "n=5 k=2: 1-2 3-4 5-6 7-8 9-10 cuts (0, 0, 0, 6)"},
     ),
+    "_adjacent": (
+        _flip_circle_order_type,
+        {"sample_law_identities": "circle: order types 200/289/172/59 of 720 vs seeds 5/6/3/1 of 15"},
+    ),
 }
 
 
-# simplicity is decided by its stacked rule, so its fault goes there
-_FAULT_TARGETS = {"is_simple": "_simple_flags"}
+# simplicity is decided by its stacked rule, so its fault goes there; the
+# edge rule is the graphon module's, the rest are combinat's
+_FAULT_TARGETS = {"is_simple": (C, "_simple_flags"), "_adjacent": (graphon, "_adjacent")}
 
 
 @pytest.mark.parametrize("name", sorted(_FAULTS))
 def test_exact_enumeration_suite_reports_injected_fault(monkeypatch, name):
     wrap, witnesses = _FAULTS[name]
-    target = _FAULT_TARGETS.get(name, name)
-    monkeypatch.setattr(C, target, wrap(getattr(C, target)))
+    module, target = _FAULT_TARGETS.get(name, (C, name))
+    monkeypatch.setattr(module, target, wrap(getattr(module, target)))
     rep = X.exact_enumeration_suite(5)
     assert [e.label for e in rep.estimates if e.value != 1.0] == list(witnesses)
     assert rep.details["counterexamples"] == witnesses
