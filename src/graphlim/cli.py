@@ -53,15 +53,24 @@ class RunConfig:
         return np.random.default_rng(self.seed)
 
 
+def _parse_int(text: str, source: str, expected: str) -> int:
+    """An integer setting, or a usage error that names where it came from."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{source} must be {expected}, got {text!r}") from None
+
+
 def _resolve_threads(value: str | None) -> int:
+    source = "--threads"
     if value is None:
-        value = os.environ.get("GRAPHLIM_THREADS", "1")
+        source, value = "GRAPHLIM_THREADS", os.environ.get("GRAPHLIM_THREADS", "1")
     if value == "auto":
         try:  # the CPUs this process may run on, not all of the host's
             return len(os.sched_getaffinity(0))
         except AttributeError:
             return os.cpu_count() or 1
-    threads = int(value)
+    threads = _parse_int(value, source, "an integer or 'auto'")
     if threads < 1:
         raise ValueError("threads must be >= 1 or 'auto'")
     return threads
@@ -75,8 +84,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     seed = args.seed
     if seed is None:
         env = os.environ.get("GRAPHLIM_SEED")
-        seed = int(env) if env is not None else secrets.randbits(63)
-    seed = int(seed)
+        seed = _parse_int(env, "GRAPHLIM_SEED", "an integer") if env is not None else secrets.randbits(63)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
     if getattr(args, "count", 1) < 1:

@@ -460,23 +460,35 @@ def xyz_stats(m: Matching) -> tuple[int, int, int]:
 
 def _heights_arrays(steps: str | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The height and forward-degree sequences (h, f) of a Dyck word given as
-    text or as int8 steps: h[i-1] is the arrival height of the i-th up step,
-    and f[i-1] the number of up steps strictly between the i-th up step and
-    the i-th down step.
+    text or as int8 steps, or of every row of a (B, 2n) stack of int8 step
+    words (then two (B, n) arrays): h[i-1] is the arrival height of the i-th
+    up step, and f[i-1] the number of up steps strictly between the i-th up
+    step and the i-th down step.
 
     The i-th up and down steps (1-based), at 0-based positions u_i and d_i,
     give h_i = (2i - 1) - u_i and f_i = d_i - (2i - 1), and the walk after
-    the i-th D is f_i.  Step arrays skip :class:`DyckPath`, so the word is
-    checked here: as many U as D, and no f below 0.
+    the i-th D is f_i.  Step arrays skip :class:`DyckPath`, so each word is
+    checked here: as many U as D, and no f below 0.  A stack goes through
+    the same rule on its flat step positions, less each row's start; one
+    word skips that bookkeeping, which would double the cost of a short
+    word's call.
     """
     if isinstance(steps, str):
         ups = np.frombuffer(steps.encode("ascii"), dtype=np.uint8) == ord("U")
     else:
         ups = steps > 0
     up, down = np.flatnonzero(ups), np.flatnonzero(~ups)
-    odd = np.arange(1, 2 * down.size, 2)
+    if ups.ndim > 1:
+        # flat positions come row by row: each row must hold n of each kind,
+        # and a row's positions are its flat ones less the row's start
+        rows, width = ups.shape
+        if width % 2 or (np.count_nonzero(ups, axis=1) != width // 2).any():
+            raise ValueError("steps do not form a Dyck word")
+        start = width * np.arange(rows)[:, None]
+        up, down = up.reshape(rows, width // 2) - start, down.reshape(rows, width // 2) - start
+    odd = np.arange(1, 2 * down.shape[-1], 2)
     f = down - odd
-    if up.size != down.size or f.min(initial=0) < 0:
+    if up.shape != down.shape or f.min(initial=0) < 0:
         raise ValueError("steps do not form a Dyck word")
     return odd - up, f
 
@@ -637,7 +649,13 @@ def _irreducible_dyck_rows(n: int) -> np.ndarray:
     U + (a row of :func:`_dyck_rows` of size n-1) + D, in that order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return np.pad(_dyck_rows(n - 1), ((0, 0), (1, 1)), constant_values=((0, 0), (1, -1)))
+    return _enclosed_rows(_dyck_rows(n - 1))
+
+
+def _enclosed_rows(rows: np.ndarray) -> np.ndarray:
+    """U + row + D for every row of a Dyck word stack: from all words of size
+    n-1, in order, all irreducible words of size n, in order."""
+    return np.pad(rows, ((0, 0), (1, 1)), constant_values=((0, 0), (1, -1)))
 
 
 def iter_dyck_paths(n: int) -> Iterator[DyckPath]:
@@ -680,20 +698,23 @@ def iter_irreducible_dyck(n: int) -> Iterator[DyckPath]:
 # ---------------------------------------------------------------------------
 
 _PROJECTION_SEED = 0x5EED_CAFE_F00D
+_ROW_SALT = np.uint64(0x9E37_79B9_7F4A_7C15)  # odd, so row -> row * salt is one-to-one mod 2^64
+_CHECK_CELLS = 1 << 16  # candidate x point cells per block of the exact check
 
 
 def _gap_hashes(p: np.ndarray) -> np.ndarray:
-    """64-bit projections h(g) of the gap vectors v(g), g = 0..2n-1 (0-based partners p)."""
-    two_n = len(p)
+    """64-bit projections h(g) of the gap vectors v(g), g = 0..2n-1, for every
+    row of an (R, 2n) stack of 0-based partners; the rows share one projection."""
+    two_n = p.shape[1]
     opens = p > np.arange(two_n)
-    rank = np.cumsum(opens) - 1
-    cid = np.where(opens, rank, rank[p])  # chords ranked by left endpoint
+    rank = np.cumsum(opens, axis=1) - 1
+    cid = np.where(opens, rank, np.take_along_axis(rank, p, axis=1))  # chords ranked by left endpoint
     proj = np.random.Generator(np.random.PCG64(_PROJECTION_SEED)).integers(
         0, 2**64, size=two_n // 2, dtype=np.uint64
     )
-    h = np.zeros(two_n, dtype=np.uint64)
+    h = np.zeros(p.shape, dtype=np.uint64)
     # crossing point g flips the bit of that point's chord
-    np.bitwise_xor.accumulate(proj[cid[: two_n - 1]], out=h[1:])
+    np.bitwise_xor.accumulate(proj[cid[:, : two_n - 1]], axis=1, out=h[:, 1:])
     return h
 
 
@@ -743,42 +764,76 @@ def _equal_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, order[at]
 
 
-def _decomposition_cuts(partner: Sequence[int]) -> tuple[int, ...] | None:
-    """Sorted cuts (g1, g2, g3, g4) whose side (g1, g2] + (g3, g4] the matching
-    keeps closed, with k in [2, n-2] chords on the side away from point 1;
-    single arcs (a, b] come first, as (a, a, a, b).  None when no such cuts
-    exist.
+def _decomposition_search(p: np.ndarray) -> np.ndarray:
+    """Sorted cuts (g1, g2, g3, g4) for every row of an (R, 2n) stack of
+    0-based partners, as (R, 4) int64 rows, or -1 where the row has none.
+
+    A row's cuts are the first of its candidates that keeps its side
+    (g1, g2] + (g3, g4] closed, with k in [2, n-2] chords on the side away
+    from point 1: single arcs (a, a, a, b) first, by (a, b), then arc pairs
+    by (g1, g2, g4, g3).  All rows run as one search on flat gap numbers
+    (row * 2n + gap).  Each row's hashes are XORed with a salt of its own,
+    so equal hashes of different rows do not pair up, and a pair across
+    rows that still meets is dropped by its row numbers.  Candidates are
+    checked exactly in blocks of at most _CHECK_CELLS points, skipping rows
+    already decided.
     """
-    p = np.asarray(partner, dtype=np.int64) - 1
-    two_n = len(p)
+    rows, two_n = p.shape
     n = two_n // 2
-    h = _gap_hashes(p)
-    right, left = _closing_bounds(p)
-    gaps = np.arange(two_n)
-    start, end = _equal_pairs(h, h)
-    start, end = start[start < end], end[start < end]
-    a_lo, a_hi = _runs(gaps + 1, np.minimum(right, two_n - 3) - gaps)
+    gap = np.arange(rows * two_n)
+    row_of, g = np.divmod(gap, two_n)
+    base = gap - g
+    h = _gap_hashes(p).reshape(-1)
+    salt = row_of.astype(np.uint64) * _ROW_SALT
+    bounds = np.array([_closing_bounds(row) for row in p], dtype=np.int64).reshape(rows, 2, two_n)
+    right, left = bounds[:, 0].reshape(-1), bounds[:, 1].reshape(-1)
+    start, end = _equal_pairs(h ^ salt, h ^ salt)
+    arc = (start < end) & (row_of[start] == row_of[end])
+    start, end = start[arc], end[arc]
+    a_lo, a_hi = _runs(gap + 1, np.minimum(right, two_n - 3) - g)
     b_from = np.maximum(left + 1, 2)
-    b_hi, b_lo = _runs(b_from, gaps - b_from)
-    i, j = _equal_pairs(h[a_lo] ^ h[a_hi], h[b_lo] ^ h[b_hi])
-    apart = a_hi[i] < b_lo[j]
+    b_hi, b_lo = _runs(base + b_from, g - b_from)
+    i, j = _equal_pairs(h[a_lo] ^ h[a_hi] ^ salt[a_lo], h[b_lo] ^ h[b_hi] ^ salt[b_lo])
+    apart = (a_hi[i] < b_lo[j]) & (row_of[a_lo[i]] == row_of[b_lo[j]])
     cuts = np.concatenate(
         [
             np.stack([start, start, start, end], axis=1),
             np.stack([a_lo[i], a_hi[i], b_lo[j], b_hi[j]], axis=1)[apart],
         ]
     )
+    owner = row_of[cuts[:, 0]]
+    order = np.argsort(owner, kind="stable")  # each row's arcs, then its arc pairs
+    owner = owner[order]
+    cuts = cuts[order] - base[cuts[order, :1]]
     size = cuts[:, 1] - cuts[:, 0] + cuts[:, 3] - cuts[:, 2]
     side_k = np.where(cuts[:, 0] == 0, n - size // 2, size // 2)
     wanted = (side_k >= 2) & (side_k <= n - 2)
-    side = np.zeros(two_n, dtype=bool)
-    for g1, g2, g3, g4 in cuts[wanted].tolist():
-        side[:] = False
-        side[g1:g2] = True  # points g1+1 .. g2 are 0-based g1 .. g2-1
-        side[g3:g4] = True
-        if np.array_equal(side[p], side):
-            return g1, g2, g3, g4
-    return None
+    cuts, owner = cuts[wanted], owner[wanted]
+    found = np.full((rows, 4), -1)
+    points = np.arange(two_n)
+    step = max(1, _CHECK_CELLS // two_n)
+    for lo in range(0, owner.size, step):
+        c, r = cuts[lo : lo + step], owner[lo : lo + step]
+        live = found[r, 0] < 0
+        c, r = c[live], r[live]
+        # points g1+1 .. g2 and g3+1 .. g4 are 0-based g1 .. g2-1 and g3 .. g4-1
+        side = ((points >= c[:, :1]) & (points < c[:, 1:2])) | ((points >= c[:, 2:3]) & (points < c[:, 3:]))
+        closed = (np.take_along_axis(side, p[r], axis=1) == side).all(axis=1)
+        c, r = c[closed], r[closed]
+        first = np.ones(r.size, dtype=bool)
+        first[1:] = r[1:] != r[:-1]
+        found[r[first]] = c[first]
+    return found
+
+
+def _decomposition_cuts(partner: Sequence[int]) -> tuple[int, ...] | None:
+    """Sorted cuts (g1, g2, g3, g4) whose side (g1, g2] + (g3, g4] the matching
+    keeps closed, with k in [2, n-2] chords on the side away from point 1;
+    single arcs (a, b] come first, as (a, a, a, b).  None when no such cuts
+    exist.  The one-row case of :func:`_decomposition_search`.
+    """
+    cuts = _decomposition_search(np.asarray(partner, dtype=np.int64)[None] - 1)[0]
+    return None if cuts[0] < 0 else tuple(cuts.tolist())
 
 
 def _indecomposable_rows(partner: np.ndarray) -> np.ndarray:
@@ -786,14 +841,15 @@ def _indecomposable_rows(partner: np.ndarray) -> np.ndarray:
     not k-decomposable for any k in [2, n-2].
 
     Fast path: for n >= 4, any of x, y, z > 0 already forces a 2- or
-    (n-2)-decomposition, so only rows with x = y = z = 0 reach the cut search.
+    (n-2)-decomposition, so only rows with x = y = z = 0 reach the cut
+    search, all of them in one stacked search.
     """
     if partner.shape[1] <= 6:
         return np.ones(partner.shape[0], dtype=bool)
     x, y, z = _xyz_batch(partner - 1)
     out = (x == 0) & (y == 0) & (z == 0)
-    for i in np.flatnonzero(out):
-        out[i] = _decomposition_cuts(partner[i]) is None
+    if out.any():
+        out[out] = _decomposition_search(partner[out] - 1)[:, 0] < 0
     return out
 
 
@@ -801,6 +857,37 @@ def is_indecomposable(m: Matching) -> bool:
     """True iff m is not k-decomposable for any k in [2, n-2]: the one-row
     case of :func:`_indecomposable_rows`."""
     return bool(_indecomposable_rows(np.asarray(m.partner, dtype=np.int64)[None])[0])
+
+
+# ---------------------------------------------------------------------------
+# Running sums along the first axis (the circle clique count's prefix
+# tables, phi's labels)
+# ---------------------------------------------------------------------------
+
+_RUN_BLOCK = 32  # rows per block of a running sum
+
+
+def _running_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.cumsum(rows, axis=0)`` written into `out`, in out's dtype.
+
+    Vectorised adds over blocks of _RUN_BLOCK rows: each row of a block adds
+    the row before it, for all blocks at once, and then each block adds the
+    last row of the block before.  That is about 2 sqrt(R) numpy calls on
+    contiguous rows, where numpy's cumsum along axis 0 walks one column at a
+    time (about 6x slower on a 1000 x 1000 bool table cast to int16).
+    """
+    out[...] = rows
+    whole = out.shape[0] // _RUN_BLOCK * _RUN_BLOCK
+    blocks = out[:whole].reshape(whole // _RUN_BLOCK, _RUN_BLOCK, *out.shape[1:])
+    for j in range(1, _RUN_BLOCK):
+        blocks[:, j] += blocks[:, j - 1]
+    for t in range(whole + 1, out.shape[0]):
+        out[t] += out[t - 1]
+    for b in range(1, blocks.shape[0]):
+        blocks[b] += blocks[b - 1, -1]
+    if 0 < whole < out.shape[0]:
+        out[whole:] += out[whole - 1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -820,25 +907,39 @@ def _phi_rows(partner: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np.nda
     {P, Q} in place of c2 and c4, labelled from point 1), its mark P (the
     chord's smaller end), and the small matching of size k+1 (c2 and c4 with
     a fresh chord {S, R} in place of c1 and c3, labelled from S = 1).
+
+    The work runs column-major, on (2n, rows) arrays, so that each step is
+    one numpy call over a contiguous row of all matchings: the cuts are
+    sorted by a 5-comparator network, the labels come from 2n row adds, and
+    the rows returned are transposed views.
     """
     rows, two_n = partner.shape
-    r0, r1, r2, r3 = np.sort(np.where(cuts == 0, two_n, cuts), axis=1).T[:, :, None]
-    x = np.arange(two_n, dtype=np.int8)
-    away = ((x >= r0) & (x < r1)) | ((x >= r2) & (x < r3))
-    label = np.where(
-        away,
-        np.cumsum(away, axis=1, dtype=np.int8) + (x >= r2),
-        np.cumsum(~away, axis=1, dtype=np.int8) - 1 + (x >= r1) + (x >= r3),
-    )
-    # one flat scatter puts each point's mate in the big row or, after it,
-    # in the small row
-    width = two_n + 2 - int(away[0].sum())
+    r = np.where(cuts == 0, two_n, cuts).T.astype(np.int8)
+    for a, b in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
+        r[a], r[b] = np.minimum(r[a], r[b]), np.maximum(r[a], r[b])
+    r0, r1, r2, r3 = r
+    x = np.arange(two_n, dtype=np.int8)[:, None]
+    past1, past2, past3 = x >= r1, x >= r2, x >= r3
+    away = (x >= r0) & ~past1 | past2 & ~past3
+    # c1's head, c3 and c1's tail are numbered from 0 in the big row, with
+    # gaps for P before c3 and Q before the tail; c2 and c4 from 1 in the
+    # small row, with a gap for R before c4
+    count = _running_sum(away, np.empty((two_n, rows), dtype=np.int8))
+    label = np.where(away, count + past2, x - count + past1 + past3)
+    # one scatter puts each point's mate in the big rows or, after them, in
+    # the small rows; entry (t, i) of a (points, rows) array is flat t * rows + i
+    width = two_n + 2 - int(away[:, 0].sum())
     at = np.arange(rows)
-    mate = label.reshape(-1)[at[:, None] * two_n + partner - 1] + 1
-    glued = np.empty((rows, two_n + 4), dtype=np.int8)
-    glued.reshape(-1)[at[:, None] * (two_n + 4) + label + away * width] = mate
-    big, small = glued[:, :width], glued[:, width:]
-    p, q, r = r0[:, 0], (r0 + r2 - r1 + 1)[:, 0], (r1 - r0 + 1)[:, 0]
-    big[at, p], big[at, q] = q + 1, p + 1
-    small[:, 0], small[at, r] = r + 1, 1
-    return big, p + 1, small
+    flat = np.multiply(partner.T, rows, dtype=np.intp)
+    flat += at - rows  # (partner - 1) * rows + i: each point's mate in `label`
+    mate = label.reshape(-1).take(flat)
+    mate += 1
+    np.multiply(label + away * np.int16(width), rows, out=flat, dtype=np.intp)  # positions reach 2n + 3
+    flat += at
+    glued = np.empty((two_n + 4, rows), dtype=np.int8)
+    glued.reshape(-1)[flat] = mate
+    big, small = glued[:width], glued[width:]
+    p, q, s = r0, r0 + r2 - r1 + 1, r1 - r0 + 1
+    big[p, at], big[q, at] = q + 1, p + 1
+    small[0], small[s, at] = s + 1, 1
+    return big.T, p + 1, small.T

@@ -30,6 +30,7 @@ from .combinat import (
     Matching,
     Permutation,
     _heights_arrays,
+    _running_sum,
 )
 
 __all__ = [
@@ -466,33 +467,9 @@ def clique_count_inversion(p: Permutation, k: int) -> int:
     return _inversion_clique_counts(np.asarray(p.mapping, dtype=np.int64)[None], k)[0]
 
 
-# rows per block of a running sum, and rows of E^p per chunk of the circle
-# count's reduction (its gathers hold at most _ROW_CHUNK x n entries)
-_RUN_BLOCK = 32
+# rows of E^p per chunk of the circle count's reduction (its gathers hold at
+# most _ROW_CHUNK x n entries)
 _ROW_CHUNK = 256
-
-
-def _running_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.cumsum(rows, axis=0)`` written into `out`, in out's dtype.
-
-    Vectorised adds over blocks of _RUN_BLOCK rows: each row of a block adds
-    the row before it, for all blocks at once, and then each block adds the
-    last row of the block before.  That is about 2 sqrt(R) numpy calls on
-    contiguous rows, where numpy's cumsum along axis 0 walks one column at a
-    time (about 6x slower on a 1000 x 1000 bool table cast to int16).
-    """
-    out[...] = rows
-    whole = out.shape[0] // _RUN_BLOCK * _RUN_BLOCK
-    blocks = out[:whole].reshape(whole // _RUN_BLOCK, _RUN_BLOCK, *out.shape[1:])
-    for j in range(1, _RUN_BLOCK):
-        blocks[:, j] += blocks[:, j - 1]
-    for t in range(whole + 1, out.shape[0]):
-        out[t] += out[t - 1]
-    for b in range(1, blocks.shape[0]):
-        blocks[b] += blocks[b - 1, -1]
-    if 0 < whole < out.shape[0]:
-        out[whole:] += out[whole - 1]
-    return out
 
 
 def clique_count_circle(m: Matching, k: int) -> int:
@@ -579,43 +556,60 @@ def _subset_masks(n: int, lo: int, hi: int) -> np.ndarray:
     return masks[(size >= lo) & (size <= hi)]
 
 
+def _neighbour_count_scan(adj: np.ndarray, subsets: np.ndarray, rule, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with rule(seen, degree), block by block of a (B, n, n)
+    stack, where seen[b, v, s] counts the neighbours of vertex v in subset s
+    of the (n, C) boolean `subsets` and degree[b, v] is v's degree.
+
+    One integer product per block of graphs; blocks keep `seen` under
+    _SCAN_CHUNK cells.  Counts stay below n, so int16 holds them, at half
+    the memory of int32 and with a faster product.
+    """
+    members = subsets.astype(np.int16)
+    step = max(1, _SCAN_CHUNK // max(members.size, 1))
+    for lo in range(0, adj.shape[0], step):
+        block = adj[lo : lo + step].astype(np.int16)
+        out[lo : lo + step] = rule(block @ members, block.sum(axis=2, dtype=np.int16))
+    return out
+
+
 def _modular_prime_flags(adj: np.ndarray) -> np.ndarray:
     """Modular primality of every graph in a (B, n, n) stack (subset scan).
 
     A set M of 2..n-1 vertices is a module iff every vertex outside M sees
-    none of M or all of it.  One integer product, in blocks of graphs, counts
-    each vertex's neighbours in every M.
+    none of M or all of it.
     """
     n = adj.shape[-1]
     blocks = _subset_masks(n, 2, n - 1).T
-    members = blocks.astype(np.int32)
-    size = members.sum(axis=0)
-    out = np.empty(adj.shape[0], dtype=bool)
-    step = max(1, _SCAN_CHUNK // max(members.size, 1))
-    for lo in range(0, adj.shape[0], step):
-        seen = adj[lo : lo + step].astype(np.int32) @ members
-        mixed = (seen > 0) & (seen < size) & ~blocks
-        out[lo : lo + step] = mixed.any(axis=1).all(axis=1)
-    return out
+    size = blocks.sum(axis=0, dtype=np.int16)
+
+    def prime(seen, degree):
+        return ((seen > 0) & (seen < size) & ~blocks).any(axis=1).all(axis=1)
+
+    return _neighbour_count_scan(adj, blocks, prime, np.empty(adj.shape[0], dtype=bool))
 
 
 def _split_flags(adj: np.ndarray, sides: np.ndarray) -> np.ndarray:
     """Which cuts are splits, for a (B, n, n) adjacency stack and (C, n)
-    boolean side-1 masks; returns (B, C).
+    boolean side-1 masks S; returns (B, C).
 
     A cut is a split iff its cut-set is complete bipartite between the
-    vertices it touches on either side, i.e. it has exactly |A| * |V| edges
-    for the touched sets A and V (an empty cut-set qualifies).
+    vertices it touches on either side (an empty cut-set qualifies).  With
+    c1(v) the neighbours in S of a vertex v outside S, and c2(u) those
+    outside S of a vertex u in S, that is: the cut's edges, the sum of c1
+    over the vertices outside S, equal |{u in S : c2(u) > 0}| times
+    |{v outside S : c1(v) > 0}|.
     """
-    cut = sides[:, :, None] & ~sides[:, None, :]
-    out = np.empty((adj.shape[0], sides.shape[0]), dtype=bool)
-    step = max(1, _SCAN_CHUNK // max(cut.size, 1))
-    for lo in range(0, adj.shape[0], step):
-        cross = adj[lo : lo + step, None] & cut
-        edges = cross.sum(axis=(2, 3))
-        touched = cross.any(axis=3).sum(axis=2) * cross.any(axis=2).sum(axis=2)
-        out[lo : lo + step] = edges == touched
-    return out
+    inside = sides.T
+    outside = ~inside
+
+    def split(seen, degree):
+        touched = np.count_nonzero((seen < degree[:, :, None]) & inside, axis=1)
+        touched *= np.count_nonzero((seen > 0) & outside, axis=1)
+        np.multiply(seen, outside, out=seen)
+        return seen.sum(axis=1) == touched
+
+    return _neighbour_count_scan(adj, inside, split, np.empty((adj.shape[0], sides.shape[0]), dtype=bool))
 
 
 def _split_prime_flags(adj: np.ndarray) -> np.ndarray:

@@ -510,6 +510,36 @@ def test_threads_auto_counts_the_cpus_this_process_may_use(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "flags, env, message",
+    [
+        (["--threads", "abc"], {}, "--threads must be an integer or 'auto', got 'abc'"),
+        (["--threads", "1.5"], {}, "--threads must be an integer or 'auto', got '1.5'"),
+        ([], {"GRAPHLIM_THREADS": "abc"}, "GRAPHLIM_THREADS must be an integer or 'auto', got 'abc'"),
+        ([], {"GRAPHLIM_SEED": "abc"}, "GRAPHLIM_SEED must be an integer, got 'abc'"),
+        ([], {"GRAPHLIM_SEED": ""}, "GRAPHLIM_SEED must be an integer, got ''"),
+    ],
+)
+def test_non_integer_threads_or_seed_names_its_source(monkeypatch, capsys, flags, env, message):
+    # a usage error (2) that says which option or variable is wrong, not a
+    # bare int() message
+    monkeypatch.delenv("GRAPHLIM_THREADS", raising=False)
+    monkeypatch.delenv("GRAPHLIM_SEED", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    seed = [] if "GRAPHLIM_SEED" in env else ["--seed", "1"]
+    code, out, err = run_cli(["sample", "perm", "--n", "3", *seed, *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_threads_flag_overrides_a_bad_environment_value(monkeypatch, capsys):
+    monkeypatch.setenv("GRAPHLIM_THREADS", "abc")
+    code, out, _ = run_cli(["sample", "perm", "--n", "3", "--seed", "1", "--threads", "2"], capsys)
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["export", "heatmap", "--n", "6", "--reps", "-1"], "reps must be >= 1"),

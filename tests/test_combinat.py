@@ -4,6 +4,7 @@ and the decomposition bijection, checked against independent oracles."""
 from __future__ import annotations
 
 import doctest
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -591,6 +592,25 @@ def test_sample_irreducible_dyck_validates_once(monkeypatch):
         assert checks == [w.steps]
 
 
+def test_heights_arrays_of_a_stack_are_its_rows():
+    rows = np.concatenate((C._irreducible_dyck_rows(6), C._dyck_rows(6)))
+    h, f = C._heights_arrays(rows)
+    assert h.shape == f.shape == (rows.shape[0], 6)
+    for row, row_h, row_f in zip(rows, h, f):
+        one_h, one_f = C._heights_arrays(row)
+        assert np.array_equal(row_h, one_h) and np.array_equal(row_f, one_f)
+    for shape in ((0, 8), (3, 0)):
+        h, f = C._heights_arrays(np.zeros(shape, dtype=np.int8))
+        assert h.shape == f.shape == (shape[0], shape[1] // 2)
+    # one U too many in a row and one too few in the next balance in total,
+    # but neither row is a Dyck word; nor is a reversed word
+    uneven = rows[:2].copy()
+    uneven[0, -1], uneven[1, 1] = 1, -1
+    for bad in (uneven, np.concatenate((rows, rows[-1:, ::-1]))):
+        with pytest.raises(ValueError, match="do not form a Dyck word"):
+            C._heights_arrays(bad)
+
+
 def test_heights_arrays_rejects_corrupted_steps():
     steps = C._irreducible_dyck_steps(40, RNG(1))
     h, f = C._heights_arrays(steps)
@@ -650,7 +670,7 @@ def test_decomposition_search_exact_under_hash_collisions(monkeypatch):
     matchings = [m for n in (5, 6) for m in C.iter_matchings(n) if n == 5 or C.xyz_stats(m) == (0, 0, 0)]
     expected = [C.is_indecomposable(m) for m in matchings]
     found = [C._decomposition_cuts(m.partner) is not None for m in matchings]
-    monkeypatch.setattr(C, "_gap_hashes", lambda p: np.zeros(len(p), dtype=np.uint64))
+    monkeypatch.setattr(C, "_gap_hashes", lambda p: np.zeros(p.shape, dtype=np.uint64))
     assert [C.is_indecomposable(m) for m in matchings] == expected
     for m, ok in zip(matchings, found):
         cuts = C._decomposition_cuts(m.partner)
@@ -688,6 +708,45 @@ def _planted_xyz_zero(count, rng):
         if C.xyz_stats(m) == (0, 0, 0):
             cases.append((m, k))
     return cases
+
+
+# SHA-256 of repr() of a list of _decomposition_cuts results, recorded with
+# the one-row-at-a-time search: every x = y = z = 0 matching of sizes 5-7 in
+# enumeration order (none of them decomposable) followed by
+# _planted_xyz_zero(100, RNG(6)); every matching of sizes 4-6; and every
+# matching of sizes 4-5 with all gap hashes zero, where every arc pair is a
+# candidate and the first one the exact check accepts is returned
+_PINNED_CUTS = {
+    "xyz_zero_and_planted": "54360ddb53b449ce3e6f1d964065c2c7f6903bfb4b9e5c7dd6fd1a01ec5e19b6",
+    "every": "dddb8386283b2567015c5be6d3c600c1efead109da8a82021150b5760f67cdb5",
+    "colliding": "80328b50b1a43d65564bc4eacfded5dad9ac8db16df39a15c9d07fcb2a393535",
+}
+
+
+def _cuts_digest(cuts):
+    return hashlib.sha256(repr(cuts).encode()).hexdigest()
+
+
+def _stacked_cuts(partners):
+    return [None if c[0] < 0 else tuple(c.tolist()) for c in C._decomposition_search(partners - 1)]
+
+
+def test_decomposition_search_pinned_with_small_blocks(monkeypatch):
+    # a few candidates per verification block, so that block edges fall
+    # inside every stack; each stack of one size is one search
+    monkeypatch.setattr(C, "_CHECK_CELLS", 37)
+    found = []
+    for n in (5, 6, 7):
+        partners = C._matching_partners(n)
+        x, y, z = C._xyz_batch(partners - 1)
+        found += _stacked_cuts(partners[(x == 0) & (y == 0) & (z == 0)])
+    found += [C._decomposition_cuts(m.partner) for m, _ in _planted_xyz_zero(100, RNG(6))]
+    assert _cuts_digest(found) == _PINNED_CUTS["xyz_zero_and_planted"]
+    every = [cuts for n in (4, 5, 6) for cuts in _stacked_cuts(C._matching_partners(n))]
+    assert _cuts_digest(every) == _PINNED_CUTS["every"]
+    monkeypatch.setattr(C, "_gap_hashes", lambda p: np.zeros(p.shape, dtype=np.uint64))
+    colliding = [cuts for n in (4, 5) for cuts in _stacked_cuts(C._matching_partners(n))]
+    assert _cuts_digest(colliding) == _PINNED_CUTS["colliding"]
 
 
 def test_planted_decompositions_are_found():

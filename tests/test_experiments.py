@@ -1109,6 +1109,41 @@ def test_exact_enumeration_suite_consults_predicates_per_seed(monkeypatch):
     assert len(seen) == 1069
 
 
+def test_exact_enumeration_suite_makes_one_pass_per_size(monkeypatch):
+    # each size's stacks go through one canonical pass (perm, circle,
+    # irreducible and Dyck unit interval graphs together), one heights pass
+    # and one split scan; phi runs once per (n, k) on all of that k's pairs;
+    # and the cut search runs once per size that has x = y = z = 0 rows
+    # (only n = 5 here, with 22), so that no check falls back to per-stack
+    # or per-row passes
+    targets = {
+        "_canonical_codes": G,
+        "_heights_arrays": X,
+        "_split_flags": G,
+        "_phi_rows": C,
+        "_decomposition_search": C,
+    }
+    shapes = {name: [] for name in targets}
+
+    def recording(name, fn):
+        def wrapper(*args):
+            shapes[name].append(args[0].shape)
+            return fn(*args)
+
+        return wrapper
+
+    for name, module in targets.items():
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    assert X.exact_enumeration_suite(5).passed
+    assert shapes == {
+        "_canonical_codes": [(4, 1, 1), (8, 2, 2), (28, 3, 3), (148, 4, 4), (1121, 5, 5)],
+        "_heights_arrays": [(2, 2), (3, 4), (7, 6), (19, 8), (56, 10)],
+        "_split_flags": [(1, 1, 1), (3, 2, 2), (15, 3, 3), (105, 4, 4), (945, 5, 5)],
+        "_phi_rows": [(450, 8), (4725, 10), (3150, 10)],
+        "_decomposition_search": [(22, 10)],
+    }
+
+
 def _peak_mib(fn) -> float:
     tracemalloc.start()
     try:

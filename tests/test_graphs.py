@@ -388,8 +388,8 @@ def test_clique_counters_match_dense_oracle(seeds, k):
 @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 63, 64, 65, 255, 256, 257])
 def test_circle_clique_count_matches_dense_oracle_at_block_edges(n):
     # sizes one below, at and one past the running sum's row blocks
-    # (_RUN_BLOCK = 32) and the reduction's row chunks (_ROW_CHUNK = 256)
-    assert (G._RUN_BLOCK, G._ROW_CHUNK) == (32, 256)
+    # (combinat._RUN_BLOCK = 32) and the reduction's row chunks (_ROW_CHUNK = 256)
+    assert (C._RUN_BLOCK, G._ROW_CHUNK) == (32, 256)
     m = C.sample_matching(n, np.random.default_rng(1000 + n))
     for k in range(1, 6):
         assert G.clique_count_circle(m, k) == oracles.dense_clique_count_circle(m.partner, k), k
