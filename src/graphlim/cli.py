@@ -31,7 +31,6 @@ _SUITES = (
     "poisson",
     "densities",
     "distance-formula",
-    "clique-formula",
     "gp",
     "clique-scaling",
     "components",
@@ -189,8 +188,6 @@ def _run_suite(args: argparse.Namespace, config: RunConfig) -> experiments.Repor
         )
     if args.suite == "distance-formula":
         return experiments.verify_distance_formula(args.n, args.reps, rng)
-    if args.suite == "clique-formula":
-        return experiments.verify_clique_formula(args.n, args.kmax, args.reps, rng)
     if args.suite == "gp":
         return experiments.verify_gp(
             args.n_values,
@@ -298,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=6, help="[exact] largest exhaustive size")
     p.add_argument("--n", type=int, default=None, help="object size (suite-specific default)")
     p.add_argument("--k", type=int, default=2, help="[densities] clique size")
-    p.add_argument("--kmax", type=int, default=None, help="[clique-formula|clique-scaling] largest k")
+    p.add_argument("--kmax", type=int, default=None, help="[clique-scaling] largest k")
     p.add_argument("--family", choices=("perm", "circle"), default="perm")
     p.add_argument("--reps", type=int, default=None, help="repetitions (suite-specific default)")
     p.add_argument("--tol", type=float, default=None, help="[densities] absolute tolerance")
@@ -328,7 +325,6 @@ _VERIFY_DEFAULTS = {
     "poisson": {"n": 2000, "reps": 100_000},
     "densities": {"n": 1000, "reps": 50},
     "distance-formula": {"n": 200, "reps": 200},
-    "clique-formula": {"n": 20, "reps": 100, "kmax": 5},
     "gp": {"m": 2048},
     "clique-scaling": {"n": 10_000, "reps": 2000, "kmax": 3, "m": 32_768},
     "components": {"n": 2000, "reps": 2000},

@@ -63,8 +63,6 @@ __all__ = [
     "mc_unit_clique_scaling",
     "heatmap_experiment",
     "verify_distance_formula",
-    "verify_clique_formula",
-    "verify_sample_laws",
     "verify_gp",
 ]
 
@@ -215,32 +213,6 @@ def _ks_statistic(a, b) -> float:
     # ca/na - cb/nb = (ca * nb/g - cb * na/g) / lcm, with an integer numerator
     h = int(np.abs(ca * (nb // g) - cb * (na // g)).max())
     return h / (na // g * nb)
-
-
-def _chisquare_p(observed, expected) -> float:
-    """Pearson chi-square p-value, scipy's ``chisquare(o, e).pvalue``.
-
-    The upper tail of chi-square with df = len(o) - 1 is a finite sum for an
-    integer df (Abramowitz and Stegun 26.4.4-5): erfc(sqrt(x/2)) plus
-    sqrt(2x/pi) e^{-x/2} sum_{j<(df+1)/2} x^{j-1} / (1*3*...*(2j-1)) for odd
-    df, and e^{-x/2} sum_{j<df/2} (x/2)^j / j! for even df.  Where p > 1e-10
-    it is within 20 ulp of the exact tail, and scipy's ``chdtrc`` agrees
-    within 5e-14 relative.
-    """
-    o = np.asarray(observed, dtype=np.float64)
-    e = np.asarray(expected, dtype=np.float64)
-    if abs(o.sum() - e.sum()) / min(o.sum(), e.sum()) > np.finfo(np.float64).eps ** 0.5:
-        raise ValueError("observed and expected counts must have the same sum")
-    df, x = o.size - 1, float(((o - e) ** 2 / e).sum())
-    if df % 2:
-        p, term = math.erfc(math.sqrt(x / 2)), math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
-        for j in range(1, (df + 1) // 2):
-            p, term = p + term, term * x / (2 * j + 1)
-    else:
-        p, term = 0.0, math.exp(-x / 2)
-        for j in range(1, df // 2 + 1):
-            p, term = p + term, term * x / (2 * j)
-    return p
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -548,15 +520,6 @@ def _edge_count_law_exhaustive(family: str) -> np.ndarray:
     return np.bincount(adj.sum(axis=(1, 2)) // 2, minlength=4)
 
 
-def _edge_counts(family: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Edge-count histogram of size-3 graphon samples, one per row of the
-    (draws, 3) latent coordinates a and b."""
-    total = np.zeros(a.shape[0], dtype=np.int64)
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        total += graphon._adjacent(family, a[:, i], b[:, i], a[:, j], b[:, j])
-    return np.bincount(total, minlength=4)
-
-
 def _edge_count_law_order_types(family: str) -> np.ndarray:
     """Edge-count histogram of G(3, W) over every order type of the latent
     coordinates, as integer ranks (no ties): 3! x 3! for perm (a's and b's
@@ -567,44 +530,10 @@ def _edge_count_law_order_types(family: str) -> np.ndarray:
         a, b = np.array(list(itertools.product(itertools.permutations(range(3)), repeat=2))).swapaxes(0, 1)
     else:
         a, b = np.moveaxis(np.array(list(itertools.permutations(range(6)))).reshape(-1, 3, 2), -1, 0)
-    return _edge_counts(family, a, b)
-
-
-def _edge_counts_mc(family: str, draws: int, rng: np.random.Generator) -> np.ndarray:
-    """Edge-count histogram of `draws` size-3 graphon samples."""
-    if family == "perm":
-        a, b = rng.random((2, draws, 3))
-    else:
-        a, b = np.moveaxis(rng.random((draws, 3, 2)), -1, 0)
-    return _edge_counts(family, a, b)
-
-
-def verify_sample_laws(draws: int, rng: np.random.Generator) -> Report:
-    """Chi-square check that size-3 graphon samples follow the exhaustive
-    uniform-seed graph laws (on 3 vertices the isomorphism class is the
-    edge count)."""
-    if draws < 1000:
-        raise ValueError("draws must be >= 1000")
-    master = _master_seed(rng)
-    child = np.random.default_rng(master)
-    estimates = []
-    ok = True
-    for family in ("perm", "circle"):
-        seeds = _edge_count_law_exhaustive(family)
-        expected = seeds / seeds.sum() * draws
-        observed = _edge_counts_mc(family, draws, child)
-        keep = expected > 0
-        pval = _chisquare_p(observed[keep], expected[keep])
-        estimates.append(EstimateRecord(f"chisq_p_{family}", pval, None))
-        ok &= pval > 1e-3
-    return Report(
-        name="verify_sample_laws",
-        params={"draws": draws},
-        seed=master,
-        estimates=estimates,
-        passed=bool(ok),
-        threshold="chi-square p > 1e-3 for both families",
-    )
+    total = np.zeros(a.shape[0], dtype=np.int64)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        total += graphon._adjacent(family, a[:, i], b[:, i], a[:, j], b[:, j])
+    return np.bincount(total, minlength=4)
 
 
 def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) -> Report:
@@ -622,12 +551,15 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
     over every order type of the latent coordinates, against the uniform
     seeds' laws;
     connected unit interval graphs having 1 or 2 mirror-paired irreducible
-    words; Euler-transform counts of unit interval graphs; and the
-    closed-form counting formulas against direct enumeration.
+    words; Euler-transform counts of unit interval graphs; the unit interval
+    clique counts sum_i binom(f_i, k-1) of every Dyck word, reducible words
+    included, for k = 1..n; and the closed-form counting formulas against
+    direct enumeration.
 
-    Each family is enumerated once per size, as arrays, and every predicate
-    (simplicity, modular and split primality, indecomposability) and the
-    decomposition cut scan run once per size on the whole stack; one
+    Each family is enumerated as arrays (the matchings and Dyck words once,
+    at n_max), and every predicate (simplicity, modular and split
+    primality, indecomposability) and the decomposition cut scan run once
+    per size on the whole stack; one
     canonical pass per size codes the perm, circle and both unit interval
     stacks together, and phi runs once per size and k.  Each check
     returns its first witness in enumeration order, or None; a seed object
@@ -645,19 +577,26 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
     perm_rows = {n: np.array(list(itertools.permutations(range(1, n + 1)))) for n in sizes}
     simple = {n: combinat._simple_flags(rows) for n, rows in perm_rows.items()}
     perm_adj = {n: graphs._inversion_adj(rows) for n, rows in perm_rows.items()}
-    match_rows = {n: combinat._matching_partners(n) for n in sizes}
-    circle_adj = {n: graphs._circle_adj(rows) for n, rows in match_rows.items()}
+    # the top size's enumerations hold every smaller size, in order: the
+    # matchings whose first chord is 1-2 and the Dyck words that begin UD
+    match_rows = {n_max: combinat._matching_partners(n_max)}
+    dyck = {n_max: combinat._dyck_rows(n_max)}
+    for n in range(n_max, 0, -1):
+        dyck[n - 1] = dyck[n][dyck[n][:, 1] < 0, 2:]
+        if n > 1:
+            match_rows[n - 1] = match_rows[n][match_rows[n][:, 0] == 2, 2:] - 2
+    circle_adj = {n: graphs._circle_adj(match_rows[n]) for n in sizes}
     modular_prime = {n: graphs._modular_prime_flags(adj) for n, adj in perm_adj.items()}
     split_prime = {n: graphs._split_prime_flags(adj) for n, adj in circle_adj.items()}
     cut_scans = {n: _matching_cut_scan(match_rows[n]) for n in sizes[1:]}
-    dyck = {n: combinat._dyck_rows(n) for n in range(n_max + 1)}
     irreducible = {n: combinat._enclosed_rows(dyck[n - 1]) for n in sizes}
     # one canonical pass per size over the perm, circle, irreducible-UIG and
     # Dyck-UIG stacks, with both word stacks' forward degrees from one pass
-    codes = {}
+    codes, dyck_f, dyck_adj = {}, {}, {}
     for n in sizes:
         f = _heights_arrays(np.concatenate((irreducible[n], dyck[n])))[1]
         stacks = (perm_adj[n], circle_adj[n], graphs._unit_interval_adj(f))
+        dyck_f[n], dyck_adj[n] = f[irreducible[n].shape[0] :], stacks[2][irreducible[n].shape[0] :]
         ends = np.cumsum([perm_rows[n].shape[0], match_rows[n].shape[0], irreducible[n].shape[0]])
         parts = np.split(graphs._canonical_codes(np.concatenate(stacks)), ends)
         codes[n] = dict(zip(("perm", "circle", "irreducible", "dyck"), parts))
@@ -782,6 +721,26 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
             if n_classes != count_unit_interval_graphs(n):
                 return f"n={n}: {n_classes} classes vs U_n {count_unit_interval_graphs(n)}"
 
+    def unit_interval_clique_formula():
+        # sum_i binom(f_i, k-1) against the k-cliques of every Dyck word's
+        # graph, reducible words included, for k = 1..n: one scan over all
+        # vertex subsets, where a subset is a clique iff each member sees
+        # all the others
+        for n in sizes:
+            members = graphs._subset_masks(n, 1, n).T
+            size = members.sum(axis=0)
+            flags = graphs._neighbour_count_scan(
+                dyck_adj[n],
+                members,
+                lambda seen, _: ((seen == size - 1) | ~members).all(axis=1),
+                np.empty((dyck[n].shape[0], size.size), dtype=bool),
+            )
+            scan = flags @ (size[:, None] == np.arange(1, n + 1)).astype(np.int64)
+            binom = np.array([[math.comb(j, k - 1) for k in range(1, n + 1)] for j in range(n)])
+            wrong = np.flatnonzero((scan != binom[dyck_f[n]].sum(axis=1)).any(axis=1))
+            if wrong.size:
+                return f"n={n} {combinat._word_text(dyck[n][wrong[0]])}"
+
     def counting_formulas():
         # closed-form counts vs direct enumeration
         for n in sizes:
@@ -813,6 +772,7 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
         sample_law_identities,
         unit_interval_representation,
         uig_euler_counts,
+        unit_interval_clique_formula,
         counting_formulas,
     ]
     if n_max < 4:
@@ -1219,37 +1179,6 @@ def verify_distance_formula(n_max: int, reps: int, rng: np.random.Generator) -> 
         seed=master,
         estimates=[
             EstimateRecord("pairs_checked", float(pairs), None),
-            EstimateRecord("mismatches", float(mismatches), None),
-        ],
-        passed=mismatches == 0,
-        threshold="0 mismatches",
-    )
-
-
-def verify_clique_formula(
-    n_max: int, k_max: int, reps: int, rng: np.random.Generator
-) -> Report:
-    """sum_i binom(f(i), k-1) equals subset-oracle clique counts on random
-    Dyck paths (reducible words included)."""
-    if n_max < 1 or k_max < 1 or reps < 1:
-        raise ValueError("n_max, k_max, reps must be >= 1")
-    master = _master_seed(rng)
-    mismatches = 0
-    checks = 0
-    for child in _child_rngs(master, reps):
-        n = int(child.integers(1, n_max + 1))
-        w = combinat.sample_dyck(n, child)
-        g = graphs.unit_interval_graph(w)
-        for k in range(1, k_max + 1):
-            checks += 1
-            if graphs.count_cliques(g, k) != graphs.count_cliques_unit(w, k):
-                mismatches += 1
-    return Report(
-        name="verify_clique_formula",
-        params={"n_max": n_max, "k_max": k_max, "reps": reps},
-        seed=master,
-        estimates=[
-            EstimateRecord("checks", float(checks), None),
             EstimateRecord("mismatches", float(mismatches), None),
         ],
         passed=mismatches == 0,

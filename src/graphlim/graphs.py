@@ -40,7 +40,6 @@ __all__ = [
     "unit_interval_graph",
     "all_pairs_distances",
     "unit_distance_formula",
-    "count_cliques",
     "count_cliques_unit",
     "clique_count_inversion",
     "clique_count_circle",
@@ -341,42 +340,6 @@ def _table_distances(table: np.ndarray, sources: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Cliques
 # ---------------------------------------------------------------------------
-
-
-def count_cliques(g: UGraph, k: int) -> int:
-    """Number of k-subsets of vertices inducing a complete subgraph.
-
-    Exponential-time oracle (neighborhood-intersection recursion over
-    bitmask candidate sets); intended for n <= 30, k <= 6.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = g.n
-    if k == 1:
-        return n
-    if k > n:
-        return 0
-    nb = [0] * n
-    for u in range(n):
-        row = 0
-        for v in np.flatnonzero(g.adj[u]):
-            row |= 1 << int(v)
-        nb[u] = row
-
-    def rec(cand: int, need: int) -> int:
-        if need == 1:
-            return cand.bit_count()
-        total = 0
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            nxt = cand & nb[v]
-            if nxt.bit_count() >= need - 1:
-                total += rec(nxt, need - 1)
-        return total
-
-    return rec((1 << n) - 1, k)
 
 
 def count_cliques_unit(w: DyckPath, k: int) -> int:

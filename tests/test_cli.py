@@ -220,33 +220,44 @@ def test_verify_exact_passes(capsys):
     assert report["params"] == {"n_max": 4}
 
 
+def _without(out: str, label: str) -> str:
+    """A report's stdout with one record dropped, written as the CLI writes it."""
+    report = json.loads(out)
+    report["estimates"] = [e for e in report["estimates"] if e["label"] != label]
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def test_verify_exact_stdout_pinned(capsys):
     # recorded with the earlier one-graph-at-a-time suite, which had no
-    # phi_bijection record; the whole stdout is pinned as well
+    # phi_bijection record, and then with phi_bijection but before the
+    # unit_interval_clique_formula record; the whole stdout is pinned as well
     code, out, _ = run_cli(["verify", "exact", "--nmax", "5", "--seed", "7"], capsys)
     assert code == 0
-    report = json.loads(out)
-    report["estimates"] = [e for e in report["estimates"] if e["label"] != "phi_bijection"]
-    old = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    assert hashlib.sha256(old.encode()).hexdigest() == (
+    with_phi = _without(out, "unit_interval_clique_formula")
+    assert hashlib.sha256(_without(with_phi, "phi_bijection").encode()).hexdigest() == (
         "52f69350f33a51b6c8e98d85aa0ce7d2b22cd58ed6655d8644833d564eee89d5"
     )
-    assert hashlib.sha256(out.encode()).hexdigest() == (
+    assert hashlib.sha256(with_phi.encode()).hexdigest() == (
         "6c02569e806d7a46a358423041c9b70e59673edc492ef4acfb2eb40efce5c3fa"
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0b42eaa1e1aa19a73667a0dc0a44deb401a8c024472bd630ddf9b1351911bc51"
     )
 
 
 def test_verify_exact_stdout_pinned_across_seeds(capsys):
     # SHA-256 of the stdout of seeds 0..20 in turn, recorded when the
-    # sample-law record still drew 200,000 graphon samples from the seed;
-    # its exact order-type check reproduces every byte, and --seed only
-    # sets the recorded seed
-    digest = hashlib.sha256()
+    # sample-law record still drew 200,000 graphon samples from the seed and
+    # before the unit_interval_clique_formula record; its exact order-type
+    # check reproduces every byte, and --seed only sets the recorded seed
+    old, full = hashlib.sha256(), hashlib.sha256()
     for seed in range(21):
         code, out, _ = run_cli(["verify", "exact", "--nmax", "5", "--seed", str(seed)], capsys)
         assert code == 0
-        digest.update(out.encode())
-    assert digest.hexdigest() == "56c1a81bc67689014579ea4ec90ac799ea9d39d858be79a8caa6c5497d9b459b"
+        old.update(_without(out, "unit_interval_clique_formula").encode())
+        full.update(out.encode())
+    assert old.hexdigest() == "56c1a81bc67689014579ea4ec90ac799ea9d39d858be79a8caa6c5497d9b459b"
+    assert full.hexdigest() == "baf4b92460701bb949ce0aa25f252ebb658998d18d8b9a0115ff4005f4e841c2"
 
 
 def test_verify_report_to_file(tmp_path, capsys):
@@ -452,6 +463,9 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "clique-formula"])  # retired: verify exact proves the formula
     assert exc.value.code == 2
 
 

@@ -840,13 +840,6 @@ def test_order_type_laws_equal_exhaustive_laws():
     assert X._edge_count_law_exhaustive("circle").tolist() == [5, 6, 3, 1]
 
 
-def test_verify_sample_laws():
-    rep = X.verify_sample_laws(4000, np.random.default_rng(18))
-    assert rep.passed
-    assert rep.get("chisq_p_perm").value > 1e-3
-    assert rep.get("chisq_p_circle").value > 1e-3
-
-
 @pytest.mark.parametrize(
     "na, nb", [(1, 1), (10, 10), (2000, 3000), (999, 1000), (10_000, 10_000)]
 )
@@ -872,31 +865,6 @@ def test_ks_statistic_nan_and_large_samples():
         )
 
 
-def test_chisquare_p_closed_form():
-    # scipy's chdtrc is off by up to a few hundred ulp against a 50-digit
-    # value, the closed form by a few: 5e-14 relative bounds scipy's error
-    rng = np.random.default_rng(32)
-    for size in (2, 4, 9, *range(2, 12)):
-        expected = rng.random(size) + 0.1
-        expected *= 5000 / expected.sum()
-        observed = rng.multinomial(5000, expected / expected.sum()).astype(np.float64)
-        assert X._chisquare_p(observed, expected) == pytest.approx(
-            scipy.stats.chisquare(observed, expected).pvalue, rel=5e-14, abs=0
-        )
-        x = float(((observed - expected) ** 2 / expected).sum())
-        if size == 2:
-            assert X._chisquare_p(observed, expected) == math.erfc(math.sqrt(x / 2))
-        if size == 3:
-            assert X._chisquare_p(observed, expected) == math.exp(-x / 2)
-        # x = 0 gives p = 1; all 1500 counts in one cell gives x = 1500 (size - 1)
-        assert X._chisquare_p(expected, expected) == 1.0
-        far = np.zeros(size)
-        far[0] = 1500.0
-        assert X._chisquare_p(far, np.full(size, 1500.0 / size)) == 0.0
-    with pytest.raises(ValueError):
-        X._chisquare_p([10.0, 20.0], [10.0, 21.0])
-
-
 def test_exact_enumeration_suite_small():
     rep = X.exact_enumeration_suite(4)
     assert rep.passed
@@ -910,8 +878,8 @@ def test_exact_enumeration_suite_small():
 
 # SHA-256 of exact_enumeration_suite(n_max).to_json() for n_max = 1..6,
 # recorded with the earlier one-graph-at-a-time suite, which had no
-# phi_bijection record; the batched suite must reproduce every byte once
-# that record is dropped.
+# phi_bijection or unit_interval_clique_formula record; the batched suite
+# must reproduce every byte once those records are dropped.
 _PINNED_EXACT_SUITE = {
     1: "6f7cf04b9c0a794c35dd060afd594d40dd3c3b0c87fa6599b207d7b18f4564e7",
     2: "b66a5a0f71d7c3c987d1440590af8e5b1b5a2c84ecae7efb1b9579cb4536ab1a",
@@ -922,7 +890,9 @@ _PINNED_EXACT_SUITE = {
 }
 
 
-# SHA-256 of the whole report, phi_bijection record included (n_max >= 4)
+# SHA-256 of the report with the phi_bijection record (n_max >= 4), recorded
+# before the suite had a unit_interval_clique_formula record; the suite must
+# reproduce every byte once that record is dropped
 _PINNED_EXACT_SUITE_PHI = {
     4: "a59ce95b80b42364a7f58dd35c88d0e972633dd4cc0710cdc4eb7bed3c4be9fd",
     5: "1844db7c1f5d6b37e5ab4ea89da498e85104c4a27de9b3c2bdb83ff62bb12993",
@@ -930,17 +900,29 @@ _PINNED_EXACT_SUITE_PHI = {
 }
 
 
-def _without_phi(text: str) -> str:
-    """A report's JSON text with its phi_bijection record dropped."""
+# SHA-256 of the whole report, every record included
+_PINNED_EXACT_SUITE_FULL = {
+    1: "f92855fb47a64760e0bacfcb9e99c75d9d4143a3f61ae8855974e2dc5eb1cd78",
+    2: "43623827c02f20db3dfdefcaef4589f8890bce42c872bbbea00b4ef8840d42b2",
+    3: "2834197b739aad12ad6c77de8305d105ae9d6109829f31486d9850ac43fbec86",
+    4: "6d8168428cc3d904b0d7fb341d81e9f9739fe1db412eb6333890fff1a2d34182",
+    5: "190472892236a0836bdde02cbd65163f2112489f5135914c22080405ba862d62",
+    6: "ca4321b195ff2cc40315de530a486c2b41c742152ab99e7c6180e454c05244ed",
+}
+
+
+def _without(text: str, label: str) -> str:
+    """A report's JSON text with one record dropped, written as to_json writes it."""
     report = json.loads(text)
-    report["estimates"] = [e for e in report["estimates"] if e["label"] != "phi_bijection"]
+    report["estimates"] = [e for e in report["estimates"] if e["label"] != label]
     return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _assert_exact_suite_pinned(text: str, n_max: int) -> None:
-    assert hashlib.sha256(_without_phi(text).encode()).hexdigest() == _PINNED_EXACT_SUITE[n_max]
-    full = _PINNED_EXACT_SUITE_PHI.get(n_max, _PINNED_EXACT_SUITE[n_max])
-    assert hashlib.sha256(text.encode()).hexdigest() == full
+    with_phi = _without(text, "unit_interval_clique_formula")
+    assert hashlib.sha256(_without(with_phi, "phi_bijection").encode()).hexdigest() == _PINNED_EXACT_SUITE[n_max]
+    assert hashlib.sha256(with_phi.encode()).hexdigest() == _PINNED_EXACT_SUITE_PHI.get(n_max, _PINNED_EXACT_SUITE[n_max])
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_EXACT_SUITE_FULL[n_max]
 
 
 @pytest.mark.parametrize("n_max", sorted(_PINNED_EXACT_SUITE))
@@ -982,6 +964,22 @@ def _shared_phi_image(f):
     return faulty
 
 
+_FAULT_WORD = "UUUDDDUUDD"
+
+
+def _drop_fault_edge(f, fault=C._heights_arrays(_FAULT_WORD)[1]):
+    # the edge v1-v2 taken out of one reducible size-5 word's graph, so the
+    # irreducible stack, built in the same call, keeps every edge
+    def dropped(degrees):
+        adj = f(degrees)
+        if degrees.shape[-1] == fault.size:
+            hit = (degrees == fault).all(axis=-1)
+            adj[hit, 0, 1] = adj[hit, 1, 0] = False
+        return adj
+
+    return dropped
+
+
 def _flip_circle_order_type(f):
     # the circle edge rule made wrong on one order type of its four
     # coordinates: two disjoint chords a1 < b1 < a2 < b2 become adjacent
@@ -992,9 +990,10 @@ def _flip_circle_order_type(f):
     return flipped
 
 
-# One predicate, formula or edge rule made wrong, and the labels and
-# witnesses the suite reports for it; all but the edge rule's were recorded
-# with the one-graph-at-a-time suite, on one size-5 seed.
+# One predicate, formula, edge rule or graph made wrong, and the labels and
+# witnesses the suite reports for it; all but the edge rule's and the unit
+# interval graph's were recorded with the one-graph-at-a-time suite, on one
+# size-5 seed.
 _FAULTS = {
     "_indecomposable_rows": (
         _flip_fault_row,
@@ -1023,12 +1022,21 @@ _FAULTS = {
         _flip_circle_order_type,
         {"sample_law_identities": "circle: order types 200/289/172/59 of 720 vs seeds 5/6/3/1 of 15"},
     ),
+    "_unit_interval_adj": (
+        _drop_fault_edge,
+        {"unit_interval_clique_formula": "n=5 UUUDDDUUDD"},
+    ),
 }
 
 
 # simplicity is decided by its stacked rule, so its fault goes there; the
-# edge rule is the graphon module's, the rest are combinat's
-_FAULT_TARGETS = {"is_simple": (C, "_simple_flags"), "_adjacent": (graphon, "_adjacent")}
+# edge rule is the graphon module's, the unit interval builder the graphs
+# module's, the rest are combinat's
+_FAULT_TARGETS = {
+    "is_simple": (C, "_simple_flags"),
+    "_adjacent": (graphon, "_adjacent"),
+    "_unit_interval_adj": (G, "_unit_interval_adj"),
+}
 
 
 @pytest.mark.parametrize("name", sorted(_FAULTS))
@@ -1196,12 +1204,6 @@ def test_verify_distance_formula_detects_a_wrong_distance(monkeypatch, side):
     rep = X.verify_distance_formula(40, 25, np.random.default_rng(19))
     assert not rep.passed
     assert rep.get("mismatches").value == 25.0
-
-
-def test_verify_clique_formula_small():
-    rep = X.verify_clique_formula(12, 4, 20, np.random.default_rng(20))
-    assert rep.passed
-    assert rep.get("mismatches").value == 0.0
 
 
 def test_largest_component_stats_small():

@@ -298,23 +298,15 @@ def test_jump_walk_rejects_reducible_word():
 # ---------------------------------------------------------------------------
 
 
-def test_count_cliques_matches_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        n = int(rng.integers(1, 9))
-        g = _random_graph(n, 0.5, rng)
-        for k in range(1, 5):
-            assert G.count_cliques(g, k) == oracles.brute_clique_count(n, _edges(g), k)
-
-
 def test_count_cliques_unit_closed_form():
+    # 100 words of sizes 1..20, reducible words included, k = 1..5
     rng = np.random.default_rng(6)
-    for _ in range(40):
-        n = int(rng.integers(1, 15))
+    for _ in range(100):
+        n = int(rng.integers(1, 21))
         w = C.sample_dyck(n, rng)
-        g = G.unit_interval_graph(w)
+        edges = _edges(G.unit_interval_graph(w))
         for k in range(1, 6):
-            assert G.count_cliques_unit(w, k) == G.count_cliques(g, k)
+            assert G.count_cliques_unit(w, k) == oracles.brute_clique_count(n, edges, k), (w.steps, k)
 
 
 def test_fast_clique_counters_match_oracle():
@@ -326,8 +318,8 @@ def test_fast_clique_counters_match_oracle():
         gp = G.inversion_graph(p)
         gm = G.circle_graph(m)
         for k in range(1, 6):
-            assert G.clique_count_inversion(p, k) == G.count_cliques(gp, k), (p, k)
-            assert G.clique_count_circle(m, k) == G.count_cliques(gm, k), (m, k)
+            assert G.clique_count_inversion(p, k) == oracles.brute_clique_count(n, _edges(gp), k), (p, k)
+            assert G.clique_count_circle(m, k) == oracles.brute_clique_count(n, _edges(gm), k), (m, k)
 
 
 def test_fast_clique_counters_moderate_size():
