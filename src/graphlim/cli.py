@@ -269,7 +269,7 @@ def _int_list(text: str) -> list[int]:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="64-bit seed (env GRAPHLIM_SEED)")
-    common.add_argument("--threads", default=None, help="worker count or 'auto' (env GRAPHLIM_THREADS)")
+    common.add_argument("--threads", default=None, help="the most worker threads, or 'auto' (env GRAPHLIM_THREADS)")
     common.add_argument("--out-dir", default=".", help="directory for output files")
     common.add_argument("--format", choices=("json", "csv", "pgm"), help="default: the command's own output")
     common.add_argument("--out", default=None, help="output file name (default: stdout where possible)")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -824,16 +824,6 @@ def _decomposition_search(p: np.ndarray) -> np.ndarray:
         first[1:] = r[1:] != r[:-1]
         found[r[first]] = c[first]
     return found
-
-
-def _decomposition_cuts(partner: Sequence[int]) -> tuple[int, ...] | None:
-    """Sorted cuts (g1, g2, g3, g4) whose side (g1, g2] + (g3, g4] the matching
-    keeps closed, with k in [2, n-2] chords on the side away from point 1;
-    single arcs (a, b] come first, as (a, a, a, b).  None when no such cuts
-    exist.  The one-row case of :func:`_decomposition_search`.
-    """
-    cuts = _decomposition_search(np.asarray(partner, dtype=np.int64)[None] - 1)[0]
-    return None if cuts[0] < 0 else tuple(cuts.tolist())
 
 
 def _indecomposable_rows(partner: np.ndarray) -> np.ndarray:

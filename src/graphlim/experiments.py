@@ -191,7 +191,8 @@ _INLINE_CELLS = 1 << 18
 
 
 def _rep_threads(threads: int, cells: int) -> int:
-    """Workers for reps of `cells` cells each: `threads`, or 1 below _INLINE_CELLS."""
+    """Workers for a _map_reps call whose reps touch `cells` cells each:
+    `threads`, or 1 below _INLINE_CELLS.  Every pooled driver asks here."""
     return threads if cells >= _INLINE_CELLS else 1
 
 
@@ -319,7 +320,8 @@ def mc_poisson_xyz(n: int, reps: int, max_moment: int, rng: np.random.Generator,
     blocks share one set of buffers: fresh arrays per block are faulted in
     again whenever the allocator hands freed pages back to the OS, which it
     does in some processes and not in others, and at n = 2000 those faults
-    (about 40,000 a call) took a call from about 0.14 s to 0.20 s.
+    (about 40,000 a call) took a call from about 0.14 s to 0.20 s.  A rep is
+    one chunk of chunk_rows rows of 2n cells (4·10⁶ at n = 2000).
     """
     if n < 4:
         raise ValueError("n must be >= 4")
@@ -328,7 +330,7 @@ def mc_poisson_xyz(n: int, reps: int, max_moment: int, rng: np.random.Generator,
     if max_moment < 1:
         raise ValueError("max_moment must be >= 1")
     master = _master_seed(rng)
-    chunk_rows = max(1, 4_000_000 // (2 * n))
+    chunk_rows = min(reps, max(1, 4_000_000 // (2 * n)))
     n_chunks = (reps + chunk_rows - 1) // chunk_rows
     block_rows = max(1, _XYZ_BLOCK_KEYS // (2 * n))
 
@@ -341,7 +343,8 @@ def mc_poisson_xyz(n: int, reps: int, max_moment: int, rng: np.random.Generator,
             blocks.append(_xyz_batch(partner, scratch=buffers[2][: partner.shape[0]]))
         return blocks
 
-    blocks = itertools.chain.from_iterable(_map_reps(one, master, n_chunks, threads))
+    workers = _rep_threads(threads, chunk_rows * 2 * n)
+    blocks = itertools.chain.from_iterable(_map_reps(one, master, n_chunks, workers))
     x, y, z = map(np.concatenate, zip(*blocks))
 
     estimates = []
@@ -384,7 +387,8 @@ def mc_indecomposable_rate(
     rng: np.random.Generator,
     threads: int = 1,
 ) -> Report:
-    """Fraction of uniform matchings of size n that are indecomposable."""
+    """Fraction of uniform matchings of size n that are indecomposable.  A
+    rep is one matching of 2n cells, so reps run inline below n = 2^17."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if reps < 1:
@@ -394,7 +398,7 @@ def mc_indecomposable_rate(
     def one(_: int, child: np.random.Generator) -> float:
         return 1.0 if combinat.is_indecomposable(combinat.sample_matching(n, child)) else 0.0
 
-    flags = np.asarray(_map_reps(one, master, reps, threads))
+    flags = np.asarray(_map_reps(one, master, reps, _rep_threads(threads, 2 * n)))
     rate, se = _mean_se(flags)
     limit = math.exp(-3.0)
     passed = abs(rate - limit) <= 0.01 and rate > math.exp(-4.0)
@@ -1033,7 +1037,8 @@ def mc_unit_clique_scaling(
     For each k = 2..k_max the clique count over n^{(k+1)/2} is compared in
     distribution with 2^{(k-1)/2}/(k-1)! times the integral of e^{k-1}, with
     all k computed from the same realization on both sides; reports the
-    two-sample KS statistic per k plus the cross-k correlation.
+    two-sample KS statistic per k plus the cross-k correlation.  A rep is
+    a Dyck word of 2n steps or an excursion of m_grid + 1 values.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -1071,8 +1076,9 @@ def mc_unit_clique_scaling(
     def one(i: int, child: np.random.Generator) -> list[float]:
         return graph_side(child) if i < reps else excursion_side(child)
 
-    # both sides in one pool: reps 0..reps-1 are graphs, the rest excursions
-    vals = np.asarray(_map_reps(one, (master, master + 1), (reps, reps), threads))
+    # both sides in one call: reps 0..reps-1 are graphs, the rest excursions
+    workers = _rep_threads(threads, max(2 * n, m_grid + 1))
+    vals = np.asarray(_map_reps(one, (master, master + 1), (reps, reps), workers))
     gvals, evals = vals[:reps], vals[reps:]
     estimates = []
     ok = True
@@ -1222,7 +1228,10 @@ def verify_gp(
     uniform points, compared by two-sample KS; (b) the coupled box-distance
     discrepancy of gp_box_estimate_unit, whose medians over seeds must all
     be below 0.1 and nonincreasing in n; n_values must be strictly
-    increasing.
+    increasing.  The box seeds run first: a rep's jump-walk table is the
+    box grid's vertices by at most max(n_values) columns.  Then come the
+    two-point draws, words of 2 * two_point_n steps and excursions of
+    m_grid + 1 values.
     """
     if not n_values:
         raise ValueError("n_values must be nonempty")
@@ -1232,31 +1241,26 @@ def verify_gp(
         raise ValueError("n_values and two_point_n must be >= 1")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly increasing")
-    mmspace._box_grid(delta, m_grid)  # a bad grid is a usage error before any draw
+    xs = mmspace._box_grid(delta, m_grid)  # a bad grid is a usage error before any draw
     master = _master_seed(rng)
     n_big = max(n_values) if two_point_n is None else two_point_n
     sizes = len(n_values)
-    boxes = sizes * seeds_per_n
 
-    def one(i: int, child: np.random.Generator) -> float:
-        if i < boxes:
-            w = combinat.sample_irreducible_dyck(n_values[sizes - 1 - i // seeds_per_n], child)
-            return mmspace.gp_box_estimate_unit(w, True, delta, m_grid, child)[0]
-        if i < boxes + draws:
-            return _two_point_graph_draw(n_big, child)
-        return _two_point_excursion_draw(m_grid, child)
+    def box(i: int, child: np.random.Generator) -> float:
+        w = combinat.sample_irreducible_dyck(n_values[sizes - 1 - i // seeds_per_n], child)
+        return mmspace.gp_box_estimate_unit(w, True, delta, m_grid, child)[0]
 
-    # one pool: the box seeds, largest n first (the longest reps start
-    # first), then the two-point graph draws, then the excursion draws; each
-    # segment keeps its own child seed sequence
-    vals = _map_reps(
-        one,
-        tuple(master + 2 + pos for pos in reversed(range(sizes))) + (master, master + 1),
-        (seeds_per_n,) * sizes + (draws, draws),
-        threads,
-    )
-    ks = _ks_statistic(np.asarray(vals[boxes : boxes + draws]), np.asarray(vals[boxes + draws :]))
-    medians = [statistics.median(vals[j : j + seeds_per_n]) for j in range(0, boxes, seeds_per_n)][::-1]
+    def two_point(i: int, child: np.random.Generator) -> float:
+        return _two_point_graph_draw(n_big, child) if i < draws else _two_point_excursion_draw(m_grid, child)
+
+    # each size and each side of the two-point law keeps its own child seed
+    # sequence; the longest box reps start first
+    box_masters = tuple(master + 2 + pos for pos in reversed(range(sizes)))
+    disc = _map_reps(box, box_masters, (seeds_per_n,) * sizes, _rep_threads(threads, xs.size * max(n_values)))
+    pair_workers = _rep_threads(threads, max(2 * n_big, m_grid + 1))
+    pair = _map_reps(two_point, (master, master + 1), (draws, draws), pair_workers)
+    ks = _ks_statistic(np.asarray(pair[:draws]), np.asarray(pair[draws:]))
+    medians = [statistics.median(disc[j : j + seeds_per_n]) for j in range(0, len(disc), seeds_per_n)][::-1]
 
     nonincreasing = all(b <= a + 1e-12 for a, b in zip(medians, medians[1:]))
     estimates = [EstimateRecord("two_point_ks", ks, None)]

@@ -192,11 +192,11 @@ def test_decomposed_counts_formula_values():
 def test_k_decomposition_finds_valid_witnesses():
     # every size-4 matching is 2-decomposable (no xyz = (0,0,0) exists there)
     for m in C.iter_matchings(4):
-        cuts = C._decomposition_cuts(m.partner)
+        cuts = _stacked_cuts(np.asarray([m.partner]))[0]
         assert cuts is not None
         assert oracles.closed_side_k(m.partner, oracles.cut_side(*cuts)) == 2
     # at size 5 both outcomes occur
-    found = sum(1 for m in C.iter_matchings(5) if C._decomposition_cuts(m.partner) is not None)
+    found = sum(1 for m in C.iter_matchings(5) if _stacked_cuts(np.asarray([m.partner]))[0] is not None)
     assert 0 < found < C.count_matchings(5)
 
 
@@ -658,7 +658,7 @@ def test_decomposition_search_matches_brute_force(points):
     decomposable = oracles.brute_is_decomposable(m.partner)
     assert C.is_indecomposable(m) == (not decomposable)
     # the cut search on its own, with no x/y/z fast path
-    cuts = C._decomposition_cuts(m.partner)
+    cuts = _stacked_cuts(np.asarray([m.partner]))[0]
     assert (cuts is not None) == decomposable
     if cuts is not None:
         assert oracles.closed_side_k(m.partner, oracles.cut_side(*cuts)) is not None
@@ -669,11 +669,11 @@ def test_decomposition_search_exact_under_hash_collisions(monkeypatch):
     # the exact check can reject it
     matchings = [m for n in (5, 6) for m in C.iter_matchings(n) if n == 5 or C.xyz_stats(m) == (0, 0, 0)]
     expected = [C.is_indecomposable(m) for m in matchings]
-    found = [C._decomposition_cuts(m.partner) is not None for m in matchings]
+    found = [_stacked_cuts(np.asarray([m.partner]))[0] is not None for m in matchings]
     monkeypatch.setattr(C, "_gap_hashes", lambda p: np.zeros(p.shape, dtype=np.uint64))
     assert [C.is_indecomposable(m) for m in matchings] == expected
     for m, ok in zip(matchings, found):
-        cuts = C._decomposition_cuts(m.partner)
+        cuts = _stacked_cuts(np.asarray([m.partner]))[0]
         assert (cuts is not None) == ok
         if cuts is not None:
             assert oracles.closed_side_k(m.partner, oracles.cut_side(*cuts)) is not None
@@ -710,7 +710,7 @@ def _planted_xyz_zero(count, rng):
     return cases
 
 
-# SHA-256 of repr() of a list of _decomposition_cuts results, recorded with
+# SHA-256 of repr() of a list of decomposition search results, recorded with
 # the one-row-at-a-time search: every x = y = z = 0 matching of sizes 5-7 in
 # enumeration order (none of them decomposable) followed by
 # _planted_xyz_zero(100, RNG(6)); every matching of sizes 4-6; and every
@@ -740,7 +740,7 @@ def test_decomposition_search_pinned_with_small_blocks(monkeypatch):
         partners = C._matching_partners(n)
         x, y, z = C._xyz_batch(partners - 1)
         found += _stacked_cuts(partners[(x == 0) & (y == 0) & (z == 0)])
-    found += [C._decomposition_cuts(m.partner) for m, _ in _planted_xyz_zero(100, RNG(6))]
+    found += [_stacked_cuts(np.asarray([m.partner]))[0] for m, _ in _planted_xyz_zero(100, RNG(6))]
     assert _cuts_digest(found) == _PINNED_CUTS["xyz_zero_and_planted"]
     every = [cuts for n in (4, 5, 6) for cuts in _stacked_cuts(C._matching_partners(n))]
     assert _cuts_digest(every) == _PINNED_CUTS["every"]
@@ -754,7 +754,7 @@ def test_planted_decompositions_are_found():
     # that always answers "indecomposable" would pass the sampled checks
     for m, k in _planted_xyz_zero(100, RNG(6)):
         assert not C.is_indecomposable(m)
-        cuts = C._decomposition_cuts(m.partner)
+        cuts = _stacked_cuts(np.asarray([m.partner]))[0]
         assert cuts is not None
         assert oracles.closed_side_k(m.partner, oracles.cut_side(*cuts)) is not None
 

@@ -503,6 +503,26 @@ def test_unit_interval_metric_reports_pinned(threads):
     assert _metric_report_digests(threads) == _PINNED_REPORTS
 
 
+# SHA-256 of metric reports whose reps reach _INLINE_CELLS, so that they take
+# a pool at threads >= 2: verify_gp's box reps at n = 2000 walk 461 grid
+# vertices by 2000 columns, and mc_unit_clique_scaling's excursions hold
+# 2^18 + 1 values.  Recorded when both drivers handed every rep to one pool
+# at any threads; the pooled and inline paths must give every byte.
+_PINNED_POOLED_REPORTS = {
+    "verify_gp": "33f772463400609e12fe07580115caed7f1a1d1ae0cf0b5f319ca42c92cdf333",
+    "mc_unit_clique_scaling": "2b3366e9a25a788276180df20c56d85e6da6c1042ced6888e361e082f3f8bb70",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+def test_pooled_metric_reports_pinned(threads):
+    reports = [
+        X.verify_gp([1000, 2000], 0.05, 512, 2, 20, np.random.default_rng(17), threads=threads),
+        X.mc_unit_clique_scaling(100, 3, 10, 1 << 18, np.random.default_rng(19), threads=threads),
+    ]
+    assert {r.name: hashlib.sha256(r.to_json().encode()).hexdigest() for r in reports} == _PINNED_POOLED_REPORTS
+
+
 # The same metric and block reports under the earlier Dyck sampler, which
 # shuffled n ups and n + 1 downs, as recorded before the draw stream changed.
 _SHUFFLE_DYCK_REPORTS = {
@@ -686,27 +706,35 @@ def test_map_reps_asks_for_at_most_one_worker_per_rep(monkeypatch, threads, reps
 
 
 def test_drivers_use_one_pool_per_call(monkeypatch):
+    # every driver asks _rep_threads for its workers: reps of fewer than
+    # _INLINE_CELLS cells run inline at any threads, and a call makes at most
+    # one pool for each kind of rep that reaches it
     pools = _record_pools(monkeypatch)
     X.verify_gp([50, 100], 0.05, 64, 3, 40, np.random.default_rng(7), threads=3, two_point_n=300)
-    assert [(p.max_workers, p.submitted) for p in pools] == [(3, 3)]
-    pools.clear()
     X.mc_unit_clique_scaling(200, 3, 20, 256, np.random.default_rng(13), threads=2)
-    assert [(p.max_workers, p.submitted) for p in pools] == [(2, 2)]
-    pools.clear()
-    # reps of fewer than _INLINE_CELLS cells, and Python-bound reps, run inline
+    X.mc_indecomposable_rate(300, 40, np.random.default_rng(21), threads=4)
+    X.mc_poisson_xyz(40, 500, 2, np.random.default_rng(9), threads=2)
     X.heatmap_experiment("circle", 200, 20, np.random.default_rng(3), threads=2)
     X.heatmap_experiment("perm", 511, 2, np.random.default_rng(3), threads=2)
     X.largest_component_stats(500, 200, np.random.default_rng(4), threads=2)
     X.mc_clique_density("perm", 1000, 3, 4, np.random.default_rng(5), threads=2)
     assert pools == []
-    X.heatmap_experiment("perm", 512, 2, np.random.default_rng(3), threads=2)
-    assert [(p.max_workers, p.submitted) for p in pools] == [(2, 2)]
-    pools.clear()
-    X.heatmap_experiment("circle", 600, 3, np.random.default_rng(3), threads=2)
-    assert [(p.max_workers, p.submitted) for p in pools] == [(2, 2)]
-    pools.clear()
-    X.mc_clique_density("circle", 600, 3, 4, np.random.default_rng(6), threads=2)
-    assert [(p.max_workers, p.submitted) for p in pools] == [(2, 2)]
+    calls = [
+        # the four box reps (461 grid vertices by 2000 columns) pool; the
+        # two-point draws do not
+        lambda: X.verify_gp([1000, 2000], 0.05, 512, 2, 20, np.random.default_rng(17), threads=3),
+        lambda: X.mc_unit_clique_scaling(100, 3, 10, 1 << 18, np.random.default_rng(19), threads=2),
+        # two chunks of 1000 and 1 rows at n = 2000
+        lambda: X.mc_poisson_xyz(2000, 1001, 1, np.random.default_rng(9), threads=3),
+        lambda: X.heatmap_experiment("perm", 512, 2, np.random.default_rng(3), threads=2),
+        lambda: X.heatmap_experiment("circle", 600, 3, np.random.default_rng(3), threads=2),
+        lambda: X.mc_clique_density("circle", 600, 3, 4, np.random.default_rng(6), threads=2),
+    ]
+    expected = [(3, 3), (2, 2), (2, 2), (2, 2), (2, 2), (2, 2)]
+    for call, pool in zip(calls, expected, strict=True):
+        pools.clear()
+        call()
+        assert [(p.max_workers, p.submitted) for p in pools] == [pool]
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
