@@ -248,9 +248,10 @@ def mc_clique_density(
 
     Densities are count / binom(n, k); the pass flag compares the mean to
     the exact limit density within tol (default: three standard errors).
-    Perm reps only draw their permutations (n cells each, so inline), and
-    all reps are counted as one stack; a circle rep draws and counts its
-    matching (n^2 cells).
+    A rep is one seed draw (a permutation of n cells, or a matching of 2n
+    cells), so the draws run inline at every allowed n.  Perm reps are
+    counted as one stack; circle reps are counted one by one after the
+    draws, so one count's n x n tables are alive at a time.
     """
     if family not in ("perm", "circle"):
         raise ValueError("family must be 'perm' or 'circle'")
@@ -274,8 +275,9 @@ def mc_clique_density(
                           _rep_threads(threads, n))
         counts = graphs._inversion_clique_counts(np.array(draws), k)
     else:
-        counts = _map_reps(lambda _, child: graphs.clique_count_circle(combinat.sample_matching(n, child), k),
-                           master, reps, _rep_threads(threads, n * n))
+        draws = _map_reps(lambda _, child: combinat.sample_matching(n, child), master, reps,
+                          _rep_threads(threads, 2 * n))
+        counts = [graphs.clique_count_circle(m, k) for m in draws]
     dens = np.asarray([count / total for count in counts])
     mean, se = _mean_se(dens)
     limit = float(graphon.clique_density(family, k))
@@ -1155,7 +1157,9 @@ def heatmap_experiment(
     for stack in _map_reps(one, master, n_chunks, _rep_threads(threads, chunk_rows * n * n)):
         for adj in stack:
             acc += adj.view(np.int8)
-    return graphon.StepGraphon(acc / reps)
+    cells = acc / reps
+    cells.setflags(write=False)
+    return graphon.StepGraphon(cells)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,10 @@ _FAMILIES = ("perm", "circle")
 @dataclass(frozen=True, eq=False)
 class StepGraphon:
     """Step graphon of a labeled graph: cell (i, j) is the adjacency of
-    vertices i, j (or an average of such indicators, in [0, 1])."""
+    vertices i, j (or an average of such indicators, in [0, 1]).
+
+    A read-only float64 array is taken as is; anything else is copied and
+    the copy made read-only."""
 
     cells: np.ndarray
 
@@ -52,8 +55,9 @@ class StepGraphon:
             raise ValueError("cells must be a square matrix")
         if c.size and (np.any(c != c.T) or c.min() < 0.0 or c.max() > 1.0):
             raise ValueError("cells must be symmetric with entries in [0, 1]")
-        c = c.copy()
-        c.setflags(write=False)
+        if c.flags.writeable:
+            c = c.copy()
+            c.setflags(write=False)
         object.__setattr__(self, "cells", c)
 
     @property
@@ -95,7 +99,9 @@ def step_graphon(g: UGraph, vertex_order: Sequence[int]) -> StepGraphon:
     if sorted(order) != list(range(1, g.n + 1)):
         raise ValueError("vertex_order must be a permutation of 1..n")
     idx = np.asarray(order, dtype=np.int64) - 1
-    return StepGraphon(g.adj[np.ix_(idx, idx)].astype(np.float64))
+    cells = g.adj[np.ix_(idx, idx)].astype(np.float64)
+    cells.setflags(write=False)
+    return StepGraphon(cells)
 
 
 # ---------------------------------------------------------------------------

@@ -568,7 +568,7 @@ _PINNED_CLIQUE_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 4])
 def test_clique_density_reports_pinned(threads):
     digests = {
         (family, k): hashlib.sha256(
@@ -718,6 +718,8 @@ def test_drivers_use_one_pool_per_call(monkeypatch):
     X.heatmap_experiment("perm", 511, 2, np.random.default_rng(3), threads=2)
     X.largest_component_stats(500, 200, np.random.default_rng(4), threads=2)
     X.mc_clique_density("perm", 1000, 3, 4, np.random.default_rng(5), threads=2)
+    # a circle rep only draws its matching (2n cells); the counts follow
+    X.mc_clique_density("circle", 600, 3, 4, np.random.default_rng(6), threads=2)
     assert pools == []
     calls = [
         # the four box reps (461 grid vertices by 2000 columns) pool; the
@@ -728,9 +730,8 @@ def test_drivers_use_one_pool_per_call(monkeypatch):
         lambda: X.mc_poisson_xyz(2000, 1001, 1, np.random.default_rng(9), threads=3),
         lambda: X.heatmap_experiment("perm", 512, 2, np.random.default_rng(3), threads=2),
         lambda: X.heatmap_experiment("circle", 600, 3, np.random.default_rng(3), threads=2),
-        lambda: X.mc_clique_density("circle", 600, 3, 4, np.random.default_rng(6), threads=2),
     ]
-    expected = [(3, 3), (2, 2), (2, 2), (2, 2), (2, 2), (2, 2)]
+    expected = [(3, 3), (2, 2), (2, 2), (2, 2), (2, 2)]
     for call, pool in zip(calls, expected, strict=True):
         pools.clear()
         call()
@@ -1317,11 +1318,18 @@ def test_heatmap_equals_per_rep_step_graphons(family, n, threads):
 
 def test_heatmap_memory_is_bounded():
     # a chunk stays below _INLINE_CELLS cells; the traced peaks are 1.43 and
-    # 6.18 MiB (the perm peak is the float cells and their StepGraphon copy),
-    # against 2.41 and 6.87 MiB when every rep is drawn and built in one stack
+    # 3.84 MiB (the perm peak is mostly its float cells, which StepGraphon
+    # takes without a copy), against 2.41 and 6.87 MiB when every rep is
+    # drawn and built in one stack
     X.heatmap_experiment("circle", 20, 2, np.random.default_rng(0))  # lazy set-up outside the window
     assert _peak_mib(lambda: X.heatmap_experiment("circle", 200, 20, np.random.default_rng(1))) <= 1.75
-    assert _peak_mib(lambda: X.heatmap_experiment("perm", 600, 3, np.random.default_rng(2))) <= 6.5
+    assert _peak_mib(lambda: X.heatmap_experiment("perm", 600, 3, np.random.default_rng(2))) <= 4.25
+
+
+def test_circle_clique_density_memory_is_bounded():
+    # reps are counted one by one after the draws: one count's tables (2.9 MiB) alive at a time
+    X.mc_clique_density("circle", 20, 3, 2, np.random.default_rng(0))  # lazy set-up outside the window
+    assert _peak_mib(lambda: X.mc_clique_density("circle", 1000, 3, 4, np.random.default_rng(1), threads=4)) <= 4
 
 
 @pytest.mark.parametrize("n", [0, -3])

@@ -133,6 +133,16 @@ def test_step_graphon_validation():
         W.StepGraphon(np.array([[0.0, 1.5], [1.5, 0.0]]))  # out of range
 
 
+def test_step_graphon_keeps_read_only_cells_and_freezes_a_copy_of_writeable_ones():
+    frozen = np.array([[0.0, 0.5], [0.5, 0.0]])
+    frozen.setflags(write=False)
+    assert W.StepGraphon(frozen).cells is frozen
+    cells = frozen.copy()
+    s = W.StepGraphon(cells)
+    cells[0, 1] = 1.0
+    assert s.cells[0, 1] == 0.5 and not s.cells.flags.writeable
+
+
 def test_write_pgm_golden_bytes():
     buf = io.BytesIO()
     W.write_pgm(np.array([[0.0, 1.0], [1.0, 0.5]]), buf)
