@@ -850,10 +850,13 @@ _DOT_CHUNK = 8192  # below OpenBLAS's 10,000-term threading cutoff for ddot
 
 
 def _divisor_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (d, j) with d * j <= n, d-major, as two int arrays."""
-    per_d = n // np.arange(1, n + 1)
-    ds = np.repeat(np.arange(1, n + 1), per_d)
-    js = np.arange(1, ds.size + 1) - np.repeat(np.cumsum(per_d) - per_d, per_d)
+    """The pairs (d, j) with d * j <= n, d-major, as two graphs._int_type(n) arrays."""
+    d = np.arange(1, n + 1, dtype=graphs._int_type(n))
+    per_d = n // d
+    ds = np.repeat(d, per_d)
+    js = np.ones_like(ds)  # j = 1, 2, ... for each d: a run's first step takes back the last run's length
+    js[np.cumsum(per_d[:-1], dtype=np.intp)] -= per_d[:-1]
+    np.cumsum(js, dtype=js.dtype, out=js)
     return ds, js
 
 
@@ -905,7 +908,9 @@ def _log_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
     log_dc[1:] = log_d + (np.logaddexp(log_cat, log_bin) - math.log(2.0))
     ds, js = _divisor_pairs(n)
     dj = ds * js
-    b = np.bincount(dj, weights=np.exp(log_dc[ds] - dj * math.log(4.0)), minlength=n + 1)
+    weights = log_dc[ds]
+    weights -= dj * math.log(4.0)
+    b = np.bincount(dj, weights=np.exp(weights, out=weights), minlength=n + 1)
     log_u = np.log(_scaled_euler(b)) + np.arange(n + 1) * math.log(4.0)
     log_dc.flags.writeable = log_u.flags.writeable = False
     return log_dc, log_u
@@ -914,12 +919,15 @@ def _log_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
 @functools.cache
 def _block_table(n: int, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (d, j) pairs of one decomposition step at n, d-major, as two
-    arrays, and running sums of their weights d * C_d * U_{n-jd} in float64
-    (max weight 1), read from the log tables of the sample's size top."""
+    arrays of graphs._int_type(n), and running sums of their weights
+    d * C_d * U_{n-jd} in float64 (max weight 1), read from the log tables
+    of the sample's size top."""
     ds, js = _divisor_pairs(n)
     log_dc, log_u = _log_counts(top)
-    logw = log_dc[ds] + log_u[n - js * ds]
-    cum = np.cumsum(np.exp(logw - logw.max()))
+    cum = log_dc[ds]
+    cum += log_u[n - js * ds]
+    cum -= cum.max()
+    np.cumsum(np.exp(cum, out=cum), out=cum)
     ds.flags.writeable = js.flags.writeable = cum.flags.writeable = False
     return ds, js, cum
 

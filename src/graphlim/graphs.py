@@ -307,7 +307,8 @@ def unit_distance_formula(w: DyckPath, i: int, j: int) -> int:
 
 
 def _distances_from(f: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Jump walks from sorted 1-based sources, as a k x L table of step columns.
+    """Jump walks from sorted 1-based sources, as a k x L int32 table of step
+    columns (n < 2^31).
 
     Column t holds where each walk is after t jumps of g(i) = min(i + f(i), n),
     up to the first column that is all at or past sources[-1].  The distance
@@ -320,10 +321,12 @@ def _distances_from(f: np.ndarray, sources: np.ndarray) -> np.ndarray:
     stalls = np.flatnonzero(f[first - 1 : last - 1] == 0)
     if stalls.size:
         raise ValueError(f"jump walk stalls at vertex {first + int(stalls[0])}: the word is reducible")
-    jump = np.minimum(np.arange(n + 1) + np.concatenate(([0], f)), n)  # jump[v] = g(v)
-    cols = [np.asarray(sources, dtype=np.int64)]
+    jump = np.arange(n + 1, dtype=np.int32)
+    jump[1:] += f
+    np.minimum(jump, n, out=jump)  # jump[v] = g(v)
+    cols = [np.asarray(sources, dtype=np.int32)]
     while cols[-1][0] < last:
-        cols.append(jump[cols[-1]])
+        cols.append(jump.take(cols[-1]))  # on an int32 index, take is about twice as fast as []
     return np.stack(cols, axis=1)
 
 

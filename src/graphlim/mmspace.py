@@ -37,22 +37,30 @@ __all__ = [
 _TRIANGLE_TOL = 1e-9
 _FULL_TRIANGLE_LIMIT = 200
 _SPOT_CHECK_TRIPLES = 2000
+_SPOT_CHECK_CHUNK = 512  # triples a pair call sees: the graph pair gathers a row of steps for each
+_SLACK_ROWS = 4  # i rows of the full check's (i, j, l) slack: 1.2 MiB at n = 200
 _BOX_BLOCK_ROWS = 256
 
 
 def _check_triangle(pair: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int) -> None:
     """Triangle inequality of pair(i, j) on n points, in full or spot-checked."""
     if n <= _FULL_TRIANGLE_LIMIT:
+        # i rows at a time: a pair may gather a row of steps per (i, j)
         idx = np.arange(n)
-        d = pair(idx[:, None], idx[None, :])
-        slack = d[:, :, None] + d[None, :, :] - d[:, None, :]
-        if not slack.min() >= -_TRIANGLE_TOL:  # a NaN slack fails too
-            raise ValueError("triangle inequality violated")
+        blocks = range(0, n, _SLACK_ROWS)
+        d = np.concatenate([pair(idx[r : r + _SLACK_ROWS, None], idx[None, :]) for r in blocks])
+        for r in blocks:
+            slack = d[r : r + _SLACK_ROWS, :, None] + d[None, :, :]
+            slack -= d[r : r + _SLACK_ROWS, None, :]
+            if not slack.min() >= -_TRIANGLE_TOL:  # a NaN slack fails too
+                raise ValueError("triangle inequality violated")
         return
     check_rng = np.random.default_rng(0xD15C)
-    i, j, k = check_rng.integers(0, n, size=(3, _SPOT_CHECK_TRIPLES))
-    if not (pair(i, j) + pair(j, k) - pair(i, k)).min() >= -_TRIANGLE_TOL:
-        raise ValueError("triangle inequality violated (spot check)")
+    triples = check_rng.integers(0, n, size=(3, _SPOT_CHECK_TRIPLES))
+    for c in range(0, _SPOT_CHECK_TRIPLES, _SPOT_CHECK_CHUNK):
+        i, j, k = triples[:, c : c + _SPOT_CHECK_CHUNK]
+        if not (pair(i, j) + pair(j, k) - pair(i, k)).min() >= -_TRIANGLE_TOL:
+            raise ValueError("triangle inequality violated (spot check)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,18 +232,23 @@ def gp_box_estimate_unit(
         k,
     )
     _check_triangle(lambda i, j: np.abs(cum[i] - cum[j]) / math.sqrt(2.0), k)
-    rank = np.searchsorted(verts, np.arange(n + 1), side="right")  # rank[v]: grid vertices <= v
+    rank = np.searchsorted(verts, np.arange(n + 1), side="right").astype(np.int32)  # grid vertices <= v
+    steps = table.shape[1]
+    dist = np.arange(steps) / math.sqrt(n)  # scaled graph distance of step column t
+    edge = np.empty((min(k, _BOX_BLOCK_ROWS), steps + 1), dtype=np.int32)
     disc = 0.0
     for r0 in range(0, k, _BOX_BLOCK_ROWS):
-        edge = rank[table[r0 : r0 + _BOX_BLOCK_ROWS]]
-        edge = np.insert(edge, 0, r0 + 1 + np.arange(edge.shape[0]), axis=1)
-        # row r0 + a has distance t on columns edge[a, t] .. edge[a, t + 1] - 1
-        a, t = np.nonzero(edge[:, 1:] != edge[:, :-1])
-        rows = r0 + np.concatenate((a, a))
-        cols = np.concatenate((edge[a, t], edge[a, t + 1] - 1))
-        diff = np.concatenate((t, t)) / math.sqrt(n)
-        rule = cum[rows] - cum[cols]
-        rule /= math.sqrt(2.0)  # |a| / s == |a / s|: rounding is symmetric
-        diff -= np.abs(rule, out=rule)
-        disc = max(disc, float(np.abs(diff, out=diff).max(initial=0.0)))
+        rows = min(_BOX_BLOCK_ROWS, k - r0)
+        e = edge[:rows]
+        e[:, 0] = np.arange(r0 + 1, r0 + 1 + rows)
+        np.take(rank, table[r0 : r0 + rows], out=e[:, 1:], mode="clip")  # in range; "raise" buffers out
+        # row r0 + a has distance t on columns e[a, t] .. e[a, t + 1] - 1, a run
+        # that is live when nonempty; an empty run may start at k, past the grid
+        live = e[:, 1:] != e[:, :-1]
+        for ends in (e[:, :-1], e[:, 1:] - 1):
+            rule = cum.take(ends, mode="clip")
+            np.subtract(cum[r0 : r0 + rows, None], rule, out=rule)
+            rule /= math.sqrt(2.0)  # |a| / s == |a / s|: rounding is symmetric
+            np.subtract(dist, np.abs(rule, out=rule), out=rule)
+            disc = max(disc, float(np.abs(rule, out=rule).max(where=live, initial=0.0)))
     return disc, 2.0 * delta

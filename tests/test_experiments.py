@@ -1190,6 +1190,25 @@ def _peak_mib(fn) -> float:
         tracemalloc.stop()
 
 
+def test_block_table_memory_is_bounded():
+    # cold: the log tables are built inside the window too.  Narrow pairs and
+    # weights built in place peak under 3 MiB; int64 pairs with fresh weight
+    # arrays peak at 5.6 MiB
+    X._block_table.cache_clear()
+    X._log_counts.cache_clear()
+    assert _peak_mib(lambda: X._block_table(10_000, 10_000)) <= 3.5
+
+
+@pytest.mark.parametrize("n, dtype", [(1, np.int8), (12, np.int8), (32_767, np.int16), (32_768, np.int32)])
+def test_divisor_pairs_match_the_int64_rule(n, dtype):
+    per_d = n // np.arange(1, n + 1)
+    ds = np.repeat(np.arange(1, n + 1), per_d)
+    js = np.arange(1, ds.size + 1) - np.repeat(np.cumsum(per_d) - per_d, per_d)
+    narrow_ds, narrow_js = X._divisor_pairs(n)
+    assert narrow_ds.dtype == narrow_js.dtype == dtype
+    assert np.array_equal(narrow_ds, ds) and np.array_equal(narrow_js, js)
+
+
 def test_exact_enumeration_suite_memory_is_bounded():
     # the stacked passes work in blocks: without them the n_max = 6 suite
     # holds about 130 MiB of relabeling codes and cut-set images at once

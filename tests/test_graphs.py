@@ -264,14 +264,18 @@ def test_jump_walk_matches_bfs_oracle_on_all_irreducible_words():
 
 def test_jump_walk_with_repeated_sources():
     # fewer vertices than grid points, as in gp_box_estimate_unit at small n:
-    # repeated sources are at distance 0 from each other
+    # repeated sources are at distance 0 from each other; the step columns
+    # are int32, and the distances read from them stay the BFS ones past 64
+    # vertices
     rng = np.random.default_rng(31)
-    for _ in range(20):
-        w = C.sample_irreducible_dyck(50, rng)
-        brute = np.array(oracles.brute_bfs_all(50, oracles.unit_interval_edges(w.steps)))
-        sources = np.sort(rng.integers(1, 51, size=64))
-        expected = np.triu(brute[np.ix_(sources - 1, sources - 1)], 1)
-        assert np.array_equal(_jump_walk(w.steps, sources), expected)
+    for n, reps, k in ((50, 20, 64), (150, 3, 200)):
+        for _ in range(reps):
+            w = C.sample_irreducible_dyck(n, rng)
+            brute = np.array(oracles.brute_bfs_all(n, oracles.unit_interval_edges(w.steps)))
+            sources = np.sort(rng.integers(1, n + 1, size=k))
+            expected = np.triu(brute[np.ix_(sources - 1, sources - 1)], 1)
+            assert np.array_equal(_jump_walk(w.steps, sources), expected)
+            assert G._distances_from(C._heights_arrays(w.steps)[1], sources).dtype == np.int32
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,6 @@ excursion, against a dense oracle."""
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ import oracles
 from graphlim import combinat as C
 from graphlim import graphs as G
 from graphlim import mmspace as M
+from test_experiments import _peak_mib
 
 
 def _const_excursion(value: float, m: int) -> M.ExcursionGrid:
@@ -332,13 +332,18 @@ def test_box_rank_lookup_equals_searchsorted(n):
 
 
 def test_gp_box_estimate_unit_memory():
-    # the k x L jump-walk table (k = 1844 grid points) and the run ends of one
-    # row block fit; a single dense k x k int64 matrix (26 MiB) would not
+    # the int32 k x L jump-walk table (k = 1844 grid points, L = 198 step
+    # columns) and one row block's masked run ends peak at 3.4 MiB; an int64
+    # table with run ends gathered by nonzero peaked at 7.5 MiB, and a single
+    # dense k x k int64 matrix (26 MiB) would not come close
     w = C.sample_irreducible_dyck(16000, np.random.default_rng(8))
-    tracemalloc.start()
-    try:
-        M.gp_box_estimate_unit(w, True, 0.05, 2048, np.random.default_rng(9))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * 2**20
+    assert _peak_mib(lambda: M.gp_box_estimate_unit(w, True, 0.05, 2048, np.random.default_rng(9))) <= 4
+
+
+def test_full_triangle_check_memory_is_bounded():
+    # k = 200 grid points, the largest full check: its slack is formed a few
+    # i rows at a time and peaks under 3 MiB; one (k, k, k) float64 slack
+    # traced about 120 MiB
+    w = C.sample_irreducible_dyck(1000, np.random.default_rng(8))
+    assert M._box_grid(0.05, 222).size == 200
+    assert _peak_mib(lambda: M.gp_box_estimate_unit(w, True, 0.05, 222, np.random.default_rng(9))) <= 4
