@@ -24,8 +24,19 @@ from . import combinat, experiments, graphon, graphs, mmspace
 
 __all__ = ["RunConfig", "main"]
 
-_SAMPLE_KINDS = ("perm", "matching", "dyck", "irreducible-dyck", "connected-uig", "uig")
-_BUILD_KINDS = ("inversion", "circle", "unit-interval")
+_SAMPLE_KINDS = {
+    "perm": lambda n, rng: combinat.format_permutation(combinat.sample_permutation(n, rng)),
+    "matching": lambda n, rng: combinat.format_matching(combinat.sample_matching(n, rng)),
+    "dyck": lambda n, rng: combinat.format_dyck(combinat.sample_dyck(n, rng)),
+    "irreducible-dyck": lambda n, rng: combinat.format_dyck(combinat.sample_irreducible_dyck(n, rng)),
+    "connected-uig": lambda n, rng: combinat.format_dyck(experiments.sample_connected_unit_interval_graph(n, rng)),
+    "uig": lambda n, rng: graphs.format_graph(experiments.sample_unit_interval_graph(n, rng)),
+}
+_BUILD_KINDS = {
+    "inversion": lambda line: graphs.inversion_graph(combinat.parse_permutation(line)),
+    "circle": lambda line: graphs.circle_graph(combinat.parse_matching(line)),
+    "unit-interval": lambda line: graphs.unit_interval_graph(combinat.parse_dyck(line)),
+}
 _SUITES = (
     "exact",
     "poisson",
@@ -117,36 +128,13 @@ def _emit_lines(lines, args, config) -> None:
 
 def _cmd_sample(args: argparse.Namespace, config: RunConfig) -> int:
     rng = config.rng()
-    n, count = args.n, args.count
-    lines = []
-    for _ in range(count):
-        if args.kind == "perm":
-            lines.append(combinat.format_permutation(combinat.sample_permutation(n, rng)))
-        elif args.kind == "matching":
-            lines.append(combinat.format_matching(combinat.sample_matching(n, rng)))
-        elif args.kind == "dyck":
-            lines.append(combinat.sample_dyck(n, rng).steps)
-        elif args.kind == "irreducible-dyck":
-            lines.append(combinat.sample_irreducible_dyck(n, rng).steps)
-        elif args.kind == "connected-uig":
-            lines.append(experiments.sample_connected_unit_interval_graph(n, rng).steps)
-        else:  # uig: a graph per line in edge-list format
-            lines.append(graphs.format_graph(experiments.sample_unit_interval_graph(n, rng)))
-    _emit_lines(lines, args, config)
+    _emit_lines([_SAMPLE_KINDS[args.kind](args.n, rng) for _ in range(args.count)], args, config)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # build
 # ---------------------------------------------------------------------------
-
-
-def _build_one(kind: str, line: str):
-    if kind == "inversion":
-        return graphs.inversion_graph(combinat.parse_permutation(line))
-    if kind == "circle":
-        return graphs.circle_graph(combinat.parse_matching(line))
-    return graphs.unit_interval_graph(combinat.parse_dyck(line))
 
 
 def _cmd_build(args: argparse.Namespace, config: RunConfig) -> int:
@@ -157,7 +145,7 @@ def _cmd_build(args: argparse.Namespace, config: RunConfig) -> int:
     seeds = [line for line in raw.splitlines() if line.strip()]
     if not seeds:
         raise ValueError("no seed objects in input")
-    built = [_build_one(args.kind, line) for line in seeds]
+    built = [_BUILD_KINDS[args.kind](line) for line in seeds]
     if config.format == "csv":
         if args.out is None:
             raise ValueError("--format csv requires --out")

@@ -9,9 +9,12 @@ Conventions
   pictured as n chords of a circle whose points are labelled clockwise.
   A Dyck path of size n is a word of n ``U`` and n ``D`` steps in which every
   prefix has at least as many ``U`` as ``D``.
-* Text formats: ``"7 1 4 6 5 2 3"`` (permutation), ``"1-3 2-4"`` (matching,
-  chords sorted by smaller endpoint), ``"UUDUDD"`` (Dyck path).  Parsers
-  reject malformed input with a 1-based position diagnostic.
+* A seed object holds one read-only numpy row, int32 for ``mapping`` and
+  ``partner`` and int8 (+1 for U, -1 for D) for ``steps``, and compares by
+  value; constructors range-check their input before narrowing it.
+* Text exists only in ``parse_*`` and ``format_*``: ``"7 1 4 6 5 2 3"``,
+  ``"1-3 2-4"`` (chords sorted by smaller endpoint), ``"UUDUDD"``.  Parsers
+  and constructors reject malformed input with a 1-based position diagnostic.
 * Samplers take an explicit :class:`numpy.random.Generator`.  Parallel
   callers must use independently derived child streams (seed derivation:
   ``SeedSequence(master).spawn(...)`` or master seed + task index).
@@ -22,7 +25,8 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -36,6 +40,7 @@ __all__ = [
     "parse_dyck",
     "format_permutation",
     "format_matching",
+    "format_dyck",
     "sample_permutation",
     "sample_matching",
     "sample_dyck",
@@ -60,59 +65,101 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Permutation:
+def _integer_row(values: Iterable[int] | np.ndarray) -> np.ndarray:
+    """`values` as one row of integers before any narrowing: an integer array
+    as it is, anything else as exact Python ints, so that no value wraps."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu" and values.ndim == 1:
+        return values
+    return np.array([operator.index(v) for v in values], dtype=object)
+
+
+def _hold(obj, array: np.ndarray) -> None:
+    """Set the frozen dataclass `obj`'s only field to `array`, made read-only."""
+    array.flags.writeable = False
+    object.__setattr__(obj, fields(obj)[0].name, array)
+
+
+class _ArrayValue:
+    """A frozen dataclass whose only field is a read-only array, equal to
+    another (and hashed alike) when class, shape and bytes agree."""
+
+    def _key(self) -> tuple:
+        array = getattr(self, fields(self)[0].name)
+        return type(self), array.shape, array.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, _ArrayValue) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self) -> tuple:  # copies and unpickled objects go through the constructor
+        return type(self), (getattr(self, fields(self)[0].name),)
+
+
+@dataclass(frozen=True, eq=False)
+class Permutation(_ArrayValue):
     """A permutation of {1..n} in one-line notation: ``mapping[i-1] = sigma(i)``."""
 
-    mapping: tuple[int, ...]
+    mapping: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.mapping)
+        p = _integer_row(self.mapping)
+        n = p.size
         if n == 0:
             raise ValueError("permutation must have size >= 1")
-        if sorted(self.mapping) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of {{1..{n}}}: {self.mapping}")
+        outside = (p < 1) | (p > n)
+        row = np.where(outside, 0, p).astype(np.int32)
+        first = np.full(n + 1, n)
+        np.minimum.at(first, row, np.arange(n))  # each value's first position
+        bad = outside | (first[row] < np.arange(n))
+        if bad.any():
+            i = int(bad.argmax())
+            if outside[i]:
+                raise ValueError(f"position {i + 1}: value {p[i]} out of range 1..{n}")
+            raise ValueError(f"position {i + 1}: value {p[i]} repeats position {first[row[i]] + 1}")
+        _hold(self, row)
 
     @property
     def size(self) -> int:
-        return len(self.mapping)
+        return self.mapping.size
 
 
-@dataclass(frozen=True)
-class Matching:
+@dataclass(frozen=True, eq=False)
+class Matching(_ArrayValue):
     """A fixed-point-free involution on {1..2n}: ``partner[i-1] = m(i)``.
 
     Point i sits at angle 2*pi*i/(2n) on the circle; chord {i, m(i)}.
     """
 
-    partner: tuple[int, ...]
+    partner: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.partner)
+        p = _integer_row(self.partner)
         if p.size == 0 or p.size % 2:
             raise ValueError("matching needs an even, positive number of points")
         points = np.arange(1, p.size + 1)
         outside = (p < 1) | (p > p.size)
+        row = np.where(outside, 1, p).astype(np.int32)
         fixed = p == points
         # the first bad point, with the faults at it in order of priority
-        bad = outside | fixed | (p[np.clip(p, 1, p.size) - 1] != points)
+        bad = outside | fixed | (p[row - 1] != points)
         if bad.any():
             i = int(bad.argmax())
             if outside[i]:
-                raise ValueError(f"point {i + 1}: partner {self.partner[i]} out of range 1..{p.size}")
+                raise ValueError(f"point {i + 1}: partner {p[i]} out of range 1..{p.size}")
             if fixed[i]:
                 raise ValueError(f"point {i + 1} is a fixed point")
             raise ValueError(f"not an involution at point {i + 1}")
+        _hold(self, row)
 
     @property
     def size(self) -> int:
-        return len(self.partner) // 2
+        return self.partner.size // 2
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Chords as (smaller, larger) pairs, sorted by smaller endpoint."""
-        return tuple(
-            (i, j) for i, j in enumerate(self.partner, start=1) if i < j
-        )
+        return tuple((i, j) for i, j in enumerate(self.partner.tolist(), start=1) if i < j)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Matching":
@@ -123,42 +170,39 @@ class Matching:
                 raise ValueError(f"pair {a}-{b}: endpoint out of range 1..{len(partner)}")
             partner[a - 1] = b
             partner[b - 1] = a
-        return cls(tuple(partner))
+        return cls(partner)
 
 
-@dataclass(frozen=True)
-class DyckPath:
-    """A Dyck word over {U, D}: balanced, with every prefix U-dominant."""
+@dataclass(frozen=True, eq=False)
+class DyckPath(_ArrayValue):
+    """A Dyck word of +1 (U) and -1 (D) steps: balanced, with every prefix
+    U-dominant."""
 
-    steps: str
+    steps: np.ndarray
 
     def __post_init__(self) -> None:
-        codes = np.frombuffer(self.steps.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        ups = codes == ord("U")
-        bad = np.flatnonzero(~ups & (codes != ord("D")))
-        # Bad characters count as down steps: the heights before the first
-        # one are exact, and a bad character is reported ahead of a negative
-        # prefix at the same position, as a left-to-right scan would.
-        walk = np.cumsum(np.where(ups, 1, -1))
+        s = _integer_row(self.steps)
+        bad = np.flatnonzero((s != 1) & (s != -1))
+        if bad.size:
+            raise ValueError(f"position {bad[0] + 1}: expected step 1 or -1, got {s[bad[0]]}")
+        row = s.astype(np.int8)
+        walk = np.cumsum(row)
         negative = np.flatnonzero(walk < 0)
-        if bad.size and (not negative.size or bad[0] <= negative[0]):
-            pos = int(bad[0])
-            raise ValueError(f"position {pos + 1}: expected 'U' or 'D', got {self.steps[pos]!r}")
         if negative.size:
-            raise ValueError(f"position {int(negative[0]) + 1}: prefix has more D than U")
+            raise ValueError(f"position {negative[0] + 1}: prefix has more D than U")
         if walk.size and walk[-1] != 0:
             raise ValueError("unbalanced word: number of U and D steps differ")
-        if not self.steps:
+        if not walk.size:
             raise ValueError("Dyck path must have size >= 1")
+        _hold(self, row)
 
     @property
     def size(self) -> int:
-        return len(self.steps) // 2
+        return self.steps.size // 2
 
     def is_irreducible(self) -> bool:
         """True iff every proper prefix has strictly more U than D."""
-        ups = np.frombuffer(self.steps.encode("ascii"), dtype=np.uint8) == ord("U")
-        return bool(np.all(np.cumsum(np.where(ups, 1, -1))[:-1] > 0))
+        return bool(np.all(np.cumsum(self.steps)[:-1] > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +217,11 @@ def parse_permutation(text: str) -> Permutation:
             values.append(int(tok))
         except ValueError:
             raise ValueError(f"token {pos}: expected an integer, got {tok!r}") from None
-    return Permutation(tuple(values))
+    return Permutation(values)
 
 
 def format_permutation(p: Permutation) -> str:
-    return " ".join(str(v) for v in p.mapping)
+    return " ".join(map(str, p.mapping.tolist()))
 
 
 def parse_matching(text: str) -> Matching:
@@ -198,7 +242,18 @@ def format_matching(m: Matching) -> str:
 
 
 def parse_dyck(text: str) -> DyckPath:
-    return DyckPath(text.strip())
+    """The Dyck path of a U/D word; the first fault from the left is reported."""
+    text = text.strip()
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    steps = np.where(codes == ord("U"), 1, -1)
+    bad = np.flatnonzero((steps < 0) & (codes != ord("D")))
+    if bad.size and (np.cumsum(steps[: bad[0]]) >= 0).all():
+        raise ValueError(f"position {bad[0] + 1}: expected 'U' or 'D', got {text[bad[0]]!r}")
+    return DyckPath(steps)
+
+
+def format_dyck(w: DyckPath) -> str:
+    return np.where(w.steps > 0, b"U", b"D").tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -207,27 +262,23 @@ def parse_dyck(text: str) -> DyckPath:
 
 
 def _sample_permutations_batch(n: int, batch: int, rng: np.random.Generator) -> np.ndarray:
-    """One-line notations of `batch` uniform permutations of {1..n}, an int64
+    """One-line notations of `batch` uniform permutations of {1..n}, an int32
     array of shape (batch, n).
 
     ``rng.permuted`` shuffles each row of a tiled 1..n in place with the
     generator's Fisher-Yates rule, row after row, so row i is the (i+1)-th
     ``rng.permutation(n) + 1`` and the generator ends in the same state.
     """
-    rows = np.tile(np.arange(1, n + 1), (batch, 1))
+    rows = np.tile(np.arange(1, n + 1, dtype=np.int32), (batch, 1))
     return rng.permuted(rows, axis=1, out=rows)
 
 
 def sample_permutation(n: int, rng: np.random.Generator) -> Permutation:
-    """Uniform permutation of {1..n}: the one-row case of the batch sampler.
-
-    It draws the same permutation as row 0 of ``_sample_permutations_batch(n,
-    1, rng)``, which is ``rng.permutation(n) + 1``, and leaves the generator in
-    the same state.
-    """
+    """Uniform permutation of {1..n}: row 0 of the batch sampler, which is
+    ``rng.permutation(n) + 1``, with the generator left in the same state."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Permutation(tuple(_sample_permutations_batch(n, 1, rng)[0].tolist()))
+    return Permutation(_sample_permutations_batch(n, 1, rng)[0])
 
 
 def _matching_buffers(n: int, batch: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -287,15 +338,11 @@ def _sample_matchings_batch(
 
 
 def sample_matching(n: int, rng: np.random.Generator) -> Matching:
-    """Uniform matching of size n: the one-row case of the batch sampler.
-
-    It pairs consecutive positions of one uniform shuffle of the 2n points,
-    so it draws the same matching as row 0 of ``_sample_matchings_batch(n,
-    1, rng)`` and leaves the generator in the same state.
-    """
+    """Uniform matching of size n: row 0 of the batch sampler, with the
+    generator left in the same state."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Matching(tuple((_sample_matchings_batch(n, 1, rng)[0] + 1).tolist()))
+    return Matching(_sample_matchings_batch(n, 1, rng)[0] + 1)
 
 
 def _dyck_steps(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -331,11 +378,6 @@ def _irreducible_dyck_steps(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(([1], _dyck_steps(n - 1, rng), [-1]), dtype=np.int8)
 
 
-def _word_text(steps: np.ndarray) -> str:
-    """The U/D text of an int8 step array."""
-    return np.where(steps > 0, b"U", b"D").tobytes().decode("ascii")
-
-
 def sample_dyck(n: int, rng: np.random.Generator) -> DyckPath:
     """Uniform Dyck path of size n via the cycle lemma (Dvoretzky and
     Motzkin, 1947).
@@ -349,14 +391,14 @@ def sample_dyck(n: int, rng: np.random.Generator) -> DyckPath:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return DyckPath(_word_text(_dyck_steps(n, rng)))
+    return DyckPath(_dyck_steps(n, rng))
 
 
 def sample_irreducible_dyck(n: int, rng: np.random.Generator) -> DyckPath:
     """Uniform irreducible Dyck path: U + (uniform path of size n-1) + D."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return DyckPath(_word_text(_irreducible_dyck_steps(n, rng)))
+    return DyckPath(_irreducible_dyck_steps(n, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +436,7 @@ def is_simple(p: Permutation) -> bool:
     >>> is_simple(parse_permutation("7 1 4 6 5 2 3"))
     False
     """
-    return bool(_simple_flags(np.array([p.mapping]))[0])
+    return bool(_simple_flags(p.mapping[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -454,29 +496,26 @@ def xyz_stats(m: Matching) -> tuple[int, int, int]:
     {m(k), m(k+1)} = {l, l+1} (mod 2n): two consecutive points matched onto
     two consecutive points.  This is the one-row case of :func:`_xyz_batch`.
     """
-    x, y, z = _xyz_batch(np.asarray(m.partner, dtype=np.int64)[None] - 1)
+    x, y, z = _xyz_batch(m.partner[None] - 1)
     return int(x[0]), int(y[0]), int(z[0])
 
 
-def _heights_arrays(steps: str | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The height and forward-degree sequences (h, f) of a Dyck word given as
-    text or as int8 steps, or of every row of a (B, 2n) stack of int8 step
-    words (then two (B, n) arrays): h[i-1] is the arrival height of the i-th
-    up step, and f[i-1] the number of up steps strictly between the i-th up
-    step and the i-th down step.
+def _heights_arrays(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The height and forward-degree sequences (h, f) of a Dyck word as int8
+    steps (a :class:`DyckPath`'s or a sampler's row), or of every row of a
+    (B, 2n) stack of them (then two (B, n) arrays): h[i-1] is the arrival
+    height of the i-th up step, and f[i-1] the number of up steps strictly
+    between the i-th up step and the i-th down step.
 
     The i-th up and down steps (1-based), at 0-based positions u_i and d_i,
     give h_i = (2i - 1) - u_i and f_i = d_i - (2i - 1), and the walk after
-    the i-th D is f_i.  Step arrays skip :class:`DyckPath`, so each word is
+    the i-th D is f_i.  Raw step rows skip :class:`DyckPath`, so each word is
     checked here: as many U as D, and no f below 0.  A stack goes through
     the same rule on its flat step positions, less each row's start; one
     word skips that bookkeeping, which would double the cost of a short
     word's call.
     """
-    if isinstance(steps, str):
-        ups = np.frombuffer(steps.encode("ascii"), dtype=np.uint8) == ord("U")
-    else:
-        ups = steps > 0
+    ups = steps > 0
     up, down = np.flatnonzero(ups), np.flatnonzero(~ups)
     if ups.ndim > 1:
         # flat positions come row by row: each row must hold n of each kind,
@@ -499,7 +538,7 @@ def has_nontrivial_symmetry(m: Matching) -> bool:
     A reflection is the reversal followed by a turn r = 0..2n-1, and a
     nontrivial rotation is a turn r = 1..2n-1.
     """
-    p = np.asarray(m.partner)
+    p = m.partner
     flipped = _reverse_partners(p)
     return any(
         np.array_equal(_rotate_partners(q, r), p)
@@ -623,8 +662,7 @@ def iter_matchings(n: int) -> Iterator[Matching]:
     >>> sum(1 for _ in iter_matchings(3))
     15
     """
-    for row in _matching_partners(n):
-        yield Matching(tuple(row.tolist()))
+    return map(Matching, _matching_partners(n))
 
 
 def _dyck_rows(n: int) -> np.ndarray:
@@ -644,14 +682,6 @@ def _dyck_rows(n: int) -> np.ndarray:
     return rows
 
 
-def _irreducible_dyck_rows(n: int) -> np.ndarray:
-    """All Catalan(n-1) irreducible Dyck words of size n >= 1 as int8 rows:
-    U + (a row of :func:`_dyck_rows` of size n-1) + D, in that order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _enclosed_rows(_dyck_rows(n - 1))
-
-
 def _enclosed_rows(rows: np.ndarray) -> np.ndarray:
     """U + row + D for every row of a Dyck word stack: from all words of size
     n-1, in order, all irreducible words of size n, in order."""
@@ -661,17 +691,17 @@ def _enclosed_rows(rows: np.ndarray) -> np.ndarray:
 def iter_dyck_paths(n: int) -> Iterator[DyckPath]:
     """All Catalan(n) Dyck paths of semilength n, lexicographic (D < U).
 
-    >>> [w.steps for w in iter_dyck_paths(2)]
+    >>> [format_dyck(w) for w in iter_dyck_paths(2)]
     ['UDUD', 'UUDD']
     """
-    for row in _dyck_rows(n):
-        yield DyckPath(_word_text(row))
+    return map(DyckPath, _dyck_rows(n))
 
 
 def iter_irreducible_dyck(n: int) -> Iterator[DyckPath]:
-    """All Catalan(n-1) irreducible Dyck paths of semilength n."""
-    for row in _irreducible_dyck_rows(n):
-        yield DyckPath(_word_text(row))
+    """All Catalan(n-1) irreducible Dyck paths of semilength n >= 1, in order."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return map(DyckPath, _enclosed_rows(_dyck_rows(n - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +876,7 @@ def _indecomposable_rows(partner: np.ndarray) -> np.ndarray:
 def is_indecomposable(m: Matching) -> bool:
     """True iff m is not k-decomposable for any k in [2, n-2]: the one-row
     case of :func:`_indecomposable_rows`."""
-    return bool(_indecomposable_rows(np.asarray(m.partner, dtype=np.int64)[None])[0])
+    return bool(_indecomposable_rows(m.partner[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -271,9 +271,9 @@ def mc_clique_density(
     total = math.comb(n, k)
 
     if family == "perm":
-        draws = _map_reps(lambda _, child: combinat.sample_permutation(n, child).mapping, master, reps,
+        draws = _map_reps(lambda _, child: combinat.sample_permutation(n, child), master, reps,
                           _rep_threads(threads, n))
-        counts = graphs._inversion_clique_counts(np.array(draws), k)
+        counts = graphs._inversion_clique_counts(np.stack([p.mapping for p in draws]), k)
     else:
         draws = _map_reps(lambda _, child: combinat.sample_matching(n, child), master, reps,
                           _rep_threads(threads, 2 * n))
@@ -510,7 +510,7 @@ def _phi_failure(partner: np.ndarray, cuts: np.ndarray, match_rows: dict[int, np
     )
     if wrong.any():
         t = int(np.flatnonzero(wrong)[0])
-        matching = combinat.format_matching(combinat.Matching(tuple(partner[t].tolist())))
+        matching = combinat.format_matching(combinat.Matching(partner[t]))
         return f"{matching} cuts {tuple(cuts[t].tolist())}"
     missed = int(marks.sum()) * small_rows.shape[0] - image.size
     return f"{missed} images missed" if missed else None
@@ -608,10 +608,10 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
         codes[n] = dict(zip(("perm", "circle", "irreducible", "dyck"), parts))
 
     def perm_text(n: int, row: int) -> str:
-        return combinat.format_permutation(combinat.Permutation(tuple(perm_rows[n][row].tolist())))
+        return combinat.format_permutation(combinat.Permutation(perm_rows[n][row]))
 
     def matching_text(n: int, row: int) -> str:
-        return combinat.format_matching(combinat.Matching(tuple(match_rows[n][row].tolist())))
+        return combinat.format_matching(combinat.Matching(match_rows[n][row]))
 
     def simple_iff_modular_prime():
         for n in sizes:
@@ -714,7 +714,7 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
             bad = (size > 2) | (words[first] != -words[last][:, ::-1]).any(axis=1)
             if bad.any():
                 c = int(bad.argmax())
-                members = [combinat._word_text(w) for w in words[labels == c]]
+                members = [combinat.format_dyck(DyckPath(w)) for w in words[labels == c]]
                 return f"n={n} class {class_text('irreducible', n, first, c)}: {members}"
             if first.size != count_connected_unit_interval_graphs(n):
                 return f"n={n}: {first.size} classes vs count {count_connected_unit_interval_graphs(n)}"
@@ -745,7 +745,7 @@ def exact_enumeration_suite(n_max: int, rng: np.random.Generator | None = None) 
             binom = np.array([[math.comb(j, k - 1) for k in range(1, n + 1)] for j in range(n)])
             wrong = np.flatnonzero((scan != binom[dyck_f[n]].sum(axis=1)).any(axis=1))
             if wrong.size:
-                return f"n={n} {combinat._word_text(dyck[n][wrong[0]])}"
+                return f"n={n} {combinat.format_dyck(DyckPath(dyck[n][wrong[0]]))}"
 
     def counting_formulas():
         # closed-form counts vs direct enumeration
@@ -965,7 +965,7 @@ def sample_connected_unit_interval_graph(n: int, rng: np.random.Generator) -> Dy
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return DyckPath(combinat._word_text(_connected_uig_steps(n, rng)))
+    return DyckPath(_connected_uig_steps(n, rng))
 
 
 def _sample_uig_blocks(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:

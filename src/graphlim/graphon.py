@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .combinat import _hold
 from .graphs import UGraph
 
 __all__ = [
@@ -55,10 +56,7 @@ class StepGraphon:
             raise ValueError("cells must be a square matrix")
         if c.size and (np.any(c != c.T) or c.min() < 0.0 or c.max() > 1.0):
             raise ValueError("cells must be symmetric with entries in [0, 1]")
-        if c.flags.writeable:
-            c = c.copy()
-            c.setflags(write=False)
-        object.__setattr__(self, "cells", c)
+        _hold(self, c.copy() if c.flags.writeable else c)
 
     @property
     def n(self) -> int:

@@ -29,7 +29,9 @@ from .combinat import (
     DyckPath,
     Matching,
     Permutation,
+    _ArrayValue,
     _heights_arrays,
+    _hold,
     _running_sum,
 )
 
@@ -58,7 +60,7 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class UGraph:
+class UGraph(_ArrayValue):
     """Simple undirected graph: symmetric boolean adjacency, false diagonal."""
 
     adj: np.ndarray
@@ -71,9 +73,7 @@ class UGraph:
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(a)):
             raise ValueError("diagonal must be false (no loops)")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "adj", a)
+        _hold(self, a.copy())
 
     @property
     def n(self) -> int:
@@ -106,14 +106,6 @@ class UGraph:
     def edges(self) -> list[tuple[int, int]]:
         iu, ju = np.nonzero(np.triu(self.adj, 1))
         return [(int(i) + 1, int(j) + 1) for i, j in zip(iu, ju)]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UGraph):
-            return NotImplemented
-        return self.adj.shape == other.adj.shape and bool(np.all(self.adj == other.adj))
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj.tobytes()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"UGraph(n={self.n}, edges={self.edge_count()})"
@@ -148,7 +140,7 @@ def inversion_graph(p: Permutation) -> UGraph:
 
     Edge {i, j} for i < j iff sigma(i) > sigma(j).
     """
-    return UGraph(_inversion_adj(np.asarray(p.mapping, dtype=np.int64)[None])[0])
+    return UGraph(_inversion_adj(p.mapping[None])[0])
 
 
 def _chord_endpoints(partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +184,7 @@ def circle_graph(m: Matching) -> UGraph:
     cross, i.e. exactly one endpoint of one lies between the endpoints of
     the other.
     """
-    return UGraph(_circle_adj(np.asarray(m.partner, dtype=np.int64)[None])[0])
+    return UGraph(_circle_adj(m.partner[None])[0])
 
 
 def _unit_interval_adj(f: np.ndarray) -> np.ndarray:
@@ -430,7 +422,7 @@ def clique_count_inversion(p: Permutation, k: int) -> int:
     (the one-row case of ``_inversion_clique_counts``): O(k n log n) time and
     O(n log n) memory in exact integers; ValueError if the count is >= 2^63.
     """
-    return _inversion_clique_counts(np.asarray(p.mapping, dtype=np.int64)[None], k)[0]
+    return _inversion_clique_counts(p.mapping[None], k)[0]
 
 
 # rows of E^p per chunk of the circle count's reduction (its gathers hold at
@@ -460,7 +452,7 @@ def clique_count_circle(m: Matching, k: int) -> int:
         return n
     if k > n:
         return 0
-    left, right = _chord_endpoints(np.asarray(m.partner, dtype=np.int64))
+    left, right = _chord_endpoints(m.partner)
     pi = np.argsort(np.argsort(right)).astype(_int_type(n))
     tau = np.searchsorted(left, right)
     idx = np.arange(n, dtype=pi.dtype)

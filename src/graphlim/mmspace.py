@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .combinat import DyckPath, _heights_arrays
+from .combinat import DyckPath, _heights_arrays, _hold
 from .graphs import _distances_from
 
 __all__ = [
@@ -77,9 +77,7 @@ class ExcursionGrid:
             raise ValueError("excursion must start and end at 0")
         if v.min() < 0.0:
             raise ValueError("excursion values must be nonnegative")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        _hold(self, v.copy())
 
     @property
     def m(self) -> int:

@@ -59,6 +59,26 @@ def test_sample_perm_reproducible(capsys):
         assert sorted(combinat.parse_permutation(line).mapping) == [1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("perm", "df3ae072a9096a28957e4935a4ec9ba6be268c51de5548ba5301b54c9431206e"),
+        ("matching", "e095aa547608b4e6b9fba340479dac64550aeb89a8c4bd4ddd9430a0415de01a"),
+        ("dyck", "a00fc85826883f23e9e2ba567d8e7757f70cd028d52d2c0fb427a2984f6714d9"),
+        ("irreducible-dyck", "cadb3bcd13377727c65a4a7569d86a2823ea21583d7d1e624f2be703d4fad5eb"),
+        ("connected-uig", "c80f57296b1e7d55a00f88e2f7bd87484532a8910cf0d4b31a76e0382d9f2c4e"),
+        ("uig", "126b8df3a729cdd605abfd19de11746b2f95f0598007a383fa63e8a153155196"),
+    ],
+)
+def test_sample_stdout_pinned(capsys, kind, digest):
+    # SHA-256 of the stdout, recorded when the seed objects held tuples of
+    # Python ints and U/D text, before they held numpy rows
+    code, out, _ = run_cli(["sample", kind, "--n", "70", "--count", "5", "--seed", "4242"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 5
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_sample_uig_lines_parse_as_graphs(capsys):
     code, out, _ = run_cli(["sample", "uig", "--n", "6", "--count", "2", "--seed", "21"], capsys)
     assert code == 0
@@ -197,6 +217,21 @@ def test_build_matching_endpoint_out_of_range_exits_2(monkeypatch, capsys, text,
     code, _, err = run_cli(["build", "circle", "--seed", "1"], capsys)
     assert code == 2
     assert f"error: {message}" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (" ".join(map(str, [1, 2, 2, *range(4, 41)])), "position 3: value 2 repeats position 2"),
+        ("2 1 3 9 5", "position 4: value 9 out of range 1..5"),
+        ("1 99999999999999999999", "position 2: value 99999999999999999999 out of range 1..2"),  # past int64
+    ],
+)
+def test_build_permutation_fault_names_its_position_exits_2(monkeypatch, capsys, text, message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text + "\n"))
+    code, _, err = run_cli(["build", "inversion", "--seed", "1"], capsys)
+    assert code == 2
+    assert err.splitlines()[-1] == f"error: {message}"
 
 
 def test_build_empty_input_exits_2(monkeypatch, capsys):

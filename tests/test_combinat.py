@@ -3,10 +3,12 @@ and the decomposition bijection, checked against independent oracles."""
 
 from __future__ import annotations
 
+import copy
 import doctest
 import hashlib
 import itertools
 import math
+import pickle
 import tracemalloc
 from collections import Counter
 
@@ -40,6 +42,33 @@ def test_permutation_validation():
         C.Permutation((0, 1))
     with pytest.raises(ValueError):
         C.Permutation(())
+
+
+def _seed_row(row, dtype):
+    """A seed field is a read-only one-row ndarray of the class dtype."""
+    assert isinstance(row, np.ndarray) and row.ndim == 1 and row.dtype == dtype
+    assert not row.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = row[0]
+    return row
+
+
+@pytest.mark.parametrize(
+    "mapping, message",
+    [
+        ((1, 2, 2, 4), "position 3: value 2 repeats position 2"),
+        ((2, 2, 0), "position 2: value 2 repeats position 1"),  # the first bad position wins
+        ((1, 5, 2, 3), "position 2: value 5 out of range 1..4"),
+        ((0, 1), "position 1: value 0 out of range 1..2"),
+        ((1, 99999999999999999999), "position 2: value 99999999999999999999 out of range 1..2"),
+        ((3, 1, 2**63), "position 3: value 9223372036854775808 out of range 1..3"),
+        (np.array([3, 1, 2**32 + 2]), "position 3: value 4294967298 out of range 1..3"),  # would wrap to 2
+    ],
+)
+def test_permutation_validation_names_the_first_bad_position(mapping, message):
+    with pytest.raises(ValueError) as exc:
+        C.Permutation(mapping)
+    assert str(exc.value) == message
 
 
 def test_simple_matches_oracle_to_n6():
@@ -119,8 +148,9 @@ def test_matching_validation_reports_first_bad_point():
         ((2, 1, 7, 3, 6, 5), "point 3: partner 7 out of range 1..6"),
         ((2, 1, 4, 4, 0, 6), "not an involution at point 3"),
         ((-1, 2, 1, 3), "point 1: partner -1 out of range 1..4"),
+        (np.array([2**32 + 2, 1]), "point 1: partner 4294967298 out of range 1..2"),  # would wrap to 2
     ):
-        assert _first_matching_fault(partner) == message
+        assert _first_matching_fault(tuple(partner)) == message
         with pytest.raises(ValueError) as exc:
             C.Matching(partner)
         assert str(exc.value) == message
@@ -130,7 +160,13 @@ def test_matching_validation_reports_first_bad_point():
         partner = tuple(int(v) for v in rng.integers(-1, size + 2, size=size))
         expected = _first_matching_fault(partner)
         if expected is None:
-            assert C.Matching(partner).partner == partner
+            # tuple, list and array inputs build equal objects that hash alike
+            built = [C.Matching(partner), C.Matching(list(partner)), C.Matching(np.array(partner, dtype=np.int8))]
+            assert _seed_row(built[0].partner, np.int32).tolist() == list(partner)
+            assert built[1:] == built[:-1] and len({hash(m) for m in built}) == 1
+            for copied in (copy.copy(built[0]), copy.deepcopy(built[0]), pickle.loads(pickle.dumps(built[0]))):
+                assert copied == built[0] and not copied.partner.flags.writeable
+            assert C.Matching(partner) != C.Permutation(partner)
             continue
         with pytest.raises(ValueError) as exc:
             C.Matching(partner)
@@ -139,7 +175,7 @@ def test_matching_validation_reports_first_bad_point():
 
 def test_iter_matchings_matches_oracle():
     for n in range(1, 5):
-        ours = sorted(m.partner for m in C.iter_matchings(n))
+        ours = sorted(tuple(m.partner.tolist()) for m in C.iter_matchings(n))
         brute = sorted(oracles.all_matchings(n))
         assert ours == brute
         assert len(ours) == C.count_matchings(n)
@@ -233,17 +269,17 @@ def _cut_arcs(cuts, two_n):
 
 def test_dyck_validation_and_enumeration():
     with pytest.raises(ValueError):
-        C.DyckPath("UDD")
+        C.parse_dyck("UDD")
     with pytest.raises(ValueError):
-        C.DyckPath("DU")
+        C.parse_dyck("DU")
     for n in range(1, 6):
-        ours = [w.steps for w in C.iter_dyck_paths(n)]
+        ours = [C.format_dyck(w) for w in C.iter_dyck_paths(n)]
         assert ours == sorted(oracles.all_dyck_words(n))
     # the stack holds every word once, in lexicographic order (D < U)
     for n in range(0, 11):
         rows = C._dyck_rows(n)
         assert rows.dtype == np.int8 and rows.shape == (C._catalan(n), 2 * n)
-        assert [C._word_text(r) for r in rows] == sorted(oracles.all_dyck_words(n))
+        assert rows.tolist() == [[1 if c == "U" else -1 for c in w] for w in sorted(oracles.all_dyck_words(n))]
 
 
 @pytest.mark.parametrize(
@@ -260,28 +296,47 @@ def test_dyck_validation_and_enumeration():
 )
 def test_dyck_error_messages(word, message):
     with pytest.raises(ValueError) as exc:
-        C.DyckPath(word)
+        C.parse_dyck(word)
+    assert str(exc.value) == message
+    if set(word) <= set("UD"):  # the same fault in a step row gets the same message
+        with pytest.raises(ValueError) as exc:
+            C.DyckPath([1 if c == "U" else -1 for c in word])
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ([1, 0, -1], "position 2: expected step 1 or -1, got 0"),
+        (np.array([1, 257, -1, -1]), "position 2: expected step 1 or -1, got 257"),  # would wrap to 1
+        ([1, -1, -1, 2], "position 4: expected step 1 or -1, got 2"),  # a bad step before any prefix
+        ([1, -1, -1, 1], "position 3: prefix has more D than U"),
+    ],
+)
+def test_dyck_step_error_messages(steps, message):
+    with pytest.raises(ValueError) as exc:
+        C.DyckPath(steps)
     assert str(exc.value) == message
 
 
 def test_irreducible_enumeration_and_counts():
     for n in range(1, 11):
-        rows = C._irreducible_dyck_rows(n)
-        words = [C._word_text(r) for r in rows]
+        rows = C._enclosed_rows(C._dyck_rows(n - 1))
+        words = [C.format_dyck(w) for w in map(C.DyckPath, rows)]
         brute = [w for w in oracles.all_dyck_words(n) if oracles.brute_irreducible(w)]
         assert words == sorted(brute)
-        assert [w.steps for w in C.iter_irreducible_dyck(n)] == words
+        assert [C.format_dyck(w) for w in C.iter_irreducible_dyck(n)] == words
         assert rows.shape[0] == C.count_irreducible_dyck(n)
         pal = (rows == -rows[:, ::-1]).all(axis=1)
         assert int(pal.sum()) == C.count_palindromic_irreducible(n)
         swap = str.maketrans("UD", "DU")
         assert [w for w, p in zip(words, pal) if p] == [w for w in words if w == w[::-1].translate(swap)]
     with pytest.raises(ValueError):
-        C._irreducible_dyck_rows(0)
+        C.iter_irreducible_dyck(0)
 
 
 def test_heights_example():
-    h, f = C._heights_arrays(C.DyckPath("UUDUDD").steps)
+    h, f = C._heights_arrays(C.parse_dyck("UUDUDD").steps)
     assert tuple(h.tolist()) == (1, 2, 2)
     assert tuple(f.tolist()) == (1, 1, 0)
 
@@ -352,7 +407,7 @@ def test_has_nontrivial_symmetry_consistency():
 
 def test_sample_permutation_uniform():
     rng = RNG(1)
-    counts = Counter(C.sample_permutation(3, rng).mapping for _ in range(12000))
+    counts = Counter(C.sample_permutation(3, rng) for _ in range(12000))
     assert len(counts) == 6
     _, p = scipy.stats.chisquare(list(counts.values()))
     assert p > 1e-3
@@ -366,15 +421,18 @@ def test_permutation_batch_rows_are_successive_draws(n, batch):
     for s in range(3):
         rng_batch, rng_ref, rng_one = RNG(s), RNG(s), RNG(s)
         rows = C._sample_permutations_batch(n, batch, rng_batch)
-        assert rows.dtype == np.int64 and rows.shape == (batch, n)
+        assert rows.dtype == np.int32 and rows.shape == (batch, n)
         assert np.array_equal(rows, [rng_ref.permutation(n) + 1 for _ in range(batch)])
         assert rng_batch.random() == rng_ref.random()
-        assert C.sample_permutation(n, rng_one).mapping == tuple(rows[0].tolist())
+        p = C.sample_permutation(n, rng_one)
+        assert np.array_equal(_seed_row(p.mapping, np.int32), rows[0])
+        assert p == C.Permutation(rows[0]) == C.Permutation(rows[0].tolist()) == C.Permutation(tuple(rows[0]))
+        assert hash(p) == hash(C.Permutation(rows[0].tolist()))
 
 
 def test_sample_matching_uniform():
     rng = RNG(2)
-    counts = Counter(C.sample_matching(3, rng).partner for _ in range(15000))
+    counts = Counter(C.sample_matching(3, rng) for _ in range(15000))
     assert len(counts) == 15
     _, p = scipy.stats.chisquare(list(counts.values()))
     assert p > 1e-3
@@ -388,7 +446,8 @@ def test_sample_matching_is_batch_row(n):
         rng_one, rng_batch = RNG(s), RNG(s)
         m = C.sample_matching(n, rng_one)
         row = C._sample_matchings_batch(n, 1, rng_batch)[0]
-        assert m.partner == tuple(int(v) + 1 for v in row)
+        assert np.array_equal(_seed_row(m.partner, np.int32), row + 1)
+        assert m == C.Matching(row + 1) and hash(m) == hash(C.Matching(tuple(int(v) + 1 for v in row)))
         assert rng_one.random() == rng_batch.random()
 
 
@@ -460,7 +519,7 @@ def test_batch_sampler_reused_buffers_draw_the_same_rows():
 
 def test_sample_dyck_uniform():
     rng = RNG(3)
-    counts = Counter(C.sample_dyck(3, rng).steps for _ in range(15000))
+    counts = Counter(C.sample_dyck(3, rng) for _ in range(15000))
     assert len(counts) == 5
     _, p = scipy.stats.chisquare(list(counts.values()))
     assert p > 1e-3
@@ -468,11 +527,11 @@ def test_sample_dyck_uniform():
 
 def test_sample_irreducible_dyck_uniform():
     rng = RNG(4)
-    counts = Counter(C.sample_irreducible_dyck(4, rng).steps for _ in range(15000))
+    counts = Counter(C.sample_irreducible_dyck(4, rng) for _ in range(15000))
     assert len(counts) == C.count_irreducible_dyck(4) == 5
     _, p = scipy.stats.chisquare(list(counts.values()))
     assert p > 1e-3
-    assert all(C.DyckPath(w).is_irreducible() for w in counts)
+    assert all(w.is_irreducible() for w in counts)
 
 
 class _RecordingBytes:
@@ -493,9 +552,9 @@ class _RecordingBytes:
 @pytest.mark.parametrize("n, draws_per_word", [(5, 200), (6, 100)])
 def test_sample_dyck_uniform_over_all_words(n, draws_per_word):
     rng = _RecordingBytes(RNG(n))
-    words = [C._word_text(C._dyck_steps(n, rng)) for _ in range(C._catalan(n) * draws_per_word)]
+    words = [C.DyckPath(C._dyck_steps(n, rng)) for _ in range(C._catalan(n) * draws_per_word)]
     counts = Counter(words)
-    assert set(counts) == {w.steps for w in C.iter_dyck_paths(n)}
+    assert set(counts) == set(C.iter_dyck_paths(n))
     _, p = scipy.stats.chisquare(list(counts.values()))
     assert p > 1e-3
     # the draws flipped ups, flipped downs and kept their bits as drawn
@@ -571,7 +630,8 @@ def test_heights_arrays_equal_the_cumulative_walk(steps):
         with pytest.raises(ValueError, match="do not form a Dyck word"):
             C._heights_arrays(steps)
         return
-    for got in (C._heights_arrays(steps), C._heights_arrays(C._word_text(steps))):
+    words = [steps, C.DyckPath(steps).steps] if steps.size else [steps]  # a raw row and a DyckPath's
+    for got in map(C._heights_arrays, words):
         for a, b in zip(got, expected):
             assert a.dtype == np.int64
             assert np.array_equal(a, b)
@@ -589,11 +649,14 @@ def test_sample_irreducible_dyck_validates_once(monkeypatch):
     for n in (1, 2, 50):
         checks.clear()
         w = C.sample_irreducible_dyck(n, RNG(n))
-        assert checks == [w.steps]
+        assert len(checks) == 1 and np.array_equal(checks[0], w.steps)
+        # the one-row sampler wraps its step row, and so does sample_dyck
+        assert np.array_equal(_seed_row(w.steps, np.int8), C._irreducible_dyck_steps(n, RNG(n)))
+        assert C.sample_dyck(n, RNG(n)) == C.DyckPath(C._dyck_steps(n, RNG(n)))
 
 
 def test_heights_arrays_of_a_stack_are_its_rows():
-    rows = np.concatenate((C._irreducible_dyck_rows(6), C._dyck_rows(6)))
+    rows = np.concatenate((C._enclosed_rows(C._dyck_rows(5)), C._dyck_rows(6)))
     h, f = C._heights_arrays(rows)
     assert h.shape == f.shape == (rows.shape[0], 6)
     for row, row_h, row_f in zip(rows, h, f):
@@ -614,7 +677,7 @@ def test_heights_arrays_of_a_stack_are_its_rows():
 def test_heights_arrays_rejects_corrupted_steps():
     steps = C._irreducible_dyck_steps(40, RNG(1))
     h, f = C._heights_arrays(steps)
-    text_h, text_f = C._heights_arrays(C.DyckPath(C._word_text(steps)).steps)
+    text_h, text_f = C._heights_arrays(C.parse_dyck(C.format_dyck(C.DyckPath(steps))).steps)
     assert np.array_equal(h, text_h) and np.array_equal(f, text_f)
     # first step flipped (negative prefix), last step dropped (unbalanced),
     # word reversed (starts with D)
@@ -634,7 +697,7 @@ def test_sampled_objects_are_valid(n, seed):
     m = C.sample_matching(n, rng)
     assert m.size == n
     p = C.sample_permutation(n, rng)
-    assert sorted(p.mapping) == list(range(1, n + 1))
+    assert sorted(p.mapping.tolist()) == list(range(1, n + 1))
 
 
 def test_indecomposable_small_values():

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -172,7 +173,8 @@ def test_sample_connected_uig_is_canonical_word():
     for _ in range(50):
         w = X.sample_connected_unit_interval_graph(9, rng)
         assert w.is_irreducible()
-        assert w.steps <= _mirror_word(w.steps)
+        word = C.format_dyck(w)
+        assert word <= _mirror_word(word)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
@@ -187,10 +189,10 @@ def test_dyck_draw_stream_matches_string_reference(n):
     for seed in range(4):
         for ours, reference in samplers:
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert [ours(n, rng).steps for _ in range(3)] == [reference(n, ref) for _ in range(3)]
+            assert [C.format_dyck(ours(n, rng)) for _ in range(3)] == [reference(n, ref) for _ in range(3)]
             assert rng.bit_generator.state == ref.bit_generator.state
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        words = [C._word_text(a) for a in X._sample_uig_words(n, rng)]
+        words = [C.format_dyck(C.DyckPath(a)) for a in X._sample_uig_words(n, rng)]
         expected = [
             word for d, j in X._sample_uig_blocks(n, ref) for word in [oracles.connected_uig_word(d, ref)] * j
         ]
@@ -201,10 +203,7 @@ def test_dyck_draw_stream_matches_string_reference(n):
 def test_sample_connected_uig_uniform_over_classes():
     rng = np.random.default_rng(1)
     n, draws = 5, 12000
-    counts: dict[str, int] = {}
-    for _ in range(draws):
-        w = X.sample_connected_unit_interval_graph(n, rng)
-        counts[w.steps] = counts.get(w.steps, 0) + 1
+    counts = Counter(X.sample_connected_unit_interval_graph(n, rng) for _ in range(draws))
     assert len(counts) == X.count_connected_unit_interval_graphs(n)  # 10 classes
     _, p = scipy.stats.chisquare(list(counts.values()))
     assert p > 1e-3
@@ -216,7 +215,7 @@ def test_sample_uig_uniform_over_isomorphism_classes():
     n, draws = 5, 10500
     counts: dict[tuple, int] = {}
     for _ in range(draws):
-        key = tuple(sorted(C._word_text(a) for a in X._sample_uig_words(n, rng)))
+        key = tuple(sorted(C.format_dyck(C.DyckPath(a)) for a in X._sample_uig_words(n, rng)))
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == X.count_unit_interval_graphs(n)  # 21 classes
     _, p = scipy.stats.chisquare(list(counts.values()))
@@ -996,7 +995,7 @@ def _shared_phi_image(f):
 _FAULT_WORD = "UUUDDDUUDD"
 
 
-def _drop_fault_edge(f, fault=C._heights_arrays(_FAULT_WORD)[1]):
+def _drop_fault_edge(f, fault=C._heights_arrays(C.parse_dyck(_FAULT_WORD).steps)[1]):
     # the edge v1-v2 taken out of one reducible size-5 word's graph, so the
     # irreducible stack, built in the same call, keeps every edge
     def dropped(degrees):
@@ -1095,17 +1094,17 @@ def test_exact_enumeration_suite_records_report_their_own_witnesses(monkeypatch)
 
 
 def test_exact_enumeration_suite_builds_no_seed_object(monkeypatch):
-    built = {"Permutation": 0, "Matching": 0}
-    for cls in (C.Permutation, C.Matching):
+    built = {"Permutation": 0, "Matching": 0, "DyckPath": 0}
+    for cls in (C.Permutation, C.Matching, C.DyckPath):
         def counting(self, init=cls.__post_init__, name=cls.__name__):
             built[name] += 1
             init(self)
 
         monkeypatch.setattr(cls, "__post_init__", counting)
     C.Permutation((2, 1))  # the counter sees a construction
-    assert built == {"Permutation": 1, "Matching": 0}
+    assert built == {"Permutation": 1, "Matching": 0, "DyckPath": 0}
     assert X.exact_enumeration_suite(5).passed
-    assert built == {"Permutation": 1, "Matching": 0}
+    assert built == {"Permutation": 1, "Matching": 0, "DyckPath": 0}
 
 
 def test_exact_enumeration_suite_consults_predicates_per_seed(monkeypatch):
@@ -1142,7 +1141,7 @@ def test_exact_enumeration_suite_consults_predicates_per_seed(monkeypatch):
     assert X.exact_enumeration_suite(5).passed
     assert calls == expected
     seen = [tuple(row) for rows in stacks for row in rows.tolist()]
-    assert seen == [m.partner for n in range(1, 6) for m in C.iter_matchings(n)]
+    assert seen == [tuple(m.partner.tolist()) for n in range(1, 6) for m in C.iter_matchings(n)]
     assert len(seen) == 1069
 
 
@@ -1197,6 +1196,15 @@ def test_block_table_memory_is_bounded():
     X._block_table.cache_clear()
     X._log_counts.cache_clear()
     assert _peak_mib(lambda: X._block_table(10_000, 10_000)) <= 3.5
+
+
+@pytest.mark.parametrize("family", ["perm", "circle"])
+def test_clique_density_seed_memory_is_bounded(family):
+    # every rep's seed is held until the counts start; as one int32 row each
+    # the 200 reps peak at about 4.1 MiB (perm) and 4.5 MiB (circle), where
+    # tuples of Python ints peaked at 10.1 and 16.7 MiB
+    rng = np.random.default_rng(8)
+    assert _peak_mib(lambda: X.mc_clique_density(family, 1000, 3, 200, rng, threads=1)) <= 7
 
 
 @pytest.mark.parametrize("n, dtype", [(1, np.int8), (12, np.int8), (32_767, np.int16), (32_768, np.int32)])

@@ -119,11 +119,11 @@ def test_unit_interval_graph_matches_oracle():
     for _ in range(60):
         n = int(rng.integers(1, 10))
         w = C.sample_dyck(n, rng)
-        assert _edges(G.unit_interval_graph(w)) == oracles.unit_interval_edges(w.steps)
+        assert _edges(G.unit_interval_graph(w)) == oracles.unit_interval_edges(C.format_dyck(w))
 
 
 def test_unit_interval_graph_example():
-    g = G.unit_interval_graph(C.DyckPath("UUDUDD"))
+    g = G.unit_interval_graph(C.parse_dyck("UUDUDD"))
     assert _edges(g) == {frozenset((1, 2)), frozenset((2, 3))}
 
 
@@ -227,7 +227,7 @@ def test_unit_distance_formula_vs_bfs():
 
 def test_unit_distance_formula_requires_irreducible():
     with pytest.raises(ValueError):
-        G.unit_distance_formula(C.DyckPath("UDUD"), 1, 2)
+        G.unit_distance_formula(C.parse_dyck("UDUD"), 1, 2)
 
 
 def test_unit_distance_formula_integer_hop_counting():
@@ -235,7 +235,7 @@ def test_unit_distance_formula_integer_hop_counting():
     # from 1 to 6 is one hop even though the window fractions sum to 1.0
     # with float round-up (0.2 * 5 > 1 in binary); the integer recursion
     # must return 1
-    w = C.DyckPath("U" * 6 + "DU" * 5 + "D" * 6)
+    w = C.parse_dyck("U" * 6 + "DU" * 5 + "D" * 6)
     h, f = C._heights_arrays(w.steps)
     assert f[0] == 5
     assert G.unit_distance_formula(w, 1, 6) == 1
@@ -247,8 +247,8 @@ def test_unit_distance_formula_integer_hop_counting():
             assert G.unit_distance_formula(w, i, j) == dmat[i - 1, j - 1]
 
 
-def _jump_walk(word: str, sources) -> np.ndarray:
-    _, f = C._heights_arrays(word)
+def _jump_walk(w: C.DyckPath, sources) -> np.ndarray:
+    _, f = C._heights_arrays(w.steps)
     sources = np.asarray(sources, dtype=np.int64)
     return G._table_distances(G._distances_from(f, sources), sources)
 
@@ -259,7 +259,7 @@ def test_jump_walk_matches_bfs_oracle_on_all_irreducible_words():
             if not oracles.brute_irreducible(word):
                 continue
             brute = np.array(oracles.brute_bfs_all(n, oracles.unit_interval_edges(word)))
-            assert np.array_equal(_jump_walk(word, range(1, n + 1)), np.triu(brute, 1))
+            assert np.array_equal(_jump_walk(C.parse_dyck(word), range(1, n + 1)), np.triu(brute, 1))
 
 
 def test_jump_walk_with_repeated_sources():
@@ -271,10 +271,10 @@ def test_jump_walk_with_repeated_sources():
     for n, reps, k in ((50, 20, 64), (150, 3, 200)):
         for _ in range(reps):
             w = C.sample_irreducible_dyck(n, rng)
-            brute = np.array(oracles.brute_bfs_all(n, oracles.unit_interval_edges(w.steps)))
+            brute = np.array(oracles.brute_bfs_all(n, oracles.unit_interval_edges(C.format_dyck(w))))
             sources = np.sort(rng.integers(1, n + 1, size=k))
             expected = np.triu(brute[np.ix_(sources - 1, sources - 1)], 1)
-            assert np.array_equal(_jump_walk(w.steps, sources), expected)
+            assert np.array_equal(_jump_walk(w, sources), expected)
             assert G._distances_from(C._heights_arrays(w.steps)[1], sources).dtype == np.int32
 
 
@@ -286,15 +286,15 @@ def test_jump_walk_matches_all_pairs_distances(n, k, seed):
     sources = np.sort(rng.integers(1, n + 1, size=k))
     dmat = G.all_pairs_distances(G.unit_interval_graph(w))
     expected = np.triu(dmat[np.ix_(sources - 1, sources - 1)], 1)
-    assert np.array_equal(_jump_walk(w.steps, sources), expected)
+    assert np.array_equal(_jump_walk(w, sources), expected)
 
 
 def test_jump_walk_rejects_reducible_word():
     # UD | UUDD: vertex 1 has no forward neighbour, so a walk from it stalls
     with pytest.raises(ValueError, match="stalls at vertex 1"):
-        _jump_walk("UDUUDD", [1, 3])
+        _jump_walk(C.parse_dyck("UDUUDD"), [1, 3])
     # walks that stay inside one factor are fine
-    assert _jump_walk("UDUUDD", [2, 3])[0, 1] == 1
+    assert _jump_walk(C.parse_dyck("UDUUDD"), [2, 3])[0, 1] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -599,12 +599,12 @@ def _seed_graph_stacks(n):
     each with the oracle's edge sets."""
     images = np.array(list(itertools.permutations(range(1, n + 1))))
     partners = C._matching_partners(n)
-    words = [w.steps for w in C.iter_dyck_paths(n)]
-    f = np.array([C._heights_arrays(w)[1] for w in words])
+    words = list(C.iter_dyck_paths(n))
+    f = np.array([C._heights_arrays(w.steps)[1] for w in words])
     return [
         (G._inversion_adj(images), [oracles.inversion_edges(tuple(r)) for r in images.tolist()]),
         (G._circle_adj(partners), [oracles.circle_edges(tuple(r)) for r in partners.tolist()]),
-        (G._unit_interval_adj(f), [oracles.unit_interval_edges(w) for w in words]),
+        (G._unit_interval_adj(f), [oracles.unit_interval_edges(C.format_dyck(w)) for w in words]),
     ]
 
 

@@ -241,7 +241,7 @@ def test_gp_box_estimate_unit_structure():
     assert defect == pytest.approx(0.2)
     assert 0.0 <= disc < 1.0
     with pytest.raises(ValueError):
-        M.gp_box_estimate_unit(C.DyckPath("UDUD"), True, 0.1, 64, rng)
+        M.gp_box_estimate_unit(C.parse_dyck("UDUD"), True, 0.1, 64, rng)
     with pytest.raises(ValueError):
         M.gp_box_estimate_unit(w, True, 0.0, 64, rng)
     for delta, m in ((0.5, 64), (0.45, 4)):  # one grid point: no pair to compare
