@@ -165,9 +165,12 @@ class Matching(_ArrayValue):
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Matching":
         pairs = list(pairs)
         partner = [0] * (2 * len(pairs))
-        for a, b in pairs:
+        for pos, (a, b) in enumerate(pairs, start=1):
             if not (1 <= a <= len(partner) and 1 <= b <= len(partner)):
                 raise ValueError(f"pair {a}-{b}: endpoint out of range 1..{len(partner)}")
+            for point in (a, b):
+                if partner[point - 1]:
+                    raise ValueError(f"pair {pos}: point {point} already paired")
             partner[a - 1] = b
             partner[b - 1] = a
         return cls(partner)

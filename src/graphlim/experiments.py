@@ -192,7 +192,8 @@ _INLINE_CELLS = 1 << 18
 
 def _rep_threads(threads: int, cells: int) -> int:
     """Workers for a _map_reps call whose reps touch `cells` cells each:
-    `threads`, or 1 below _INLINE_CELLS.  Every pooled driver asks here."""
+    `threads`, or 1 below _INLINE_CELLS.  Reps that hold the GIL pass 1
+    instead (largest_component_stats, verify_gp's box seeds)."""
     return threads if cells >= _INLINE_CELLS else 1
 
 
@@ -1240,8 +1241,10 @@ def verify_gp(
     uniform points, compared by two-sample KS; (b) the coupled box-distance
     discrepancy of gp_box_estimate_unit, whose medians over seeds must all
     be below 0.1 and nonincreasing in n; n_values must be strictly
-    increasing.  The box seeds run first: a rep's jump-walk table is the
-    box grid's vertices by at most max(n_values) columns.  Then come the
+    increasing.  The box seeds run first, inline at any ``threads``: a
+    seed's jump walks and run scan are many short numpy calls that hold the
+    GIL, so on 2 cores a pool saved at most a quarter of their time, none at
+    4 threads, and its workers cost CPU time and memory.  Then come the
     two-point draws, words of 2 * two_point_n steps and excursions of
     m_grid + 1 values.
     """
@@ -1253,7 +1256,7 @@ def verify_gp(
         raise ValueError("n_values and two_point_n must be >= 1")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly increasing")
-    xs = mmspace._box_grid(delta, m_grid)  # a bad grid is a usage error before any draw
+    mmspace._box_grid(delta, m_grid)  # a bad grid is a usage error before any draw
     master = _master_seed(rng)
     n_big = max(n_values) if two_point_n is None else two_point_n
     sizes = len(n_values)
@@ -1266,9 +1269,9 @@ def verify_gp(
         return _two_point_graph_draw(n_big, child) if i < draws else _two_point_excursion_draw(m_grid, child)
 
     # each size and each side of the two-point law keeps its own child seed
-    # sequence; the longest box reps start first
+    # sequence; the box reps run largest size first
     box_masters = tuple(master + 2 + pos for pos in reversed(range(sizes)))
-    disc = _map_reps(box, box_masters, (seeds_per_n,) * sizes, _rep_threads(threads, xs.size * max(n_values)))
+    disc = _map_reps(box, box_masters, (seeds_per_n,) * sizes, 1)
     pair_workers = _rep_threads(threads, max(2 * n_big, m_grid + 1))
     pair = _map_reps(two_point, (master, master + 1), (draws, draws), pair_workers)
     ks = _ks_statistic(np.asarray(pair[:draws]), np.asarray(pair[draws:]))

@@ -299,14 +299,15 @@ def unit_distance_formula(w: DyckPath, i: int, j: int) -> int:
 
 
 def _distances_from(f: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Jump walks from sorted 1-based sources, as a k x L int32 table of step
-    columns (n < 2^31).
-
-    Column t holds where each walk is after t jumps of g(i) = min(i + f(i), n),
-    up to the first column that is all at or past sources[-1].  The distance
-    from v_{sources[a]} to a later v_j is the number of points of row a before
-    j.  g is nondecreasing, so columns are sorted.  A walk that would stall
-    (f(i) = 0 at a vertex it must pass: a reducible word) raises ValueError.
+    """Jump walks from sorted 1-based sources, as a k x (L + 1) int32 table
+    (n < 2^31): entry (a, t) is where the walk from sources[a] is after t
+    jumps of g(i) = min(i + f(i), n), up to the first step L at which all
+    are at or past sources[-1].  The distance from v_{sources[a]} to a later
+    v_j is the number of points of row a before j.  g is nondecreasing, so
+    step columns are sorted and the first walk alone fixes L.  The table is
+    the transposed view of step rows filled in place: read them through .T.
+    A walk that would stall (f(i) = 0 at a vertex it must pass: a reducible
+    word) raises ValueError.
     """
     n = f.size
     first, last = int(sources[0]), int(sources[-1])
@@ -316,10 +317,15 @@ def _distances_from(f: np.ndarray, sources: np.ndarray) -> np.ndarray:
     jump = np.arange(n + 1, dtype=np.int32)
     jump[1:] += f
     np.minimum(jump, n, out=jump)  # jump[v] = g(v)
-    cols = [np.asarray(sources, dtype=np.int32)]
-    while cols[-1][0] < last:
-        cols.append(jump.take(cols[-1]))  # on an int32 index, take is about twice as fast as []
-    return np.stack(cols, axis=1)
+    steps, v = 0, first
+    while v < last:
+        v, steps = jump[v], steps + 1
+    walks = np.empty((steps + 1, sources.size), dtype=np.int32)
+    walks[0] = sources
+    for t in range(steps):
+        # on an int32 index, take is about twice as fast as []; "raise" buffers out
+        jump.take(walks[t], out=walks[t + 1], mode="clip")
+    return walks.T
 
 
 def _table_distances(table: np.ndarray, sources: np.ndarray) -> np.ndarray:
@@ -327,7 +333,7 @@ def _table_distances(table: np.ndarray, sources: np.ndarray) -> np.ndarray:
     v_{sources[b]} for a < b, 0 on and below the diagonal.  Each walk point
     marks the first column beyond it, and a running sum counts the marks."""
     k = sources.size
-    marks = np.searchsorted(sources, table, side="right") + (k + 1) * np.arange(k)[:, None]
+    marks = np.searchsorted(sources, table.T, side="right") + (k + 1) * np.arange(k)  # step rows
     dist = np.bincount(marks.ravel(), minlength=k * (k + 1)).reshape(k, k + 1)[:, :k]
     return np.cumsum(dist, axis=1)
 

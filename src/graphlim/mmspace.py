@@ -196,7 +196,7 @@ def gp_box_estimate_unit(
     Equal, bit for bit, to the largest |d_G(a, b) - d_e(a, b)| over the two
     dense k x k metrics, without building them.  Both are symmetric, so pairs
     a < b suffice.  Row a of d_G is a nondecreasing step function of b with at
-    most L steps (the jump-walk table's columns) and the excursion cumulative
+    most L steps (the jump walks' step rows) and the excursion cumulative
     c is nondecreasing, so on a run of equal d_G the value
     |d / sqrt(n) - |(c_a - c_b) / sqrt(2)|| is monotone in b (each IEEE
     operation is) and peaks at an end of the run: O(k L) work, no k x k
@@ -208,7 +208,7 @@ def gp_box_estimate_unit(
     n = w.size
     h, f = _heights_arrays(w.steps)
     verts = np.minimum(1 + np.floor(xs * n).astype(np.int64), n)
-    table = _distances_from(f, verts)
+    walks = _distances_from(f, verts).T  # (L + 1) x k: step t's row holds every walk's point
 
     if e_from_w:
         mid = np.minimum(1 + np.floor(np.arange(1, m) / m * n).astype(np.int64), n)
@@ -225,27 +225,27 @@ def gp_box_estimate_unit(
 
     k = xs.size
     _check_triangle(
-        lambda i, j: np.count_nonzero(table[np.minimum(i, j)] < verts[np.maximum(i, j), None], axis=-1)
+        lambda i, j: np.count_nonzero(walks[:, np.minimum(i, j)] < verts[np.maximum(i, j)], axis=0)
         / math.sqrt(n),
         k,
     )
     _check_triangle(lambda i, j: np.abs(cum[i] - cum[j]) / math.sqrt(2.0), k)
     rank = np.searchsorted(verts, np.arange(n + 1), side="right").astype(np.int32)  # grid vertices <= v
-    steps = table.shape[1]
-    dist = np.arange(steps) / math.sqrt(n)  # scaled graph distance of step column t
-    edge = np.empty((min(k, _BOX_BLOCK_ROWS), steps + 1), dtype=np.int32)
+    steps = walks.shape[0]
+    dist = (np.arange(steps) / math.sqrt(n))[:, None]  # scaled graph distance of step t
+    edge = np.empty((steps + 1, min(k, _BOX_BLOCK_ROWS)), dtype=np.int32)
     disc = 0.0
     for r0 in range(0, k, _BOX_BLOCK_ROWS):
         rows = min(_BOX_BLOCK_ROWS, k - r0)
-        e = edge[:rows]
-        e[:, 0] = np.arange(r0 + 1, r0 + 1 + rows)
-        np.take(rank, table[r0 : r0 + rows], out=e[:, 1:], mode="clip")  # in range; "raise" buffers out
-        # row r0 + a has distance t on columns e[a, t] .. e[a, t + 1] - 1, a run
+        e = edge[:, :rows]
+        e[0] = np.arange(r0 + 1, r0 + 1 + rows)
+        np.take(rank, walks[:, r0 : r0 + rows], out=e[1:], mode="clip")  # in range; "raise" buffers out
+        # row r0 + a has distance t on columns e[t, a] .. e[t + 1, a] - 1, a run
         # that is live when nonempty; an empty run may start at k, past the grid
-        live = e[:, 1:] != e[:, :-1]
-        for ends in (e[:, :-1], e[:, 1:] - 1):
+        live = e[1:] != e[:-1]
+        for ends in (e[:-1], e[1:] - 1):
             rule = cum.take(ends, mode="clip")
-            np.subtract(cum[r0 : r0 + rows, None], rule, out=rule)
+            np.subtract(cum[r0 : r0 + rows], rule, out=rule)
             rule /= math.sqrt(2.0)  # |a| / s == |a / s|: rounding is symmetric
             np.subtract(dist, np.abs(rule, out=rule), out=rule)
             disc = max(disc, float(np.abs(rule, out=rule).max(where=live, initial=0.0)))

@@ -222,6 +222,21 @@ def test_build_matching_endpoint_out_of_range_exits_2(monkeypatch, capsys, text,
 @pytest.mark.parametrize(
     "text, message",
     [
+        ("1-2 1-2", "pair 2: point 1 already paired"),
+        ("1-2 2-3", "pair 2: point 2 already paired"),
+        ("3-4 1-2 4-1", "pair 3: point 4 already paired"),
+    ],
+)
+def test_build_matching_repeated_point_exits_2(monkeypatch, capsys, text, message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text + "\n"))
+    code, _, err = run_cli(["build", "circle", "--seed", "1"], capsys)
+    assert code == 2
+    assert err.splitlines()[-1] == f"error: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
         (" ".join(map(str, [1, 2, 2, *range(4, 41)])), "position 3: value 2 repeats position 2"),
         ("2 1 3 9 5", "position 4: value 9 out of range 1..5"),
         ("1 99999999999999999999", "position 2: value 99999999999999999999 out of range 1..2"),  # past int64

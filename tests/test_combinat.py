@@ -202,6 +202,23 @@ def test_matching_text_roundtrip():
         C.parse_matching("1-2 2-3")
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(1, 2), (1, 2)], "pair 2: point 1 already paired"),
+        ([(1, 2), (2, 3)], "pair 2: point 2 already paired"),
+        ([(1, 2), (4, 3), (5, 6), (6, 4)], "pair 4: point 6 already paired"),
+        ([(1, 1), (2, 3)], "point 1 is a fixed point"),
+    ],
+)
+def test_matching_from_pairs_names_the_repeated_point(pairs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        C.Matching.from_pairs(pairs)
+    text = " ".join(f"{a}-{b}" for a, b in pairs)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        C.parse_matching(text)
+
+
 # ---------------------------------------------------------------------------
 # xyz statistics and decomposability
 # ---------------------------------------------------------------------------

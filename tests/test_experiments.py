@@ -705,11 +705,13 @@ def test_map_reps_asks_for_at_most_one_worker_per_rep(monkeypatch, threads, reps
 
 
 def test_drivers_use_one_pool_per_call(monkeypatch):
-    # every driver asks _rep_threads for its workers: reps of fewer than
-    # _INLINE_CELLS cells run inline at any threads, and a call makes at most
-    # one pool for each kind of rep that reaches it
+    # reps of fewer than _INLINE_CELLS cells run inline at any threads, and
+    # so do reps that hold the GIL (verify_gp's box seeds, whose 461 grid
+    # vertices by 2000 columns would pool by size); a call makes at most one
+    # pool for each kind of rep that reaches it
     pools = _record_pools(monkeypatch)
     X.verify_gp([50, 100], 0.05, 64, 3, 40, np.random.default_rng(7), threads=3, two_point_n=300)
+    X.verify_gp([1000, 2000], 0.05, 512, 2, 20, np.random.default_rng(17), threads=3)
     X.mc_unit_clique_scaling(200, 3, 20, 256, np.random.default_rng(13), threads=2)
     X.mc_indecomposable_rate(300, 40, np.random.default_rng(21), threads=4)
     X.mc_poisson_xyz(40, 500, 2, np.random.default_rng(9), threads=2)
@@ -721,16 +723,13 @@ def test_drivers_use_one_pool_per_call(monkeypatch):
     X.mc_clique_density("circle", 600, 3, 4, np.random.default_rng(6), threads=2)
     assert pools == []
     calls = [
-        # the four box reps (461 grid vertices by 2000 columns) pool; the
-        # two-point draws do not
-        lambda: X.verify_gp([1000, 2000], 0.05, 512, 2, 20, np.random.default_rng(17), threads=3),
         lambda: X.mc_unit_clique_scaling(100, 3, 10, 1 << 18, np.random.default_rng(19), threads=2),
         # two chunks of 1000 and 1 rows at n = 2000
         lambda: X.mc_poisson_xyz(2000, 1001, 1, np.random.default_rng(9), threads=3),
         lambda: X.heatmap_experiment("perm", 512, 2, np.random.default_rng(3), threads=2),
         lambda: X.heatmap_experiment("circle", 600, 3, np.random.default_rng(3), threads=2),
     ]
-    expected = [(3, 3), (2, 2), (2, 2), (2, 2), (2, 2)]
+    expected = [(2, 2), (2, 2), (2, 2), (2, 2)]
     for call, pool in zip(calls, expected, strict=True):
         pools.clear()
         call()
@@ -1351,6 +1350,19 @@ def test_heatmap_memory_is_bounded():
     X.heatmap_experiment("circle", 20, 2, np.random.default_rng(0))  # lazy set-up outside the window
     assert _peak_mib(lambda: X.heatmap_experiment("circle", 200, 20, np.random.default_rng(1))) <= 1.75
     assert _peak_mib(lambda: X.heatmap_experiment("perm", 600, 3, np.random.default_rng(2))) <= 4.25
+
+
+def test_verify_gp_memory_is_bounded():
+    # criterion 11's metric sizes as the benchmark runs them: the box seeds
+    # run inline, so the peak is the n = 16,000 seed's alone (2.35 MiB here,
+    # where its walk table has 127 step rows; the peak grows about 16 KiB a
+    # row).  Two box seeds in a pool of 2, each stacking a list of walk
+    # columns, traced 3.38-3.51 MiB
+    X.verify_gp([50, 100], 0.05, 64, 1, 2, np.random.default_rng(0))  # lazy set-up outside the window
+    rng = np.random.default_rng(5)
+    assert _peak_mib(
+        lambda: X.verify_gp((1000, 4000, 16000), 0.05, 2048, 1, 10, rng, threads=2, two_point_n=10_000)
+    ) <= 3
 
 
 def test_circle_clique_density_memory_is_bounded():

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 import oracles
 from graphlim import combinat as C
 from graphlim import graphs as G
+from graphlim import mmspace as M
+from test_experiments import _peak_mib
 
 
 def _edges(g: G.UGraph) -> set[frozenset[int]]:
@@ -295,6 +297,77 @@ def test_jump_walk_rejects_reducible_word():
         _jump_walk(C.parse_dyck("UDUUDD"), [1, 3])
     # walks that stay inside one factor are fine
     assert _jump_walk(C.parse_dyck("UDUUDD"), [2, 3])[0, 1] == 1
+
+
+def _column_list_walks(f: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """The walk table the plain way: a stall scan, then one column per jump
+    until every walk is at or past the last source, stacked at the end."""
+    first, last = int(sources[0]), int(sources[-1])
+    for v in range(first, last):
+        if f[v - 1] == 0:
+            raise ValueError(f"jump walk stalls at vertex {v}: the word is reducible")
+    g = np.minimum(np.arange(f.size + 1) + np.concatenate([[0], f]), f.size)
+    cols = [np.asarray(sources)]
+    while cols[-1].min() < last:
+        cols.append(g[cols[-1]])
+    return np.stack(cols, axis=1)
+
+
+def _box_grid_vertices(n: int) -> np.ndarray:
+    # gp_box_estimate_unit's sources at delta = 0.05, m = 2048: 1844 grid
+    # points, so every vertex repeats below n = 1844
+    return np.minimum(1 + np.floor(M._box_grid(0.05, 2048) * n).astype(np.int64), n)
+
+
+@pytest.mark.parametrize("n", [2, 10, 200, 10_000, 16_000])
+def test_walk_table_matches_a_column_list_reference(n):
+    rng = np.random.default_rng(n)
+    f = C._heights_arrays(C._irreducible_dyck_steps(n, rng))[1]
+    middle = (n + 1) // 2
+    cases = [
+        np.array([1]),
+        np.array([1, n]),
+        np.sort(rng.integers(1, n + 1, size=2)),
+        np.arange(1, n + 1),
+        _box_grid_vertices(n),
+        np.full(3, middle),
+    ]
+    for sources in cases:
+        table = G._distances_from(f, sources)
+        want = _column_list_walks(f, sources)
+        assert table.dtype == np.int32
+        assert table.shape == want.shape and np.array_equal(table, want)
+        assert table.T.flags.c_contiguous  # step rows, as the box estimate reads them
+    # first == last: every walk is already there, one column
+    assert G._distances_from(f, np.full(3, middle)).shape == (3, 1)
+    assert G._distances_from(f, np.array([n])).shape == (1, 1)
+
+
+def test_walk_table_stalls_as_the_reference_does():
+    # a word of two irreducible factors: vertex 120 ends the first, f = 0
+    rng = np.random.default_rng(5)
+    steps = np.concatenate([C._irreducible_dyck_steps(120, rng), C._irreducible_dyck_steps(80, rng)])
+    f = C._heights_arrays(steps)[1]
+    for sources in (np.array([1, 200]), np.array([120, 121]), np.arange(1, 201), _box_grid_vertices(200)):
+        with pytest.raises(ValueError, match="stalls at vertex 120: the word is reducible") as want:
+            _column_list_walks(f, sources)
+        with pytest.raises(ValueError) as got:
+            G._distances_from(f, sources)
+        assert str(got.value) == str(want.value)
+    # walks that stay inside one factor are fine
+    inside = np.array([3, 7, 120])
+    assert np.array_equal(G._distances_from(f, inside), _column_list_walks(f, inside))
+
+
+def test_walk_table_is_filled_in_place():
+    # the box table at n = 16,000 (1844 sources by 198 columns, 1.4 MiB) is the
+    # call's only large array; columns collected in a list and then stacked
+    # held it twice (2.9 MiB)
+    f = C._heights_arrays(C.sample_irreducible_dyck(16000, np.random.default_rng(8)).steps)[1]
+    sources = _box_grid_vertices(16000)
+    table = G._distances_from(f, sources)
+    assert table.shape == (1844, 198)
+    assert _peak_mib(lambda: G._distances_from(f, sources)) <= 1.15 * table.nbytes / 2**20
 
 
 # ---------------------------------------------------------------------------
